@@ -67,12 +67,9 @@ from .model import (
     EpochStats,
     ModelParams,
     TrainingConfig,
-    cross_entropy,
     forward_branch,
     init_params,
     predict_tree,
-    sampled_cross_entropy,
-    total_loss,
     train,
     training_instances,
     tree_branch_outputs,
@@ -111,100 +108,3 @@ from .uncertainty import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Branch",
-    "BranchOutput",
-    "CANONICAL_LABELS",
-    "CalibrationMap",
-    "CalibrationReport",
-    "ConfidenceRecord",
-    "ConfigError",
-    "ConversationTree",
-    "CrossValResult",
-    "DataError",
-    "DataWarning",
-    "EpochStats",
-    "FoldSpec",
-    "HashingEmbedder",
-    "InvalidInput",
-    "MEASURES",
-    "MetaClassifier",
-    "MetricsReport",
-    "ModelParams",
-    "NormalizationStats",
-    "PredictionRecord",
-    "RejectionCurve",
-    "STANCES",
-    "SampleSet",
-    "ShapeError",
-    "SoftmaxConfidences",
-    "StateError",
-    "SyntheticSpec",
-    "TableEmbedder",
-    "TimelineSeries",
-    "TimelineStep",
-    "TrainingConfig",
-    "Tweet",
-    "UncertaintyBundle",
-    "UncertaintyConfig",
-    "VeritasError",
-    "aleatoric_score",
-    "aleatoric_stats",
-    "apply_calibration",
-    "branch_matrix",
-    "bundle",
-    "calibration_report",
-    "chi2_sf",
-    "confidence_records",
-    "cross_entropy",
-    "cross_validate",
-    "decompose_branches",
-    "ece",
-    "embed_tweet",
-    "evaluate",
-    "fit_histogram_binning",
-    "forward_branch",
-    "generate_synthetic",
-    "group_uncertainty_by",
-    "infer_classes",
-    "init_params",
-    "kruskal_wallis",
-    "load_dataset",
-    "make_folds",
-    "make_record",
-    "max_variance",
-    "mc_sample",
-    "mc_sample_branches",
-    "meta_features",
-    "min_uncertainty_prediction",
-    "per_fold_reject",
-    "predict_tree",
-    "predictive_entropy",
-    "random_reject",
-    "read_records_csv",
-    "rejection_curve",
-    "reliability_bins",
-    "repaired_order",
-    "sampled_cross_entropy",
-    "softmax_confidences",
-    "supervised_reject",
-    "timeline_prefixes",
-    "timeline_report",
-    "timeline_to_csv",
-    "to_confidence",
-    "tokenize",
-    "total_loss",
-    "train",
-    "train_meta",
-    "training_instances",
-    "tree_branch_outputs",
-    "tree_probs",
-    "uncertainty_value",
-    "unsupervised_reject",
-    "validate_tree",
-    "variation_ratio",
-    "write_dataset",
-    "write_history_csv",
-    "write_records_csv",
-]

@@ -16,10 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataWarning, InvalidInput
 from .rejection import PredictionRecord
-from .uncertainty import UncertaintyBundle, uncertainty_value
-
-# Measures whose raw range is not [0, 1]; see to_confidence.
-_ENTROPY_MEASURES = frozenset({"entropy", "softmax_entropy"})
+from .uncertainty import UncertaintyBundle, measure_spec, uncertainty_value
 
 
 @dataclass(frozen=True)
@@ -52,27 +49,28 @@ def to_confidence(
 ) -> float:
     """Map one bundle's measure value to a confidence in [0, 1].
 
-    lcs and margin pass through; bounded uncertainties become 1 - value;
-    entropies are scaled by their log(n_classes) ceiling first; aleatoric is
-    min-max normalised with dev stats (values clipped into the dev range).
-    A degenerate dev range maps to 0.5 with a warning.
+    The measure's ``confidence_map`` in MEASURE_TABLE picks the mapping.
+    Confidences pass through; bounded uncertainties become 1 - value;
+    entropies are scaled by their log(n_classes) ceiling first; the
+    aleatoric variance is min-max normalised with dev stats (values clipped
+    into the dev range). A degenerate dev range maps to 0.5 with a warning.
     """
-    if measure in ("lcs", "margin"):
-        value = {"lcs": bundle.softmax_lcs, "margin": bundle.softmax_margin}[measure]
-        return float(min(1.0, max(0.0, value)))
+    spec = measure_spec(measure)
+    if spec.confidence_map == "clip":
+        return float(min(1.0, max(0.0, getattr(bundle, spec.field))))
     u = uncertainty_value(bundle, measure)
-    if measure == "aleatoric":
+    if spec.confidence_map == "dev_minmax":
         if stats is None:
-            raise ConfigError("aleatoric confidence needs dev-set normalisation stats")
+            raise ConfigError(f"{measure} confidence needs dev-set normalisation stats")
         if stats.hi <= stats.lo:
             warnings.warn(
-                "degenerate aleatoric dev range; confidence defaults to 0.5",
+                f"degenerate {measure} dev range; confidence defaults to 0.5",
                 DataWarning,
                 stacklevel=2,
             )
             return 0.5
         u = (u - stats.lo) / (stats.hi - stats.lo)
-    elif measure in _ENTROPY_MEASURES:
+    elif spec.confidence_map == "entropy":
         u = u / math.log(bundle.n_classes)
     return float(min(1.0, max(0.0, 1.0 - u)))
 
@@ -219,7 +217,8 @@ def calibration_report(
     n_bins: int = 10,
 ) -> CalibrationReport:
     """Fit binning on dev confidences, report test ECE before and after."""
-    stats = aleatoric_stats(dev_records) if measure == "aleatoric" else None
+    needs_stats = measure_spec(measure).confidence_map == "dev_minmax"
+    stats = aleatoric_stats(dev_records) if needs_stats else None
     dev_conf = confidence_records(dev_records, measure, stats)
     test_conf = confidence_records(test_records, measure, stats)
     cal_map = fit_histogram_binning(dev_conf, n_bins)

@@ -34,8 +34,8 @@ from .harness import (
 from .metrics import evaluate
 from .model import ModelParams, TrainingConfig
 from .rejection import (
-    CurvePoint,
     RejectionCurve,
+    curve_point,
     curve_to_csv,
     per_fold_reject,
     random_reject,
@@ -151,11 +151,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _row(fraction: float, subset, classes) -> CurvePoint:
-    if subset:
-        report = evaluate(subset, classes)
-        return CurvePoint(fraction, len(subset), report.accuracy, report.macro_f, True)
-    return CurvePoint(fraction, 0, float("nan"), float("nan"), False)
+def _print_cut(measure: str, records, fraction: float, retained, classes) -> None:
+    """A two-point curve: every record, then the retained ones."""
+    points = (curve_point(1.0, records, classes), curve_point(fraction, retained, classes))
+    print(curve_to_csv(RejectionCurve(measure=measure, points=points)), end="")
 
 
 def _cmd_reject(args: argparse.Namespace) -> int:
@@ -178,12 +177,7 @@ def _cmd_reject(args: argparse.Namespace) -> int:
         if "save" in spec:
             meta.save(spec["save"])
         retained, _, _ = supervised_reject(meta, records, spec.get("threshold", 0.5))
-        points = (
-            _row(1.0, records, classes),
-            _row(len(retained) / len(records), retained, classes),
-        )
-        curve = RejectionCurve(measure=f"supervised_{backend}", points=points)
-        print(curve_to_csv(curve), end="")
+        _print_cut(f"supervised_{backend}", records, len(retained) / len(records), retained, classes)
         return 0
 
     if args.retain is None:
@@ -191,22 +185,14 @@ def _cmd_reject(args: argparse.Namespace) -> int:
     fraction = args.retain
     if args.mode == "random":
         retained, _ = random_reject(records, fraction, seed=args.seed)
-        points = (
-            _row(1.0, records, classes),
-            _row(fraction, retained, classes),
-        )
-        print(curve_to_csv(RejectionCurve(measure="random", points=points)), end="")
+        _print_cut("random", records, fraction, retained, classes)
         return 0
 
     if args.measure is None:
         raise ConfigError(f"mode {args.mode} needs --measure")
     if args.mode == "perfold":
         retained, _ = per_fold_reject(records, args.measure, fraction)
-        points = (
-            _row(1.0, records, classes),
-            _row(fraction, retained, classes),
-        )
-        print(curve_to_csv(RejectionCurve(measure=args.measure, points=points)), end="")
+        _print_cut(args.measure, records, fraction, retained, classes)
         return 0
 
     fractions = (1.0,) if fraction >= 1.0 else (1.0, fraction)
@@ -224,14 +210,21 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _find_config_echo(model_path: Path) -> dict:
+    """The ``train`` config echo next to the model or one directory up."""
     for candidate in (model_path.parent / "config.json", model_path.parent.parent / "config.json"):
         if candidate.is_file():
             try:
                 parsed = json.loads(candidate.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                continue
-            if isinstance(parsed, dict):
-                return parsed
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise DataError(f"cannot read config file {candidate}: {exc}") from exc
+            if not isinstance(parsed, dict):
+                raise DataError(f"config file {candidate} is not a JSON object")
+            return parsed
+    print(
+        f"no config.json next to {model_path}; "
+        "using the default embedder and uncertainty settings",
+        file=sys.stderr,
+    )
     return {}
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from .data import ConversationTree, FoldSpec, HashingEmbedder, infer_classes, re
 from .errors import ConfigError, DataError
 from .model import EpochStats, ModelParams, TrainingConfig, train
 from .rejection import PredictionRecord, make_record
-from .uncertainty import UncertaintyBundle, UncertaintyConfig, bundle, uncertainty_value
+from .uncertainty import MEASURE_TABLE, UncertaintyBundle, UncertaintyConfig, bundle, uncertainty_value
 
 
 def _tree_seed(base_seed: int, tree_id: str) -> int:
@@ -125,23 +126,21 @@ def cross_validate(
 # ---------------------------------------------------------------------------
 # records CSV
 
-_FIXED_COLUMNS = (
-    "tree_id",
-    "label",
-    "pred",
-    "vr",
-    "entropy",
-    "variance",
-    "aleatoric",
-    "lcs",
-    "margin",
-    "ratio",
-    "softmax_entropy",
-)
+
+def _bundle_columns(n_classes: int) -> list[str]:
+    """The measure columns, then one probability column per class."""
+    return [m.column for m in MEASURE_TABLE] + [f"p_{i}" for i in range(n_classes)]
+
+
+def _bundle_cells(b: UncertaintyBundle) -> list[str]:
+    """Cells for _bundle_columns; repr keeps every float exact."""
+    return [repr(float(getattr(b, m.field))) for m in MEASURE_TABLE] + [
+        repr(float(p)) for p in b.mean_probs
+    ]
 
 
 def records_header(n_classes: int) -> list[str]:
-    return list(_FIXED_COLUMNS) + [f"p_{i}" for i in range(n_classes)] + ["fold"]
+    return ["tree_id", "label", "pred"] + _bundle_columns(n_classes) + ["fold"]
 
 
 def write_records_csv(records: Sequence[PredictionRecord], path) -> None:
@@ -152,28 +151,24 @@ def write_records_csv(records: Sequence[PredictionRecord], path) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(records_header(n_classes))
     for r in records:
-        b = r.bundle
-        if b.n_classes != n_classes:
+        if r.bundle.n_classes != n_classes:
             raise DataError(f"record {r.tree_id}: inconsistent class count")
-        writer.writerow(
-            [r.tree_id, r.gold, r.pred]
-            + [repr(float(v)) for v in (
-                b.variation_ratio,
-                b.entropy,
-                b.variance,
-                b.aleatoric,
-                b.softmax_lcs,
-                b.softmax_margin,
-                b.softmax_ratio,
-                b.softmax_entropy,
-            )]
-            + [repr(float(p)) for p in b.mean_probs]
-            + [r.fold]
-        )
+        writer.writerow([r.tree_id, r.gold, r.pred] + _bundle_cells(r.bundle) + [r.fold])
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
+def _finite(path, lineno: int, column: str, cell: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DataError(f"{path}:{lineno}: column {column}: {cell!r} is not a finite number")
+    return value
+
+
 def read_records_csv(path) -> list[PredictionRecord]:
+    """Load a records CSV, rejecting non-finite values and non-probability rows."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -183,34 +178,37 @@ def read_records_csv(path) -> list[PredictionRecord]:
         raise DataError(f"records file {path} is empty")
     header = rows[0]
     n_classes = sum(1 for col in header if col.startswith("p_"))
-    if header != records_header(n_classes):
+    if n_classes < 2 or header != records_header(n_classes):
         raise DataError(f"records file {path} has unexpected columns {header}")
+    n_measures = len(MEASURE_TABLE)
+    value_columns = header[3:-1]
     records = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        values = [_finite(path, lineno, c, v) for c, v in zip(value_columns, row[3:-1])]
+        probs = tuple(values[n_measures:])
+        for column, p in zip(value_columns[n_measures:], probs):
+            if p < 0.0:
+                raise DataError(f"{path}:{lineno}: column {column}: negative probability {p!r}")
+        total = sum(probs)
+        if abs(total - 1.0) > 1e-6:
+            raise DataError(
+                f"{path}:{lineno}: columns p_0..p_{n_classes - 1}: "
+                f"probabilities sum to {total!r}, not 1"
+            )
         try:
-            tree_id, gold, pred = row[0], row[1], row[2]
-            vals = [float(v) for v in row[3:11]]
-            probs = tuple(float(v) for v in row[11 : 11 + n_classes])
             fold = int(row[-1])
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
+            raise DataError(f"{path}:{lineno}: column fold: {exc}") from exc
         b = UncertaintyBundle(
-            variation_ratio=vals[0],
-            entropy=vals[1],
-            variance=vals[2],
-            aleatoric=vals[3],
-            softmax_lcs=vals[4],
-            softmax_margin=vals[5],
-            softmax_ratio=vals[6],
-            softmax_entropy=vals[7],
+            **{m.field: v for m, v in zip(MEASURE_TABLE, values)},
             mean_probs=probs,
             predicted_class=int(np.argmax(probs)),
         )
-        records.append(make_record(tree_id, gold, pred, b, fold))
+        records.append(make_record(row[0], row[1], row[2], b, fold))
     return records
 
 
@@ -298,27 +296,8 @@ def timeline_to_csv(series: TimelineSeries) -> str:
     n_classes = series.steps[0].bundle.n_classes
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["step", "n_tweets", "pred"]
-        + list(_FIXED_COLUMNS[3:])
-        + [f"p_{i}" for i in range(n_classes)]
-        + ["added_stance"]
-    )
+    writer.writerow(["step", "n_tweets", "pred"] + _bundle_columns(n_classes) + ["added_stance"])
     for i, step in enumerate(series.steps):
-        b = step.bundle
-        writer.writerow(
-            [i, step.n_tweets, step.predicted_class]
-            + [repr(float(v)) for v in (
-                b.variation_ratio,
-                b.entropy,
-                b.variance,
-                b.aleatoric,
-                b.softmax_lcs,
-                b.softmax_margin,
-                b.softmax_ratio,
-                b.softmax_entropy,
-            )]
-            + [repr(float(p)) for p in b.mean_probs]
-            + [step.added_stance if step.added_stance is not None else ""]
-        )
+        stance = step.added_stance if step.added_stance is not None else ""
+        writer.writerow([i, step.n_tweets, step.predicted_class] + _bundle_cells(step.bundle) + [stance])
     return buf.getvalue()

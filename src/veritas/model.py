@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .data import ConversationTree, HashingEmbedder, branch_matrix, decompose_branches, infer_classes
-from .errors import ConfigError, InvalidInput, ShapeError
+from .errors import ConfigError, ShapeError
 from .nn import DROPOUT_OFF, DropoutSpec, Tape
 
 Array = np.ndarray
@@ -176,38 +176,6 @@ def forward_branch(
     var_pre = nn.dense_forward(p["var.w"], p["var.b"], u, "linear", tape=tape)
     variance = nn.softplus_forward(var_pre, tape=tape)
     return BranchOutput(hidden=u, logits=logits, variance=variance, probs=nn.softmax(logits))
-
-
-# ---------------------------------------------------------------------------
-# losses
-
-
-def cross_entropy(probs: Array, target: Array) -> float:
-    """-sum(y * log p) with the log argument floored at 1e-12."""
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(target, dtype=np.float64)
-    if p.shape != y.shape or p.ndim != 1 or p.size == 0:
-        raise ShapeError(f"cross_entropy: mismatched shapes {p.shape} vs {y.shape}")
-    if not np.all(np.isfinite(p)) or abs(float(p.sum()) - 1.0) > 1e-6 or np.any(p < -1e-12):
-        raise InvalidInput("cross_entropy: probs must be a probability vector")
-    return -float(y @ np.log(np.maximum(p, nn.LOG_FLOOR)))
-
-
-def sampled_cross_entropy(logits: Array, variance, target: Array, n_draws: int, rng) -> float:
-    """Monte-Carlo cross-entropy under logit noise scaled by sqrt(variance).
-
-    Draws ``n_draws`` standard-normal rows from rng; deterministic under a
-    fixed generator state. Zero variance reduces to cross_entropy exactly.
-    """
-    v = np.asarray(logits, dtype=np.float64)
-    if n_draws < 1:
-        raise ConfigError(f"sampled_cross_entropy: n_draws must be >= 1, got {n_draws}")
-    eps = rng.standard_normal((int(n_draws), v.shape[0]))
-    return float(nn.sampled_xent(v, variance, target, eps))
-
-
-def total_loss(ce: float, sampled: float, ce_weight: float, sampled_weight: float) -> float:
-    return float(ce_weight) * float(ce) + float(sampled_weight) * float(sampled)
 
 
 # ---------------------------------------------------------------------------

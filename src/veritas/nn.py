@@ -380,11 +380,7 @@ def sampled_xent(
 
     sqrt_sig = np.sqrt(sig)
     if np.all(sqrt_sig == 0.0):
-        p = softmax(v)
-        loss = np.asarray(-float(y @ np.log(np.maximum(p, LOG_FLOOR))))
-        if tape is not None:
-            tape.record(loss, (v, sig), lambda dy: (dy * (p - y), np.zeros_like(sig)))
-        return loss
+        return softmax_xent(v, y, tape=tape)
 
     n_draws = eps.shape[0]
     # sqrt_sig broadcasts over the sample axis: one shared scale or one per logit.

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DataWarning
+from .metrics import evaluate
 from .nn import child_rng, make_rng, sigmoid
 from .uncertainty import UncertaintyBundle, uncertainty_value
 
@@ -126,6 +127,16 @@ class RejectionCurve:
 DEFAULT_FRACTIONS = (1.0, 0.975, 0.95, 0.9, 0.85, 0.8, 0.7, 0.6, 0.5)
 
 
+def curve_point(
+    retain_fraction: float, retained: Sequence[PredictionRecord], classes: tuple[str, ...]
+) -> CurvePoint:
+    """Metrics over the retained records; an empty set is flagged undefined."""
+    if not retained:
+        return CurvePoint(retain_fraction, 0, float("nan"), float("nan"), False)
+    report = evaluate(retained, classes)
+    return CurvePoint(retain_fraction, len(retained), report.accuracy, report.macro_f, True)
+
+
 def rejection_curve(
     records: Sequence[PredictionRecord],
     measure: str,
@@ -138,8 +149,6 @@ def rejection_curve(
     Fractions must start at 1.0 and strictly decrease. An empty retained
     set yields a point flagged undefined rather than an error.
     """
-    from .metrics import evaluate
-
     if not fractions or abs(fractions[0] - 1.0) > 1e-12:
         raise ConfigError("fractions must start at 1.0")
     if any(f2 >= f1 for f1, f2 in zip(fractions, fractions[1:])):
@@ -147,15 +156,8 @@ def rejection_curve(
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ConfigError("fractions must lie in (0, 1]")
     cut = per_fold_reject if per_fold else unsupervised_reject
-    points = []
-    for f in fractions:
-        retained, _ = cut(records, measure, f)
-        if retained:
-            report = evaluate(retained, classes)
-            points.append(CurvePoint(f, len(retained), report.accuracy, report.macro_f, True))
-        else:
-            points.append(CurvePoint(f, 0, float("nan"), float("nan"), False))
-    return RejectionCurve(measure=measure, points=tuple(points))
+    points = tuple(curve_point(f, cut(records, measure, f)[0], classes) for f in fractions)
+    return RejectionCurve(measure=measure, points=points)
 
 
 def curve_to_csv(curve: RejectionCurve) -> str:

@@ -20,19 +20,50 @@ from .nn import DROPOUT_OFF, DropoutSpec, child_rng
 
 Array = np.ndarray
 
-MEASURES = (
-    "variation_ratio",
-    "entropy",
-    "variance",
-    "aleatoric",
-    "lcs",
-    "margin",
-    "ratio",
-    "softmax_entropy",
+
+@dataclass(frozen=True)
+class Measure:
+    """One uncertainty measure and every place it shows up.
+
+    ``field`` is the UncertaintyBundle attribute and ``column`` the records
+    and timeline CSV column. A ``confidence`` measure reads higher for more
+    certain predictions; ranking inverts it as 1 - value. ``confidence_map``
+    names how calibration maps the value u into [0, 1]: "clip" keeps u,
+    "1-u" takes the complement, "entropy" divides u by the log(n_classes)
+    ceiling before the complement, and "dev_minmax" min-max scales u with
+    dev-set stats before the complement. Every result is clipped to [0, 1].
+    """
+
+    name: str
+    field: str
+    column: str
+    confidence: bool
+    confidence_map: str
+
+
+# The eight measures in CSV column order; MEASURES follows the same order.
+MEASURE_TABLE = (
+    Measure("variation_ratio", "variation_ratio", "vr", False, "1-u"),
+    Measure("entropy", "entropy", "entropy", False, "entropy"),
+    Measure("variance", "variance", "variance", False, "1-u"),
+    Measure("aleatoric", "aleatoric", "aleatoric", False, "dev_minmax"),
+    Measure("lcs", "softmax_lcs", "lcs", True, "clip"),
+    Measure("margin", "softmax_margin", "margin", True, "clip"),
+    Measure("ratio", "softmax_ratio", "ratio", False, "1-u"),
+    Measure("softmax_entropy", "softmax_entropy", "softmax_entropy", False, "entropy"),
 )
 
-# Measures where a higher value means more confidence, not less.
-CONFIDENCE_MEASURES = frozenset({"lcs", "margin"})
+MEASURES = tuple(m.name for m in MEASURE_TABLE)
+
+_BY_NAME = {m.name: m for m in MEASURE_TABLE}
+
+
+def measure_spec(name: str) -> Measure:
+    """The table row of a measure name; unknown names are a ConfigError."""
+    spec = _BY_NAME.get(name)
+    if spec is None:
+        raise ConfigError(f"unknown measure {name!r}; choose one of {MEASURES}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -234,23 +265,11 @@ def bundle(
 def uncertainty_value(bundle_: UncertaintyBundle, measure: str) -> float:
     """Ranking value for a measure: higher always means more uncertain.
 
-    Confidence measures (lcs, margin) are inverted as 1 - value.
+    Confidence measures are inverted as 1 - value.
     """
-    if measure not in MEASURES:
-        raise ConfigError(f"unknown measure {measure!r}; choose one of {MEASURES}")
-    value = {
-        "variation_ratio": bundle_.variation_ratio,
-        "entropy": bundle_.entropy,
-        "variance": bundle_.variance,
-        "aleatoric": bundle_.aleatoric,
-        "lcs": bundle_.softmax_lcs,
-        "margin": bundle_.softmax_margin,
-        "ratio": bundle_.softmax_ratio,
-        "softmax_entropy": bundle_.softmax_entropy,
-    }[measure]
-    if measure in CONFIDENCE_MEASURES:
-        return 1.0 - value
-    return value
+    spec = measure_spec(measure)
+    value = getattr(bundle_, spec.field)
+    return 1.0 - value if spec.confidence else value
 
 
 @dataclass(frozen=True)

@@ -48,12 +48,7 @@ from veritas import (
 from veritas import nn
 from veritas.calibration import ConfidenceRecord
 from veritas.cli import main as cli_main
-from veritas.model import (
-    cross_entropy,
-    forward_branch,
-    init_params,
-    sampled_cross_entropy,
-)
+from veritas.model import forward_branch, init_params
 from veritas.nn import DropoutSpec, Tape, make_rng
 from veritas.rejection import curve_to_csv, rejection_curve
 from veritas.uncertainty import MEASURES, SampleSet
@@ -219,8 +214,9 @@ def test_criterion_2_zero_noise_reduction():
         target[int(rng.integers(n_classes))] = 1.0
         n_draws = int(rng.integers(1, 11))
         variance = np.zeros(1 if i % 2 == 0 else n_classes)
-        sampled = sampled_cross_entropy(logits, variance, target, n_draws, make_rng(i))
-        plain = cross_entropy(nn.softmax(logits), target)
+        noise = make_rng(i).standard_normal((n_draws, n_classes))
+        sampled = float(nn.sampled_xent(logits, variance, target, noise))
+        plain = float(nn.softmax_xent(logits, target))
         worst = max(worst, abs(sampled - plain))
     assert worst <= 1e-12
     print(f"[criterion 2] zero-noise reduction: max |diff| {worst:.2e} over 1000 cases (<=1e-12)")

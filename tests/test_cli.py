@@ -1,6 +1,7 @@
 """End-to-end CLI pipeline driven in process through main(argv)."""
 
 import json
+import shutil
 
 import pytest
 
@@ -280,6 +281,36 @@ class TestTimeline:
         )
         assert rc == 2
         assert "ghost" in capfd.readouterr().err
+
+    def _timeline(self, workspace, model):
+        records = read_records_csv(workspace["out"] / "records.csv")
+        model.parent.mkdir(parents=True)
+        source = workspace["out"] / f"fold_{records[0].fold}" / "params.json"
+        shutil.copyfile(source, model)
+        return main(
+            [
+                "timeline",
+                "--model", str(model),
+                "--tree", records[0].tree_id,
+                "--data", str(workspace["data"]),
+                "--measure", "entropy",
+            ]
+        )
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"], ids=["corrupt", "not_object"])
+    def test_unusable_config_exits_2(self, workspace, tmp_path, capfd, text):
+        (tmp_path / "m").mkdir()
+        config = tmp_path / "m" / "config.json"
+        config.write_text(text, encoding="utf-8")
+        assert self._timeline(workspace, tmp_path / "m" / "fold_1" / "params.json") == 2
+        assert str(config) in capfd.readouterr().err
+
+    def test_missing_config_says_defaults_are_used(self, workspace, tmp_path, capfd):
+        assert self._timeline(workspace, tmp_path / "a" / "b" / "params.json") == 0
+        out, err = capfd.readouterr()
+        assert out.startswith("step,n_tweets,pred,")
+        notes = [line for line in err.splitlines() if "default embedder and uncertainty" in line]
+        assert len(notes) == 1
 
 
 class TestSynth:

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from conftest import bundle_with
+from conftest import bundle_with, record_with
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veritas import (
     ConversationTree,
@@ -18,6 +20,7 @@ from veritas import (
     evaluate,
     generate_synthetic,
     make_folds,
+    make_record,
     min_uncertainty_prediction,
     read_records_csv,
     timeline_report,
@@ -25,7 +28,9 @@ from veritas import (
     write_history_csv,
     write_records_csv,
 )
-from veritas.data import timeline_prefixes
+from veritas.data import CANONICAL_LABELS, timeline_prefixes
+from veritas.harness import records_header
+from veritas.uncertainty import MEASURE_TABLE, UncertaintyBundle
 from veritas.errors import ConfigError, DataError
 
 CLASSES = ("true", "false", "unverified")
@@ -189,6 +194,12 @@ class TestRecordsCsv:
         with pytest.raises(DataError, match="columns"):
             read_records_csv(path)
 
+    def test_header_without_two_probability_columns(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(",".join(records_header(1)) + "\n")
+        with pytest.raises(DataError, match="columns"):
+            read_records_csv(path)
+
     def test_short_row(self, small_run, tmp_path):
         path = tmp_path / "records.csv"
         write_records_csv(small_run["res"].records, path)
@@ -206,6 +217,67 @@ class TestRecordsCsv:
         path.write_text("\n".join([lines[0], ",".join(parts)]) + "\n")
         with pytest.raises(DataError):
             read_records_csv(path)
+
+    @pytest.mark.parametrize(
+        "cells, column",
+        [
+            ({"vr": "nan"}, "column vr"),
+            ({"p_1": "inf"}, "column p_1"),
+            ({"p_0": "-0.1", "p_1": "0.8", "p_2": "0.3"}, "column p_0"),
+            ({"p_0": "0.8", "p_1": "0.3", "p_2": "0.1"}, "columns p_0..p_2"),
+        ],
+        ids=["nan_measure", "inf_probability", "negative_probability", "sum_not_one"],
+    )
+    def test_bad_value_names_file_line_and_column(self, tmp_path, cells, column):
+        path = tmp_path / "records.csv"
+        write_records_csv([record_with("a", mean_probs=(0.6, 0.3, 0.1)), record_with("b")], path)
+        header, first, second = path.read_text().splitlines()
+        row = dict(zip(header.split(","), second.split(",")))
+        row.update(cells)
+        path.write_text("\n".join([header, first, ",".join(row.values())]) + "\n")
+        with pytest.raises(DataError, match=f"records.csv:3: {column}"):
+            read_records_csv(path)
+
+
+def _finite_bundles(n_classes: int):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    weights = st.lists(st.floats(0.0, 1.0), min_size=n_classes, max_size=n_classes)
+
+    def build(values, raw):
+        probs = tuple(float(w) for w in np.asarray(raw) / sum(raw))
+        fields = {m.field: v for m, v in zip(MEASURE_TABLE, values)}
+        return UncertaintyBundle(**fields, mean_probs=probs, predicted_class=int(np.argmax(probs)))
+
+    values = st.lists(finite, min_size=len(MEASURE_TABLE), max_size=len(MEASURE_TABLE))
+    return st.builds(build, values, weights.filter(lambda w: sum(w) > 0.0))
+
+
+@st.composite
+def _record_lists(draw):
+    n_classes = draw(st.integers(2, 4))
+    labels = st.sampled_from(CANONICAL_LABELS)
+    records = []
+    for i in range(draw(st.integers(1, 4))):
+        records.append(
+            make_record(
+                f"t{i}", draw(labels), draw(labels), draw(_finite_bundles(n_classes)), draw(st.integers(0, 9))
+            )
+        )
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(_record_lists())
+def test_records_csv_round_trip_property(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("prop") / "records.csv"
+    write_records_csv(records, path)
+    assert read_records_csv(path) == records
+
+
+def test_timeline_measure_columns_match_records_header():
+    step = TimelineStep(n_tweets=1, predicted_class=0, bundle=bundle_with(), added_stance=None)
+    header = timeline_to_csv(TimelineSeries(tree_id="t", steps=(step,))).splitlines()[0].split(",")
+    assert header[3:-1] == records_header(3)[3:-1]
 
 
 class TestHistoryCsv:

@@ -13,14 +13,11 @@ from veritas import (
     TrainingConfig,
     Tweet,
     branch_matrix,
-    cross_entropy,
     decompose_branches,
     forward_branch,
     init_params,
     make_folds,
     predict_tree,
-    sampled_cross_entropy,
-    total_loss,
     train,
     training_instances,
     tree_probs,
@@ -144,27 +141,29 @@ class TestInitParams:
 
 
 # ---------------------------------------------------------------------------
-# losses
+# losses: the nn ops train() combines
+
+
+def _sampled(logits, variance, target, n_draws, seed):
+    """nn.sampled_xent over n_draws standard-normal rows from make_rng(seed)."""
+    eps = nn.make_rng(seed).standard_normal((n_draws, len(logits)))
+    return float(nn.sampled_xent(logits, variance, target, eps))
 
 
 class TestCrossEntropy:
     def test_uniform_three_way(self):
-        assert cross_entropy(np.full(3, 1 / 3), np.array([1.0, 0, 0])) == pytest.approx(
+        assert float(nn.softmax_xent(np.zeros(3), np.array([1.0, 0, 0]))) == pytest.approx(
             math.log(3.0), abs=1e-12
         )
 
     def test_hand_case(self):
-        probs = np.array([0.7, 0.2, 0.1])
+        logits = np.log(np.array([0.7, 0.2, 0.1]))
         target = np.array([0.0, 1.0, 0.0])
-        assert cross_entropy(probs, target) == pytest.approx(-math.log(0.2), abs=1e-12)
-
-    def test_rejects_non_probability(self):
-        with pytest.raises(InvalidInput):
-            cross_entropy(np.array([0.9, 0.9]), np.array([1.0, 0.0]))
+        assert float(nn.softmax_xent(logits, target)) == pytest.approx(-math.log(0.2), abs=1e-12)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            cross_entropy(np.array([1.0]), np.array([1.0, 0.0]))
+            nn.softmax_xent(np.array([1.0]), np.array([1.0, 0.0]))
 
 
 class TestSampledCrossEntropy:
@@ -173,8 +172,8 @@ class TestSampledCrossEntropy:
             logits = rng.normal(size=3) * 3
             target = np.zeros(3)
             target[rng.integers(3)] = 1.0
-            got = sampled_cross_entropy(logits, np.zeros(1), target, 16, nn.make_rng(0))
-            assert got == cross_entropy(nn.softmax(logits), target)
+            got = _sampled(logits, np.zeros(1), target, 16, 0)
+            assert got == float(nn.softmax_xent(logits, target))
 
     def test_single_draw_matches_direct_formula(self):
         logits = np.array([0.3, -0.1, 0.6])
@@ -182,7 +181,7 @@ class TestSampledCrossEntropy:
         target = np.array([0.0, 0.0, 1.0])
         eps = nn.make_rng(42).standard_normal((1, 3))
         expected = -math.log(nn.softmax(logits + 0.7 * eps[0])[2])
-        got = sampled_cross_entropy(logits, variance, target, 1, nn.make_rng(42))
+        got = _sampled(logits, variance, target, 1, 42)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_monte_carlo_agrees_with_independent_estimate(self):
@@ -190,7 +189,7 @@ class TestSampledCrossEntropy:
         variance = np.array([0.25])
         target = np.array([1.0, 0.0])
         n = 10000
-        got = sampled_cross_entropy(logits, variance, target, n, nn.make_rng(1))
+        got = _sampled(logits, variance, target, n, 1)
 
         eps = nn.make_rng(999).standard_normal((n, 2))
         draws = np.array(
@@ -204,9 +203,9 @@ class TestSampledCrossEntropy:
         # sampled estimate drops below the noiseless loss
         logits = np.array([5.0, 0.0, 0.0])
         target = np.array([0.0, 1.0, 0.0])
-        plain = cross_entropy(nn.softmax(logits), target)
+        plain = float(nn.softmax_xent(logits, target))
         sampled = [
-            sampled_cross_entropy(logits, np.array([float(v)]), target, 2000, nn.make_rng(seed))
+            _sampled(logits, np.array([float(v)]), target, 2000, seed)
             for seed in range(10)
             for v in (0.5, 1, 2, 5, 10, 25, 50, 100)
         ]
@@ -215,17 +214,12 @@ class TestSampledCrossEntropy:
     def test_validation(self):
         logits = np.array([0.0, 0.0])
         target = np.array([1.0, 0.0])
-        with pytest.raises(ConfigError):
-            sampled_cross_entropy(logits, np.zeros(1), target, 0, nn.make_rng(0))
-        with pytest.raises(InvalidInput):
-            sampled_cross_entropy(logits, np.array([-0.1]), target, 4, nn.make_rng(0))
         with pytest.raises(ShapeError):
-            sampled_cross_entropy(logits, np.zeros(3), target, 4, nn.make_rng(0))
-
-
-def test_total_loss_weights():
-    assert total_loss(2.0, 0.5, 1.0, 0.2) == pytest.approx(2.1)
-    assert total_loss(1.0, 1.0, 0.0, 1.0) == 1.0
+            _sampled(logits, np.zeros(1), target, 0, 0)
+        with pytest.raises(InvalidInput):
+            _sampled(logits, np.array([-0.1]), target, 4, 0)
+        with pytest.raises(ShapeError):
+            _sampled(logits, np.zeros(3), target, 4, 0)
 
 
 # ---------------------------------------------------------------------------
