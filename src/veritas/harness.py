@@ -132,11 +132,18 @@ def _bundle_columns(n_classes: int) -> list[str]:
     return [m.column for m in MEASURE_TABLE] + [f"p_{i}" for i in range(n_classes)]
 
 
-def _bundle_cells(b: UncertaintyBundle) -> list[str]:
-    """Cells for _bundle_columns; repr keeps every float exact."""
-    return [repr(float(getattr(b, m.field))) for m in MEASURE_TABLE] + [
-        repr(float(p)) for p in b.mean_probs
-    ]
+def _bundle_cells(b: UncertaintyBundle, where: str) -> list[str]:
+    """Cells for _bundle_columns; repr keeps every float exact.
+
+    A non-finite value raises DataError naming ``where`` and the column,
+    because read_records_csv would refuse the file it ends up in.
+    """
+    values = [float(getattr(b, m.field)) for m in MEASURE_TABLE] + [float(p) for p in b.mean_probs]
+    if not all(map(math.isfinite, values)):
+        bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
+        column = _bundle_columns(len(b.mean_probs))[bad]
+        raise DataError(f"{where}: column {column}: {values[bad]!r} is not finite")
+    return list(map(repr, values))
 
 
 def records_header(n_classes: int) -> list[str]:
@@ -153,7 +160,8 @@ def write_records_csv(records: Sequence[PredictionRecord], path) -> None:
     for r in records:
         if r.bundle.n_classes != n_classes:
             raise DataError(f"record {r.tree_id}: inconsistent class count")
-        writer.writerow([r.tree_id, r.gold, r.pred] + _bundle_cells(r.bundle) + [r.fold])
+        cells = _bundle_cells(r.bundle, f"record of tree {r.tree_id}")
+        writer.writerow([r.tree_id, r.gold, r.pred] + cells + [r.fold])
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
@@ -299,5 +307,6 @@ def timeline_to_csv(series: TimelineSeries) -> str:
     writer.writerow(["step", "n_tweets", "pred"] + _bundle_columns(n_classes) + ["added_stance"])
     for i, step in enumerate(series.steps):
         stance = step.added_stance if step.added_stance is not None else ""
-        writer.writerow([i, step.n_tweets, step.predicted_class] + _bundle_cells(step.bundle) + [stance])
+        cells = _bundle_cells(step.bundle, f"timeline of tree {series.tree_id}, step {i}")
+        writer.writerow([i, step.n_tweets, step.predicted_class] + cells + [stance])
     return buf.getvalue()

@@ -12,20 +12,22 @@ Gaussian draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import nn
 from .data import ConversationTree, HashingEmbedder, branch_matrix, decompose_branches, infer_classes
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .nn import DROPOUT_OFF, DropoutSpec, Tape
 
 Array = np.ndarray
 
 _LSTM_KEYS = ("lstm.wx", "lstm.wh", "lstm.b")
 _HEAD_KEYS = ("out.w", "out.b", "var.w", "var.b")
+_RELU_WEIGHT = re.compile(r"relu(\d+)\.w")
 
 
 @dataclass(frozen=True)
@@ -38,11 +40,47 @@ class ModelParams:
     """
 
     layers: dict[str, Array]
+    num_relu_layers: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         missing = [k for k in (*_LSTM_KEYS, *_HEAD_KEYS) if k not in self.layers]
         if missing:
             raise ConfigError(f"model parameters missing layers: {missing}")
+        relu = sorted(int(m.group(1)) for k in self.layers if (m := _RELU_WEIGHT.fullmatch(k)))
+        if relu != list(range(len(relu))):
+            raise ConfigError(f"relu layer indices must run 0..{len(relu) - 1} without gaps, got {relu}")
+        object.__setattr__(self, "num_relu_layers", len(relu))
+
+        def dims(name: str) -> tuple[int, int]:
+            shape = np.shape(self.layers[name])
+            if len(shape) != 2 or 0 in shape:
+                raise ConfigError(f"layer {name}: expected a nonempty 2-D weight matrix, got shape {shape}")
+            return shape
+
+        hidden, input_dim, n_classes = dims("lstm.wh")[1], dims("lstm.wx")[1], dims("out.w")[0]
+        var_rows = dims("var.w")[0]
+        if var_rows not in (1, n_classes):
+            raise ConfigError(
+                f"layer var.w: expected shape (1, {hidden}) or ({n_classes}, {hidden}), "
+                f"got {self.layers['var.w'].shape}"
+            )
+        expected = {
+            "lstm.wx": (4 * hidden, input_dim),
+            "lstm.wh": (4 * hidden, hidden),
+            "lstm.b": (4 * hidden,),
+            **{f"relu{i}.{k}": shape for i in relu for k, shape in (("w", (hidden, hidden)), ("b", (hidden,)))},
+            "out.w": (n_classes, hidden),
+            "out.b": (n_classes,),
+            "var.w": (var_rows, hidden),
+            "var.b": (var_rows,),
+        }
+        for name, shape in expected.items():
+            actual = np.shape(self.layers[name]) if name in self.layers else None
+            if actual != shape:
+                raise ConfigError(f"layer {name}: expected shape {shape}, got {actual}")
+        unknown = sorted(set(self.layers) - set(expected))
+        if unknown:
+            raise ConfigError(f"model parameters have unknown layers: {unknown}")
 
     def __getitem__(self, name: str) -> Array:
         return self.layers[name]
@@ -63,10 +101,6 @@ class ModelParams:
     def variance_dim(self) -> int:
         return self.layers["var.w"].shape[0]
 
-    @property
-    def num_relu_layers(self) -> int:
-        return sum(1 for k in self.layers if k.startswith("relu") and k.endswith(".w"))
-
     def copy(self) -> "ModelParams":
         return ModelParams({k: v.copy() for k, v in self.layers.items()})
 
@@ -75,7 +109,10 @@ class ModelParams:
 
     @classmethod
     def load(cls, path) -> "ModelParams":
-        return cls(nn.load_checkpoint(path))
+        try:
+            return cls(nn.load_checkpoint(path))
+        except ConfigError as exc:
+            raise DataError(f"checkpoint {path}: {exc}") from exc
 
 
 def input_rms(instances: Sequence[tuple[Array, int]]) -> float:
@@ -243,6 +280,81 @@ def training_instances(
     return instances
 
 
+def _train_step(
+    layers: dict[str, Array],
+    n_relu: int,
+    vectors: Array,
+    target: Array,
+    config: TrainingConfig,
+    dropout: DropoutSpec,
+    rng,
+) -> tuple[float, float]:
+    """One in-place SGD step on one branch; returns (cross-entropy, sampled loss).
+
+    Fused forward and backward for the fixed network. It draws the same
+    random numbers in the same order as the reference path (forward_branch
+    and the two losses on a Tape, ``nn.backward``, ``nn.sgd_step``) and
+    performs the same floating-point operations through the same ``nn``
+    kernels, so both give bit-identical parameters.
+    """
+    lr = float(config.learning_rate)
+    wx, wh, b = layers["lstm.wx"], layers["lstm.wh"], layers["lstm.b"]
+    steps, hidden = vectors.shape[0], wh.shape[1]
+    masks = nn._draw_mask((steps, hidden), dropout, rng) if dropout.active else np.ones((steps, hidden))
+    states = nn._lstm_recurrence(wx, wh, b, vectors)
+    u = states.outputs[-1] * masks[-1]
+    relu_cache = []
+    for i in range(n_relu):
+        w = layers[f"relu{i}.w"]
+        z = w @ u + layers[f"relu{i}.b"]
+        y = np.maximum(z, 0.0)
+        mask = nn._draw_mask(y.shape, dropout, rng) if dropout.active else None
+        relu_cache.append((u, z, mask))
+        u = y if mask is None else y * mask
+    w_out, w_var = layers["out.w"], layers["var.w"]
+    logits = w_out @ u + layers["out.b"]
+    var_pre = w_var @ u + layers["var.b"]
+    sqrt_sig = np.sqrt(nn.softplus(var_pre))
+    p = nn.softmax(logits)
+    ce = nn._xent(p, target)
+    noise = rng.standard_normal((config.aleatoric_samples, logits.shape[0]))
+
+    dlogits = nn._xent_backward(p, target, config.ce_weight)
+    if np.all(sqrt_sig == 0.0):
+        # sampled_xent's short circuit: the plain cross-entropy, no variance gradient.
+        sampled = ce
+        dlogits = nn._xent_backward(p, target, config.aleatoric_weight) + dlogits
+        dw_out, du = nn._dense_backward(w_out, u, dlogits)
+    else:
+        sampled, probs = nn._sampled_xent(logits, sqrt_sig, target, noise)
+        dv, dsig = nn._sampled_xent_backward(probs, sqrt_sig, target, noise, config.aleatoric_weight)
+        dlogits = dv + dlogits
+        dz_var = nn._softplus_backward(var_pre, dsig)
+        dw_var, du_var = nn._dense_backward(w_var, u, dz_var)
+        dw_out, du_out = nn._dense_backward(w_out, u, dlogits)
+        du = du_var + du_out
+        w_var -= lr * dw_var
+        layers["var.b"] -= lr * dz_var
+    w_out -= lr * dw_out
+    layers["out.b"] -= lr * dlogits
+
+    for i in reversed(range(n_relu)):
+        u_in, z, mask = relu_cache[i]
+        dz = (du if mask is None else du * mask) * (z > 0.0)
+        w = layers[f"relu{i}.w"]
+        dw, du = nn._dense_backward(w, u_in, dz)
+        w -= lr * dw
+        layers[f"relu{i}.b"] -= lr * dz
+
+    d_hidden = np.zeros((steps, hidden))
+    d_hidden[-1] = du
+    dwx, dwh, db, _ = nn._lstm_backward(wh, vectors, states, d_hidden * masks)
+    wx -= lr * dwx
+    wh -= lr * dwh
+    b -= lr * db
+    return ce, sampled
+
+
 def train(
     trees: Sequence[ConversationTree],
     folds,
@@ -257,8 +369,9 @@ def train(
     """Fit on every tree outside the held-out (and optional dev) fold.
 
     Per-branch SGD on ce_weight * cross-entropy + aleatoric_weight *
-    noise-sampled cross-entropy. Deterministic in the config seed; epochs=0
-    returns the seeded initialisation unchanged.
+    noise-sampled cross-entropy. Training trees are taken in tree_id order,
+    so the result does not depend on the order of ``trees``. Deterministic
+    in the config seed; epochs=0 returns the seeded initialisation unchanged.
     """
     if embedder is None:
         embedder = HashingEmbedder()
@@ -272,6 +385,7 @@ def train(
             raise ConfigError(f"tree {tree.tree_id} has no fold assignment")
         if fold not in held_out:
             train_trees.append(tree)
+    train_trees.sort(key=lambda t: t.tree_id)
     instances = training_instances(train_trees, classes, embedder)
     if not instances:
         raise ConfigError(f"no training branches left outside folds {sorted(held_out)}")
@@ -288,7 +402,8 @@ def train(
         variance_dim=variance_dim,
         input_scale=input_rms(instances),
     )
-    layers = dict(params.layers)
+    # init_params made fresh arrays, so the in-place updates touch nothing else.
+    layers = params.layers
     dropout = DropoutSpec(config.dropout_rate_train, active=config.dropout_rate_train > 0)
     targets = [_one_hot(y, n_classes) for y in range(n_classes)]
 
@@ -297,25 +412,18 @@ def train(
         sum_total = sum_ce = sum_sampled = 0.0
         for idx in order:
             vectors, y_idx = instances[int(idx)]
-            target = targets[y_idx]
-            tape = Tape()
-            tape.watch_all(layers)
-            out = forward_branch(ModelParams(layers), vectors, dropout, rng, tape=tape)
-            ce_node = nn.softmax_xent(out.logits, target, tape=tape)
-            eps = rng.standard_normal((config.aleatoric_samples, n_classes))
-            sampled_node = nn.sampled_xent(out.logits, out.variance, target, eps, tape=tape)
-            nn.weighted_sum(ce_node, sampled_node, config.ce_weight, config.aleatoric_weight, tape=tape)
-            grads = nn.backward(tape)
-            layers = nn.sgd_step(layers, grads, config.learning_rate)
-            sum_ce += float(ce_node)
-            sum_sampled += float(sampled_node)
-            sum_total += config.ce_weight * float(ce_node) + config.aleatoric_weight * float(sampled_node)
+            ce, sampled = _train_step(
+                layers, params.num_relu_layers, vectors, targets[y_idx], config, dropout, rng
+            )
+            sum_ce += ce
+            sum_sampled += sampled
+            sum_total += config.ce_weight * ce + config.aleatoric_weight * sampled
         if history is not None:
             n = len(instances)
             history.append(
                 EpochStats(epoch, sum_total / n, sum_ce / n, sum_sampled / n)
             )
-    return ModelParams(layers)
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,11 @@ def _as_f64(x) -> Array:
     return np.asarray(x, dtype=np.float64)
 
 
+def _dense_backward(weights: Array, x: Array, dz: Array) -> tuple[Array, Array]:
+    """Weight gradient and input gradient of ``weights @ x + b`` for output gradient dz."""
+    return np.outer(dz, x), weights.T @ dz
+
+
 def dense_forward(
     weights: Array,
     bias: Array,
@@ -189,10 +194,96 @@ def dense_forward(
 
         def pull(dy, W=W, xv=xv, z=z, relu_act=(activation == "relu")):
             dz = dy * (z > 0.0) if relu_act else dy
-            return np.outer(dz, xv), dz, W.T @ dz
+            dW, dx = _dense_backward(W, xv, dz)
+            return dW, dz, dx
 
         tape.record(y, (W, b, xv), pull)
     return y
+
+
+@dataclass(frozen=True)
+class _LSTMStates:
+    """What the LSTM backward needs from the forward recurrence.
+
+    ``acts[t]`` holds the step's four gate activations (sigmoid input,
+    sigmoid forget, tanh candidate, sigmoid output); ``cells[t]`` and
+    ``hiddens[t]`` are the states entering step t, so row ``steps`` holds
+    the final ones; ``tanh_cells[t]`` is tanh of the cell leaving step t.
+    """
+
+    acts: Array
+    cells: Array
+    hiddens: Array
+    tanh_cells: Array
+
+    @property
+    def outputs(self) -> Array:
+        return self.hiddens[1:]
+
+
+def _lstm_recurrence(Wx: Array, Wh: Array, b: Array, X: Array) -> _LSTMStates:
+    """Run the LSTM recurrence over the rows of X (shapes already checked)."""
+    steps, hidden = X.shape[0], Wh.shape[1]
+    acts = np.empty((steps, 4 * hidden))
+    cells = np.zeros((steps + 1, hidden))
+    hiddens = np.zeros((steps + 1, hidden))
+    tanh_cells = np.empty((steps, hidden))
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    candidate = slice(2 * hidden, 3 * hidden)
+    for t in range(steps):
+        a = Wx @ X[t] + Wh @ h + b
+        s = sigmoid(a)
+        g = np.tanh(a[candidate])
+        s[candidate] = g
+        acts[t] = s
+        c = s[hidden : 2 * hidden] * c + s[:hidden] * g
+        tanh_cells[t] = np.tanh(c)
+        h = s[3 * hidden :] * tanh_cells[t]
+        cells[t + 1] = c
+        hiddens[t + 1] = h
+    return _LSTMStates(acts, cells, hiddens, tanh_cells)
+
+
+def _lstm_backward(
+    Wh: Array, X: Array, states: _LSTMStates, d_hidden: Array
+) -> tuple[Array, Array, Array, Array]:
+    """Gradients (dWx, dWh, db, per-step gate gradients) of the recurrence.
+
+    ``d_hidden`` is the gradient reaching each emitted hidden state (after
+    its dropout mask). Weight gradients are summed as per-step outer
+    products in reversed time order, starting from zeros: gemm and gemv
+    round differently, so a stacked product would change the bits. Each
+    gate gradient is one product chain over the 4H axis,
+    ``[dc, dc, dc, dh] * [g, c_prev, i, tanh c] * [i, f, 1, o] * [1-i, 1-f, 1-g^2, 1-o]``,
+    which rounds exactly as the four per-gate chains it replaces.
+    """
+    steps, hidden = X.shape[0], Wh.shape[1]
+    acts = states.acts.reshape(steps, 4, hidden)
+    i, f, g, o = acts[:, 0], acts[:, 1], acts[:, 2], acts[:, 3]
+    tc = states.tanh_cells
+    second = np.concatenate([g, states.cells[:-1], i, tc], axis=1)
+    third = np.concatenate([i, f, np.ones((steps, hidden)), o], axis=1)
+    fourth = np.concatenate([1.0 - i, 1.0 - f, 1.0 - g * g, 1.0 - o], axis=1)
+    dtanh = 1.0 - tc * tc
+    dWx = np.zeros((4 * hidden, X.shape[1]))
+    dWh = np.zeros((4 * hidden, hidden))
+    db = np.zeros(4 * hidden)
+    das = np.empty((steps, 4 * hidden))
+    dh_next = np.zeros(hidden)
+    dc_next = np.zeros(hidden)
+    hiddens = states.hiddens
+    for t in reversed(range(steps)):
+        dh = d_hidden[t] + dh_next
+        dc = dh * o[t] * dtanh[t] + dc_next
+        da = np.concatenate((dc, dc, dc, dh)) * second[t] * third[t] * fourth[t]
+        dWx += np.outer(da, X[t])
+        dWh += np.outer(da, hiddens[t])
+        db += da
+        das[t] = da
+        dh_next = Wh.T @ da
+        dc_next = dc * f[t]
+    return dWx, dWh, db, das
 
 
 def lstm_forward(
@@ -228,61 +319,16 @@ def lstm_forward(
 
     steps = X.shape[0]
     masks = _draw_mask((steps, hidden), dropout, rng) if dropout.active else np.ones((steps, hidden))
-
-    gate_i = np.empty((steps, hidden))
-    gate_f = np.empty((steps, hidden))
-    gate_g = np.empty((steps, hidden))
-    gate_o = np.empty((steps, hidden))
-    cell_prev = np.empty((steps, hidden))
-    hidden_prev = np.empty((steps, hidden))
-    tanh_cell = np.empty((steps, hidden))
-    hs = np.empty((steps, hidden))
-
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    for t in range(steps):
-        a = Wx @ X[t] + Wh @ h + b
-        i = sigmoid(a[:hidden])
-        f = sigmoid(a[hidden : 2 * hidden])
-        g = np.tanh(a[2 * hidden : 3 * hidden])
-        o = sigmoid(a[3 * hidden :])
-        gate_i[t], gate_f[t], gate_g[t], gate_o[t] = i, f, g, o
-        cell_prev[t] = c
-        hidden_prev[t] = h
-        c = f * c + i * g
-        tanh_cell[t] = np.tanh(c)
-        h = o * tanh_cell[t]
-        hs[t] = h
-    out = hs * masks
+    states = _lstm_recurrence(Wx, Wh, b, X)
+    out = states.outputs * masks
 
     if tape is not None:
 
         def pull(dout):
-            dWx = np.zeros_like(Wx)
-            dWh = np.zeros_like(Wh)
-            db = np.zeros_like(b)
-            dX = np.zeros_like(X)
-            dh_next = np.zeros(hidden)
-            dc_next = np.zeros(hidden)
-            for t in reversed(range(steps)):
-                i, f, g, o = gate_i[t], gate_f[t], gate_g[t], gate_o[t]
-                tc = tanh_cell[t]
-                dh = dout[t] * masks[t] + dh_next
-                dc = dh * o * (1.0 - tc * tc) + dc_next
-                da = np.concatenate(
-                    [
-                        dc * g * i * (1.0 - i),
-                        dc * cell_prev[t] * f * (1.0 - f),
-                        dc * i * (1.0 - g * g),
-                        dh * tc * o * (1.0 - o),
-                    ]
-                )
-                dWx += np.outer(da, X[t])
-                dWh += np.outer(da, hidden_prev[t])
-                db += da
-                dX[t] = Wx.T @ da
-                dh_next = Wh.T @ da
-                dc_next = dc * f
+            dWx, dWh, db, das = _lstm_backward(Wh, X, states, dout * masks)
+            dX = np.empty_like(X)
+            for t in range(steps):
+                dX[t] = Wx.T @ das[t]
             return dWx, dWh, db, dX
 
         tape.record(out, (Wx, Wh, b, X), pull)
@@ -319,11 +365,15 @@ def dropout_forward(x: Array, spec: DropoutSpec, rng=None, tape: Tape | None = N
     return y
 
 
+def _softplus_backward(x: Array, dy: Array) -> Array:
+    return dy * sigmoid(x)
+
+
 def softplus_forward(x: Array, tape: Tape | None = None) -> Array:
     xv = _as_f64(x)
     y = np.asarray(softplus(xv))
     if tape is not None:
-        tape.record(y, (xv,), lambda dy: (dy * sigmoid(xv),))
+        tape.record(y, (xv,), lambda dy: (_softplus_backward(xv, dy),))
     return y
 
 
@@ -338,14 +388,49 @@ def _check_target(target: Array, n: int) -> Array:
     return y
 
 
+def _xent(p: Array, target: Array) -> float:
+    """Cross-entropy of the softmax output p against a one-hot target."""
+    return -float(target @ np.log(np.maximum(p, LOG_FLOOR)))
+
+
+def _xent_backward(p: Array, target: Array, dy) -> Array:
+    return dy * (p - target)
+
+
+def _sampled_xent(logits: Array, sqrt_sig: Array, target: Array, noise: Array) -> tuple[float, Array]:
+    """Mean cross-entropy over the noise-perturbed logits, and their softmax rows."""
+    perturbed = logits[None, :] + noise * sqrt_sig[None, :]
+    if not np.all(np.isfinite(perturbed)):
+        raise InvalidInput("sampled_xent: perturbed logits are not finite")
+    z = perturbed - perturbed.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    return float(np.mean(-(np.log(np.maximum(probs, LOG_FLOOR)) @ target))), probs
+
+
+def _sampled_xent_backward(
+    probs: Array, sqrt_sig: Array, target: Array, noise: Array, dy
+) -> tuple[Array, Array]:
+    """Gradients w.r.t. the logits and the variance, through the recorded draws."""
+    n_draws, n_classes = noise.shape
+    g = (probs - target[None, :]) / n_draws  # (samples, classes)
+    dv = dy * g.sum(axis=0)
+    per_logit = (g * noise).sum(axis=0)
+    if sqrt_sig.shape == (n_classes,):
+        dsig = np.where(sqrt_sig > 0.0, per_logit / (2.0 * np.where(sqrt_sig > 0.0, sqrt_sig, 1.0)), 0.0)
+    else:
+        dsig = np.asarray([per_logit.sum() / (2.0 * sqrt_sig[0])])
+    return dv, dy * dsig
+
+
 def softmax_xent(logits: Array, target: Array, tape: Tape | None = None) -> Array:
     """Cross-entropy of softmax(logits) against a one-hot target (0-d array)."""
     v = _as_f64(logits)
     p = softmax(v)
     y = _check_target(target, v.shape[0])
-    loss = np.asarray(-float(y @ np.log(np.maximum(p, LOG_FLOOR))))
+    loss = np.asarray(_xent(p, y))
     if tape is not None:
-        tape.record(loss, (v,), lambda dy: (dy * (p - y),))
+        tape.record(loss, (v,), lambda dy: (_xent_backward(p, y, dy),))
     return loss
 
 
@@ -381,30 +466,10 @@ def sampled_xent(
     sqrt_sig = np.sqrt(sig)
     if np.all(sqrt_sig == 0.0):
         return softmax_xent(v, y, tape=tape)
-
-    n_draws = eps.shape[0]
-    # sqrt_sig broadcasts over the sample axis: one shared scale or one per logit.
-    perturbed = v[None, :] + eps * sqrt_sig[None, :]
-    if not np.all(np.isfinite(perturbed)):
-        raise InvalidInput("sampled_xent: perturbed logits are not finite")
-    z = perturbed - perturbed.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
-    loss = np.asarray(float(np.mean(-(np.log(np.maximum(probs, LOG_FLOOR)) @ y))))
-
+    value, probs = _sampled_xent(v, sqrt_sig, y, eps)
+    loss = np.asarray(value)
     if tape is not None:
-
-        def pull(dy):
-            g = (probs - y[None, :]) / n_draws  # (samples, classes)
-            dv = dy * g.sum(axis=0)
-            per_logit = (g * eps).sum(axis=0)
-            if sig.shape == (n_classes,):
-                dsig = np.where(sqrt_sig > 0.0, per_logit / (2.0 * np.where(sqrt_sig > 0.0, sqrt_sig, 1.0)), 0.0)
-            else:
-                dsig = np.asarray([per_logit.sum() / (2.0 * sqrt_sig[0])])
-            return dv, dy * dsig
-
-        tape.record(loss, (v, sig), pull)
+        tape.record(loss, (v, sig), lambda dy: _sampled_xent_backward(probs, sqrt_sig, y, eps, dy))
     return loss
 
 

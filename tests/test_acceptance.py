@@ -401,6 +401,7 @@ def big_run():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_synthetic_end_to_end(big_run):
     started = time.monotonic()
     res = big_run["res"]
@@ -510,6 +511,7 @@ def test_criterion_7_rank_test():
 # 8. timelines
 
 
+@pytest.mark.slow
 def test_criterion_8_timeline_consistency(big_run):
     res, emb, uq = big_run["res"], big_run["emb"], big_run["uq"]
     folds = big_run["folds"]

@@ -27,6 +27,7 @@ from veritas import (
     validate_tree,
     write_dataset,
 )
+from veritas.data import fnv1a_64
 from veritas.errors import ConfigError, DataError, DataWarning
 
 
@@ -394,8 +395,42 @@ class TestEmbedders:
         np.testing.assert_array_equal(M[0], embed_tweet("aa", emb))
         np.testing.assert_array_equal(M[1], embed_tweet("bb", emb))
 
+    def test_memoised_vector_is_read_only(self):
+        emb = HashingEmbedder(dimension=8, seed=3)
+        vec = emb.token_vector("rumour")
+        assert emb.token_vector("rumour") is vec
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+        np.testing.assert_array_equal(vec, _unmemoised_token_vector("rumour", emb))
+
     def test_dimension_validation(self):
         with pytest.raises(ConfigError):
             HashingEmbedder(dimension=0)
         with pytest.raises(ConfigError):
             TableEmbedder(table={"a": np.zeros(3)}, dimension=2)
+
+
+def _unmemoised_token_vector(token, emb):
+    h = fnv1a_64(token, emb.seed)
+    vec = np.zeros(emb.dimension)
+    vec[h % emb.dimension] = (1.0 if h % 2 == 0 else -1.0) / np.sqrt(emb.dimension)
+    return vec
+
+
+_SHARED_EMBEDDER = HashingEmbedder(dimension=16, seed=7)
+_VOCAB = ["rumour", "false", "@bob", "http://t.co/x", "breaking", "it's", "news", "ok"]
+
+
+@given(
+    st.one_of(st.text(max_size=80), st.lists(st.sampled_from(_VOCAB), max_size=12).map(" ".join)),
+    st.integers(1, 40),
+)
+@settings(max_examples=300, deadline=None)
+def test_memoised_embedding_equals_unmemoised(text, dimension):
+    """embed_tweet with memoised vectors equals the mean of freshly hashed ones."""
+    for emb in (_SHARED_EMBEDDER, HashingEmbedder(dimension=dimension, seed=dimension)):
+        vectors = [_unmemoised_token_vector(tok, emb) for tok in tokenize(text)]
+        expected = np.mean(vectors, axis=0) if vectors else np.zeros(emb.dimension)
+        got = embed_tweet(text, emb)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert got.flags.writeable

@@ -239,6 +239,29 @@ class TestRecordsCsv:
             read_records_csv(path)
 
 
+@pytest.mark.parametrize(
+    "overrides, column",
+    [
+        ({"variation_ratio": float("nan")}, "vr"),
+        ({"aleatoric": float("inf")}, "aleatoric"),
+        ({"mean_probs": (0.5, float("nan"), 0.5)}, "p_1"),
+    ],
+    ids=["nan_measure", "inf_measure", "nan_probability"],
+)
+def test_writers_refuse_non_finite_cells(tmp_path, overrides, column):
+    path = tmp_path / "records.csv"
+    records = [record_with("a"), record_with("b", **overrides)]
+    with pytest.raises(DataError, match=f"tree b: column {column}: "):
+        write_records_csv(records, path)
+    assert not path.exists()
+    steps = tuple(
+        TimelineStep(n_tweets=i + 1, predicted_class=0, bundle=r.bundle, added_stance=None)
+        for i, r in enumerate(records)
+    )
+    with pytest.raises(DataError, match=f"tree t, step 1: column {column}: "):
+        timeline_to_csv(TimelineSeries(tree_id="t", steps=steps))
+
+
 def _finite_bundles(n_classes: int):
     finite = st.floats(allow_nan=False, allow_infinity=False)
     weights = st.lists(st.floats(0.0, 1.0), min_size=n_classes, max_size=n_classes)

@@ -23,7 +23,7 @@ from veritas import (
     tree_probs,
 )
 from veritas import nn
-from veritas.errors import ConfigError, InvalidInput, ShapeError
+from veritas.errors import ConfigError, DataError, InvalidInput, ShapeError
 from veritas.model import input_rms
 
 
@@ -361,6 +361,19 @@ class TestTrain:
         with pytest.raises(ConfigError, match="orphan"):
             train(trees + [orphan], folds, 0, SMALL_CONFIG, emb)
 
+    def test_input_order_does_not_change_the_model(self):
+        trees, folds, emb = self._setup(per_class=4)
+        config = TrainingConfig(hidden_size=5, num_relu_layers=1, epochs=2, aleatoric_samples=3, seed=4)
+        shuffled = [trees[int(i)] for i in np.random.default_rng(0).permutation(len(trees))]
+        assert [t.tree_id for t in shuffled] != [t.tree_id for t in trees]
+        runs = []
+        for order in (trees, shuffled):
+            history = []
+            runs.append((train(order, folds, 0, config, emb, history=history), history))
+        (a, history_a), (b, history_b) = runs
+        assert history_a == history_b
+        assert all(np.array_equal(a[k], b[k]) for k in a.layers)
+
     def test_variance_per_logit_widens_head(self):
         trees, folds, emb = self._setup(per_class=2)
         config = TrainingConfig(
@@ -411,6 +424,56 @@ class TestPrediction:
 
 
 # ---------------------------------------------------------------------------
+# parameter validation
+
+
+def _layers(hidden=4, input_dim=5, n_classes=3, num_relu_layers=2, variance_dim=1):
+    return dict(
+        init_params(input_dim, hidden, num_relu_layers, n_classes, seed=0, variance_dim=variance_dim).layers
+    )
+
+
+class TestModelParamsValidation:
+    @pytest.mark.parametrize("variance_dim", [1, 3])
+    def test_valid_layers_and_relu_count(self, variance_dim):
+        params = ModelParams(_layers(variance_dim=variance_dim))
+        assert params.num_relu_layers == 2
+        assert ModelParams(_layers(num_relu_layers=0)).num_relu_layers == 0
+
+    @pytest.mark.parametrize(
+        "name, shape, message",
+        [
+            ("lstm.wx", (12, 5), r"layer lstm\.wx: expected shape \(16, 5\), got \(12, 5\)"),
+            ("lstm.wh", (16, 4, 1), r"layer lstm\.wh: expected a nonempty 2-D"),
+            ("lstm.b", (15,), r"layer lstm\.b: expected shape \(16,\), got \(15,\)"),
+            ("relu1.w", (4, 3), r"layer relu1\.w: expected shape \(4, 4\), got \(4, 3\)"),
+            ("relu0.b", (5,), r"layer relu0\.b: expected shape \(4,\), got \(5,\)"),
+            ("out.w", (3, 5), r"layer out\.w: expected shape \(3, 4\), got \(3, 5\)"),
+            ("out.b", (2,), r"layer out\.b: expected shape \(3,\), got \(2,\)"),
+            ("var.w", (2, 4), r"layer var\.w: expected shape \(1, 4\) or \(3, 4\), got \(2, 4\)"),
+            ("var.b", (3,), r"layer var\.b: expected shape \(1,\), got \(3,\)"),
+        ],
+    )
+    def test_shape_mismatch_names_layer_and_shapes(self, name, shape, message):
+        layers = _layers()
+        layers[name] = np.zeros(shape)
+        with pytest.raises(ConfigError, match=message):
+            ModelParams(layers)
+
+    def test_relu_indices_must_be_contiguous(self):
+        layers = _layers()
+        layers["relu2.w"], layers["relu2.b"] = layers.pop("relu1.w"), layers.pop("relu1.b")
+        with pytest.raises(ConfigError, match=r"relu layer indices .* got \[0, 2\]"):
+            ModelParams(layers)
+
+    def test_relu_bias_without_weights_rejected(self):
+        layers = _layers(num_relu_layers=1)
+        layers["relu1.b"] = np.zeros(4)
+        with pytest.raises(ConfigError, match=r"unknown layers: \['relu1\.b'\]"):
+            ModelParams(layers)
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 
 
@@ -422,6 +485,14 @@ class TestModelParamsIO:
         loaded = ModelParams.load(path)
         assert set(loaded.layers) == set(params.layers)
         assert all(np.array_equal(loaded[k], params[k]) for k in params.layers)
+
+    def test_load_error_names_the_file(self, tmp_path):
+        layers = dict(init_params(input_dim=5, hidden_size=4, num_relu_layers=1, n_classes=3, seed=1).layers)
+        layers["relu0.b"] = np.zeros(3)
+        path = tmp_path / "params.json"
+        nn.save_checkpoint(layers, path)
+        with pytest.raises(DataError, match=r"params\.json: layer relu0\.b: expected shape \(4,\), got \(3,\)"):
+            ModelParams.load(path)
 
     def test_copy_is_independent(self):
         params = init_params(input_dim=3, hidden_size=3, num_relu_layers=0, n_classes=3, seed=0)
