@@ -55,13 +55,6 @@ class ConversationTree:
         return hash((self.tree_id, self.event, self.label, frozenset(self.tweets)))
 
     @property
-    def root(self) -> Tweet:
-        roots = [t for t in self.tweets if t.parent_id is None]
-        if len(roots) != 1:
-            raise DataError(f"tree {self.tree_id}: expected exactly one root, found {len(roots)}")
-        return roots[0]
-
-    @property
     def size(self) -> int:
         return len(self.tweets)
 
@@ -203,21 +196,11 @@ class Branch:
         return len(self.tweets)
 
 
-def _children_map(tree: ConversationTree) -> dict[str, list[Tweet]]:
-    children: dict[str, list[Tweet]] = {}
-    for tw in tree.tweets:
-        if tw.parent_id is not None:
-            children.setdefault(tw.parent_id, []).append(tw)
-    for kids in children.values():
-        kids.sort(key=lambda t: (t.timestamp, t.id))
-    return children
-
-
 def decompose_branches(tree: ConversationTree) -> list[Branch]:
     """One root-to-leaf branch per leaf, ordered by (leaf timestamp, leaf id)."""
     by_id = {tw.id: tw for tw in tree.tweets}
-    children = _children_map(tree)
-    leaves = [tw for tw in tree.tweets if tw.id not in children]
+    parents = {tw.parent_id for tw in tree.tweets}
+    leaves = [tw for tw in tree.tweets if tw.id not in parents]
     leaves.sort(key=lambda t: (t.timestamp, t.id))
     branches = []
     for leaf in leaves:

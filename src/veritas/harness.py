@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ConversationTree, FoldSpec, HashingEmbedder, infer_classes, repaired_order, timeline_prefixes
+from .data import ConversationTree, FoldSpec, HashingEmbedder, infer_classes, timeline_prefixes
 from .errors import ConfigError, DataError
 from .model import EpochStats, ModelParams, TrainingConfig, train
 from .rejection import PredictionRecord, make_record
@@ -262,9 +262,8 @@ def timeline_report(
     """
     if uq is None:
         uq = UncertaintyConfig()
-    order = repaired_order(tree)
     steps = []
-    for k, prefix in enumerate(timeline_prefixes(tree)):
+    for prefix in timeline_prefixes(tree):
         b = bundle(
             params,
             prefix,
@@ -279,7 +278,7 @@ def timeline_report(
                 n_tweets=prefix.size,
                 predicted_class=b.predicted_class,
                 bundle=b,
-                added_stance=order[k].stance,
+                added_stance=prefix.tweets[-1].stance,
             )
         )
     return TimelineSeries(tree_id=tree.tree_id, steps=tuple(steps))

@@ -36,7 +36,8 @@ class ModelParams:
 
     Layer names: lstm.wx/lstm.wh/lstm.b, relu<i>.w/relu<i>.b for the ReLU
     stack, out.w/out.b for the class logits and var.w/var.b for the variance
-    head. Treated as immutable; updates produce a new instance.
+    head. ``train`` updates the arrays of the instance it builds in place;
+    take a ``copy`` to keep a snapshot.
     """
 
     layers: dict[str, Array]

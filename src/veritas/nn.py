@@ -499,14 +499,6 @@ def inner(x: Array, weights: Array, tape: Tape | None = None) -> Array:
     return out
 
 
-def scale(x: Array, factor: float, tape: Tape | None = None) -> Array:
-    xv = _as_f64(x)
-    out = xv * float(factor)
-    if tape is not None:
-        tape.record(out, (xv,), lambda dy: (dy * float(factor),))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # optimiser
 
@@ -539,11 +531,20 @@ def sgd_step(params, grads, learning_rate: float):
 # checkpoints
 
 
+def _check_finite(arr: Array, path, name: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"checkpoint {path}: layer {name!r} has non-finite values")
+
+
 def save_checkpoint(layers: dict[str, Array], path) -> None:
-    """Write layers as JSON {name: {shape, row-major values}}; lossless."""
+    """Write layers as JSON {name: {shape, row-major values}}; lossless.
+
+    A non-finite value is a DataError naming the layer; nothing is written.
+    """
     doc = {}
     for name in sorted(layers):
         arr = _as_f64(layers[name])
+        _check_finite(arr, path, name)
         doc[name] = {"shape": list(arr.shape), "values": [float(v) for v in arr.ravel()]}
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
@@ -559,11 +560,11 @@ def load_checkpoint(path) -> dict[str, Array]:
     for name, entry in doc.items():
         try:
             shape = tuple(int(s) for s in entry["shape"])
-            values = entry["values"]
-        except (TypeError, KeyError) as exc:
+            arr = np.asarray(entry["values"], dtype=np.float64)
+        except (TypeError, KeyError, ValueError) as exc:
             raise DataError(f"checkpoint {path}: bad entry for layer {name!r}") from exc
-        arr = np.asarray(values, dtype=np.float64)
         if arr.size != int(np.prod(shape, dtype=np.int64)):
             raise DataError(f"checkpoint {path}: layer {name!r} has {arr.size} values for shape {shape}")
+        _check_finite(arr, path, name)
         layers[name] = arr.reshape(shape)
     return layers

@@ -1,100 +1,54 @@
 """Rank statistics: Kruskal-Wallis H with a tie correction, and the
 chi-square tail probability it needs.
 
-The tail is the regularized upper incomplete gamma function, computed by the
-usual series / continued-fraction pair so the package stays free of heavy
-statistics dependencies.
+The tail for integer degrees of freedom has a finite closed form
+(Abramowitz & Stegun 26.4.4-26.4.5), so the package needs no statistics
+dependency and no iterative special functions.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInput
 
-_MAX_ITER = 500
-_EPS = 1e-15
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _upper_gamma_contfrac(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) for x >= a + 1 (Lentz)."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_gamma_q(a: float, x: float) -> float:
-    if a <= 0 or x < 0 or not (math.isfinite(a) and math.isfinite(x)):
-        raise InvalidInput(f"regularized_gamma_q needs a > 0 and x >= 0, got a={a}, x={x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x)
-    return _upper_gamma_contfrac(a, x)
-
 
 def chi2_sf(x: float, df: int) -> float:
-    """Chi-square survival function P(X >= x) with df degrees of freedom."""
-    if df < 1:
-        raise ConfigError(f"chi2_sf needs df >= 1, got {df}")
+    """Chi-square survival function P(X >= x) with integer df >= 1.
+
+    With y = x/2, Q = erfc(sqrt(y)) [odd df] + sum_j exp(-y) y^j / j!
+    over j = (df mod 2)/2, ..., df/2 - 1; each term is taken in log space
+    so that none overflows or underflows before the others.
+    """
+    if not isinstance(df, numbers.Integral) or df < 1:
+        raise ConfigError(f"chi2_sf needs an integer df >= 1, got {df!r}")
+    if not math.isfinite(x):
+        raise InvalidInput(f"chi2_sf needs a finite x, got {x}")
     if x <= 0:
         return 1.0
-    return min(1.0, max(0.0, regularized_gamma_q(df / 2.0, x / 2.0)))
+    y = x / 2.0
+    total = math.erfc(math.sqrt(y)) if df % 2 else 0.0
+    log_y = math.log(y)
+    j = (df % 2) / 2.0
+    while j < df / 2.0:
+        total += math.exp(-y + j * log_y - math.lgamma(j + 1.0))
+        j += 1.0
+    return min(1.0, total)
 
 
 def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, float]:
     """Midranks for tied values, plus the tie-correction sum (t^3 - t)."""
     order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, len(values)])
     ranks = np.empty(len(values))
-    tie_sum = 0.0
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # positions i..j share the same value; midrank is the average
-        midrank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = midrank
-        t = j - i + 1
-        if t > 1:
-            tie_sum += t**3 - t
-        i = j + 1
-    return ranks, tie_sum
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks, float(np.sum(counts**3 - counts))
 
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:

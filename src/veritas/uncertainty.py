@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ConversationTree, decompose_branches
+from .data import ConversationTree, branch_matrix, decompose_branches
 from .errors import ConfigError, InvalidInput
-from .model import ModelParams, predict_tree, tree_branch_outputs, tree_probs
+from .model import ModelParams, forward_branch, predict_tree, tree_branch_outputs, tree_probs
 from .nn import DROPOUT_OFF, DropoutSpec, child_rng
 
 Array = np.ndarray
@@ -131,9 +131,6 @@ def mc_sample_branches(
     """Per-branch sample sets (ablation mode); stream (seed, branch, sample)."""
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-    from .data import branch_matrix
-    from .model import forward_branch
-
     dropout = DropoutSpec(dropout_rate, active=dropout_rate > 0)
     sets = []
     for b, branch in enumerate(decompose_branches(tree)):
@@ -239,19 +236,13 @@ def bundle(
     det_probs, det_class = predict_tree(params, tree, embedder)
     if branch_level:
         sets = mc_sample_branches(params, tree, embedder, n_samples, dropout_rate, seed)
-        vr = float(np.mean([variation_ratio(s) for s in sets]))
-        ent = float(np.mean([predictive_entropy(s) for s in sets]))
-        var = float(np.mean([max_variance(s) for s in sets]))
     else:
-        samples = mc_sample(params, tree, embedder, n_samples, dropout_rate, seed)
-        vr = variation_ratio(samples)
-        ent = predictive_entropy(samples)
-        var = max_variance(samples)
+        sets = [mc_sample(params, tree, embedder, n_samples, dropout_rate, seed)]
     conf = softmax_confidences(det_probs)
     return UncertaintyBundle(
-        variation_ratio=vr,
-        entropy=ent,
-        variance=var,
+        variation_ratio=float(np.mean([variation_ratio(s) for s in sets])),
+        entropy=float(np.mean([predictive_entropy(s) for s in sets])),
+        variance=float(np.mean([max_variance(s) for s in sets])),
         aleatoric=aleatoric_score(params, tree, embedder),
         softmax_lcs=conf.lcs,
         softmax_margin=conf.margin,

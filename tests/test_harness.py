@@ -1,5 +1,7 @@
 """Cross-validation, record CSVs and timeline reports."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import bundle_with, record_with
@@ -31,7 +33,7 @@ from veritas import (
 from veritas.data import CANONICAL_LABELS, timeline_prefixes
 from veritas.harness import records_header
 from veritas.uncertainty import MEASURE_TABLE, UncertaintyBundle
-from veritas.errors import ConfigError, DataError
+from veritas.errors import ConfigError, DataError, DataWarning
 
 CLASSES = ("true", "false", "unverified")
 
@@ -359,6 +361,29 @@ class TestTimeline:
         whole = bundle(params, tree, emb, uq.n_samples, uq.dropout_rate, seed=uq.seed)
         assert series.steps[0].bundle == whole
         assert series.steps[0].added_stance == "support"
+
+    def test_one_warning_per_reordered_tweet(self, small_run):
+        res, emb, uq = small_run["res"], small_run["emb"], small_run["uq"]
+        # b and c are timestamped before their parents, so both are reordered
+        tree = ConversationTree(
+            tree_id="late",
+            event="e",
+            label="true",
+            tweets=(
+                Tweet(id="r", parent_id=None, timestamp=0, text="c0w1", stance="support"),
+                Tweet(id="a", parent_id="r", timestamp=5, text="c0w2", stance="deny"),
+                Tweet(id="b", parent_id="a", timestamp=3, text="c1w1", stance="query"),
+                Tweet(id="c", parent_id="b", timestamp=1, text="c2w1", stance="comment"),
+            ),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            series = timeline_report(res.models[1], tree, emb, uq)
+        messages = [str(w.message) for w in caught if issubclass(w.category, DataWarning)]
+        assert len(messages) == 2
+        assert any("tweet b precedes" in m for m in messages)
+        assert any("tweet c precedes" in m for m in messages)
+        assert [s.added_stance for s in series.steps] == ["support", "deny", "query", "comment"]
 
     def test_prediction_changes_counts_transitions(self):
         steps = tuple(

@@ -402,14 +402,13 @@ class TestGradients:
 
         _check_grads(build, arrays, ("v", "sig"), tol=1e-3)
 
-    def test_scale_and_weighted_sum(self):
+    def test_inner_and_weighted_sum(self):
         rng = np.random.default_rng(4)
         arrays = {"x": rng.normal(size=5)}
         r = rng.normal(size=5)
 
         def build(arrs, tape):
-            half = nn.scale(arrs["x"], 0.5, tape)
-            a = nn.inner(half, r, tape)
+            a = nn.inner(arrs["x"], 0.5 * r, tape)
             b = nn.tensor_sum(arrs["x"], tape)
             return nn.weighted_sum(a, b, 1.0, 0.25, tape)
 
@@ -531,6 +530,31 @@ class TestCheckpoints:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             nn.load_checkpoint(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_rejects_non_finite(self, tmp_path, bad):
+        layers = {"lstm.wx": np.zeros((2, 2)), "out.b": np.array([0.5, bad])}
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(DataError, match=r"ckpt\.json: layer 'out\.b' has non-finite values"):
+            nn.save_checkpoint(layers, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_load_rejects_non_finite(self, tmp_path, token):
+        path = tmp_path / "ckpt.json"
+        path.write_text(
+            '{"lstm.wx": {"shape": [2], "values": [0.0, 1.0]}, '
+            f'"out.b": {{"shape": [2], "values": [0.5, {token}]}}}}'
+        )
+        with pytest.raises(DataError, match=r"ckpt\.json: layer 'out\.b' has non-finite values"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("values", ['["abc"]', "[[1.0], [2.0, 3.0]]", '[{"a": 1}]'])
+    def test_load_rejects_non_numeric_values(self, tmp_path, values):
+        path = tmp_path / "ckpt.json"
+        path.write_text(f'{{"w": {{"shape": [1], "values": {values}}}}}')
+        with pytest.raises(DataError, match=r"ckpt\.json: bad entry for layer 'w'"):
+            nn.load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------

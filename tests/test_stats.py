@@ -6,20 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special as spsp
 from scipy import stats as sps
 
 from veritas.errors import ConfigError, InvalidInput
-from veritas.stats import chi2_sf, kruskal_wallis, regularized_gamma_q
+from veritas.stats import _average_ranks, chi2_sf, kruskal_wallis
 
 
 class TestChiSquareTail:
     def test_matches_scipy_over_grid(self):
         rng = np.random.default_rng(42)
-        for _ in range(300):
-            df = int(rng.integers(1, 30))
-            x = float(rng.uniform(0, 80))
-            assert chi2_sf(x, df) == pytest.approx(sps.chi2.sf(x, df), abs=1e-8)
+        xs = np.concatenate([[1e-9, 1e-3, 0.5], np.linspace(1.0, 1000.0, 100), rng.uniform(0, 1000, 50)])
+        # every df from 1 to 200, so odd (erfc start) and even df both run
+        for df in range(1, 201):
+            got = [chi2_sf(float(x), df) for x in xs]
+            np.testing.assert_allclose(got, sps.chi2.sf(xs, df), rtol=1e-11, atol=1e-12)
 
     def test_boundaries(self):
         assert chi2_sf(0.0, 3) == 1.0
@@ -35,20 +35,36 @@ class TestChiSquareTail:
         with pytest.raises(ConfigError):
             chi2_sf(1.0, 0)
 
-    def test_gamma_q_matches_scipy(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            a = float(rng.uniform(0.1, 40))
-            x = float(rng.uniform(0, 80))
-            assert regularized_gamma_q(a, x) == pytest.approx(spsp.gammaincc(a, x), abs=1e-8)
+    @pytest.mark.parametrize("df", [2.0, 2.5, "3", None])
+    def test_non_integer_df_rejected(self, df):
+        with pytest.raises(ConfigError):
+            chi2_sf(1.0, df)
 
-    def test_gamma_q_validation(self):
+    def test_numpy_integer_df_accepted(self):
+        assert chi2_sf(3.0, np.int64(2)) == chi2_sf(3.0, 2)
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf")])
+    def test_non_finite_x_rejected(self, x):
         with pytest.raises(InvalidInput):
-            regularized_gamma_q(0.0, 1.0)
-        with pytest.raises(InvalidInput):
-            regularized_gamma_q(1.0, -0.5)
-        with pytest.raises(InvalidInput):
-            regularized_gamma_q(float("nan"), 1.0)
+            chi2_sf(x, 2)
+
+
+class TestAverageRanks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            # a small support forces runs of ties of every length
+            st.one_of(st.sampled_from([-1.5, 0.0, 0.1, 0.25, 2.0, 1e9]), st.floats(-1e6, 1e6)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_midranks_and_tie_sum_match_references(self, values):
+        data = np.asarray(values, dtype=np.float64)
+        ranks, tie_sum = _average_ranks(data)
+        np.testing.assert_array_equal(ranks, sps.rankdata(data))
+        _, counts = np.unique(data, return_counts=True)
+        assert tie_sum == float(np.sum(counts**3 - counts))
 
 
 class TestKruskalWallis:
