@@ -46,7 +46,6 @@ from .errors import (
     DataWarning,
     InvalidInput,
     ShapeError,
-    StateError,
     VeritasError,
 )
 from .harness import (

@@ -403,6 +403,8 @@ class TableEmbedder:
         for token, vec in self.table.items():
             if np.shape(vec) != (self.dimension,):
                 raise ConfigError(f"table vector for {token!r} has shape {np.shape(vec)}")
+            if not np.all(np.isfinite(vec)):
+                raise ConfigError(f"table vector for {token!r} has non-finite values")
 
     def token_vector(self, token: str) -> np.ndarray | None:
         vec = self.table.get(token)

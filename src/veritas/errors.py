@@ -21,10 +21,6 @@ class ShapeError(VeritasError):
     """Array dimensions do not line up."""
 
 
-class StateError(VeritasError):
-    """Operation called out of order, e.g. backward before any forward."""
-
-
 class InvalidInput(VeritasError):
     """Numerically unusable input, e.g. non-finite logits."""
 

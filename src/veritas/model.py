@@ -5,8 +5,9 @@ a sequence of tweet embeddings fed through an LSTM, a small ReLU stack and
 two linear heads: class logits and a learned data-noise variance (softplus
 keeps it positive). Tree-level predictions average the branch softmax
 outputs. Training minimises a weighted sum of the plain cross-entropy and a
-noise-sampled cross-entropy whose gradient flows through the recorded
-Gaussian draws.
+noise-sampled cross-entropy whose gradient flows through the fixed Gaussian
+draws: per branch, ``nn.backward`` computes the loss and its gradients and
+``nn.sgd_step`` applies them in place.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import nn
 from .data import ConversationTree, HashingEmbedder, branch_matrix, decompose_branches, infer_classes
-from .errors import ConfigError, DataError, ShapeError
-from .nn import DROPOUT_OFF, DropoutSpec, Tape
+from .errors import ConfigError, DataError, InvalidInput, ShapeError
+from .nn import DROPOUT_OFF, DropoutSpec
 
 Array = np.ndarray
 
@@ -191,13 +192,10 @@ def forward_branch(
     vectors: Array,
     dropout: DropoutSpec = DROPOUT_OFF,
     rng=None,
-    tape: Tape | None = None,
 ) -> BranchOutput:
     """Run one embedded branch (steps, input_dim) through the network.
 
     Dropout masks apply to each LSTM output step and after every ReLU layer.
-    When a tape is given, the returned logits/variance arrays are the tape
-    nodes, ready to feed the loss ops.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != params.input_dim:
@@ -205,14 +203,12 @@ def forward_branch(
             f"forward_branch: expected (steps, {params.input_dim}) vectors, got {x.shape}"
         )
     p = params.layers
-    hs = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], x, dropout, rng, tape=tape)
-    u = nn.take_last(hs, tape=tape)
+    u = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], x, dropout, rng)[-1]
     for i in range(params.num_relu_layers):
-        u = nn.dense_forward(p[f"relu{i}.w"], p[f"relu{i}.b"], u, "relu", tape=tape)
-        u = nn.dropout_forward(u, dropout, rng, tape=tape)
-    logits = nn.dense_forward(p["out.w"], p["out.b"], u, "linear", tape=tape)
-    var_pre = nn.dense_forward(p["var.w"], p["var.b"], u, "linear", tape=tape)
-    variance = nn.softplus_forward(var_pre, tape=tape)
+        u = nn.dense_forward(p[f"relu{i}.w"], p[f"relu{i}.b"], u, "relu")
+        u = nn.dropout_forward(u, dropout, rng)
+    logits = nn.dense_forward(p["out.w"], p["out.b"], u, "linear")
+    variance = nn.softplus(nn.dense_forward(p["var.w"], p["var.b"], u, "linear"))
     return BranchOutput(hidden=u, logits=logits, variance=variance, probs=nn.softmax(logits))
 
 
@@ -281,81 +277,6 @@ def training_instances(
     return instances
 
 
-def _train_step(
-    layers: dict[str, Array],
-    n_relu: int,
-    vectors: Array,
-    target: Array,
-    config: TrainingConfig,
-    dropout: DropoutSpec,
-    rng,
-) -> tuple[float, float]:
-    """One in-place SGD step on one branch; returns (cross-entropy, sampled loss).
-
-    Fused forward and backward for the fixed network. It draws the same
-    random numbers in the same order as the reference path (forward_branch
-    and the two losses on a Tape, ``nn.backward``, ``nn.sgd_step``) and
-    performs the same floating-point operations through the same ``nn``
-    kernels, so both give bit-identical parameters.
-    """
-    lr = float(config.learning_rate)
-    wx, wh, b = layers["lstm.wx"], layers["lstm.wh"], layers["lstm.b"]
-    steps, hidden = vectors.shape[0], wh.shape[1]
-    masks = nn._draw_mask((steps, hidden), dropout, rng) if dropout.active else np.ones((steps, hidden))
-    states = nn._lstm_recurrence(wx, wh, b, vectors)
-    u = states.outputs[-1] * masks[-1]
-    relu_cache = []
-    for i in range(n_relu):
-        w = layers[f"relu{i}.w"]
-        z = w @ u + layers[f"relu{i}.b"]
-        y = np.maximum(z, 0.0)
-        mask = nn._draw_mask(y.shape, dropout, rng) if dropout.active else None
-        relu_cache.append((u, z, mask))
-        u = y if mask is None else y * mask
-    w_out, w_var = layers["out.w"], layers["var.w"]
-    logits = w_out @ u + layers["out.b"]
-    var_pre = w_var @ u + layers["var.b"]
-    sqrt_sig = np.sqrt(nn.softplus(var_pre))
-    p = nn.softmax(logits)
-    ce = nn._xent(p, target)
-    noise = rng.standard_normal((config.aleatoric_samples, logits.shape[0]))
-
-    dlogits = nn._xent_backward(p, target, config.ce_weight)
-    if np.all(sqrt_sig == 0.0):
-        # sampled_xent's short circuit: the plain cross-entropy, no variance gradient.
-        sampled = ce
-        dlogits = nn._xent_backward(p, target, config.aleatoric_weight) + dlogits
-        dw_out, du = nn._dense_backward(w_out, u, dlogits)
-    else:
-        sampled, probs = nn._sampled_xent(logits, sqrt_sig, target, noise)
-        dv, dsig = nn._sampled_xent_backward(probs, sqrt_sig, target, noise, config.aleatoric_weight)
-        dlogits = dv + dlogits
-        dz_var = nn._softplus_backward(var_pre, dsig)
-        dw_var, du_var = nn._dense_backward(w_var, u, dz_var)
-        dw_out, du_out = nn._dense_backward(w_out, u, dlogits)
-        du = du_var + du_out
-        w_var -= lr * dw_var
-        layers["var.b"] -= lr * dz_var
-    w_out -= lr * dw_out
-    layers["out.b"] -= lr * dlogits
-
-    for i in reversed(range(n_relu)):
-        u_in, z, mask = relu_cache[i]
-        dz = (du if mask is None else du * mask) * (z > 0.0)
-        w = layers[f"relu{i}.w"]
-        dw, du = nn._dense_backward(w, u_in, dz)
-        w -= lr * dw
-        layers[f"relu{i}.b"] -= lr * dz
-
-    d_hidden = np.zeros((steps, hidden))
-    d_hidden[-1] = du
-    dwx, dwh, db, _ = nn._lstm_backward(wh, vectors, states, d_hidden * masks)
-    wx -= lr * dwx
-    wh -= lr * dwh
-    b -= lr * db
-    return ce, sampled
-
-
 def train(
     trees: Sequence[ConversationTree],
     folds,
@@ -370,9 +291,12 @@ def train(
     """Fit on every tree outside the held-out (and optional dev) fold.
 
     Per-branch SGD on ce_weight * cross-entropy + aleatoric_weight *
-    noise-sampled cross-entropy. Training trees are taken in tree_id order,
-    so the result does not depend on the order of ``trees``. Deterministic
-    in the config seed; epochs=0 returns the seeded initialisation unchanged.
+    noise-sampled cross-entropy: ``nn.backward`` then ``nn.sgd_step``.
+    Training trees are taken in tree_id order, so the result does not
+    depend on the order of ``trees``. Deterministic in the config seed;
+    epochs=0 returns the seeded initialisation unchanged. A step that
+    raises InvalidInput (say, logits that overflowed) is re-raised naming
+    the test fold, the epoch and the tree.
     """
     if embedder is None:
         embedder = HashingEmbedder()
@@ -387,7 +311,11 @@ def train(
         if fold not in held_out:
             train_trees.append(tree)
     train_trees.sort(key=lambda t: t.tree_id)
-    instances = training_instances(train_trees, classes, embedder)
+    instances, owners = [], []
+    for tree in train_trees:
+        branches = training_instances([tree], classes, embedder)
+        instances += branches
+        owners += [tree.tree_id] * len(branches)
     if not instances:
         raise ConfigError(f"no training branches left outside folds {sorted(held_out)}")
 
@@ -413,9 +341,16 @@ def train(
         sum_total = sum_ce = sum_sampled = 0.0
         for idx in order:
             vectors, y_idx = instances[int(idx)]
-            ce, sampled = _train_step(
-                layers, params.num_relu_layers, vectors, targets[y_idx], config, dropout, rng
-            )
+            try:
+                ce, sampled, grads = nn.backward(
+                    layers, vectors, targets[y_idx], dropout, rng,
+                    config.aleatoric_samples, config.ce_weight, config.aleatoric_weight,
+                )
+            except InvalidInput as exc:
+                raise InvalidInput(
+                    f"training with test fold {test_fold}, epoch {epoch}, tree {owners[int(idx)]}: {exc}"
+                ) from exc
+            nn.sgd_step(layers, grads, config.learning_rate)
             sum_ce += ce
             sum_sampled += sampled
             sum_total += config.ce_weight * ce + config.aleatoric_weight * sampled

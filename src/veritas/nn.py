@@ -1,11 +1,13 @@
-"""Differentiable building blocks for the branch classifier.
+"""Numeric building blocks of the branch classifier.
 
-Everything is plain float64 numpy. Forward ops optionally record onto a
-Tape; ``backward`` replays the recorded pullbacks in reverse and returns
-exact gradients for every watched parameter array. Only the op set the
-model needs is supported (dense, a single LSTM layer, inverted dropout,
-softplus, fused cross-entropy losses and a couple of reductions); this is
-not a general autodiff engine.
+Everything is plain float64 numpy. The forward ops (dense, a single LSTM
+layer, inverted dropout, softplus and the two cross-entropy losses) serve
+inference. ``backward`` is the one gradient path: the forward and backward
+pass of the fixed branch network for one training example, built from the
+private per-layer derivative kernels (``_dense_backward``,
+``_lstm_backward``, ``_xent_backward``, ``_sampled_xent_backward``,
+``_softplus_backward``). ``sgd_step`` applies its gradients in place. This
+is not a general autodiff engine.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
-
 import numpy as np
 
-from .errors import ConfigError, DataError, InvalidInput, ShapeError, StateError
+from .errors import ConfigError, DataError, InvalidInput, ShapeError
 
 Array = np.ndarray
 
@@ -44,10 +44,6 @@ def child_rng(seed: int, *stream: int) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # activations
-
-
-def relu(x: Array) -> Array:
-    return np.maximum(x, 0.0)
 
 
 def sigmoid(x: Array) -> Array:
@@ -105,61 +101,6 @@ def _draw_mask(shape, spec: DropoutSpec, rng) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# tape
-
-
-class Tape:
-    """Execution record of one forward pass, consumed by backward().
-
-    Ops append (output, inputs, pullback) steps; gradients flow backwards
-    keyed on array identity, so the same array objects must be passed to
-    every op that should share them.
-    """
-
-    def __init__(self) -> None:
-        self._steps: list[tuple[Array, tuple[Array, ...], Callable]] = []
-        self._watched: dict[str, Array] = {}
-
-    def watch(self, name: str, array: Array) -> Array:
-        self._watched[name] = array
-        return array
-
-    def watch_all(self, arrays: dict[str, Array]) -> None:
-        for name, arr in arrays.items():
-            self.watch(name, arr)
-
-    def record(self, out: Array, inputs: tuple[Array, ...], pullback: Callable) -> Array:
-        self._steps.append((out, inputs, pullback))
-        return out
-
-
-def backward(tape: Tape) -> dict[str, Array]:
-    """Gradients of the last recorded scalar w.r.t. every watched array.
-
-    Watched arrays the loss never touched get zero gradients.
-    """
-    if not isinstance(tape, Tape) or not tape._steps:
-        raise StateError("backward() called before any recorded forward op")
-    loss = tape._steps[-1][0]
-    if loss.ndim != 0:
-        raise StateError("the last recorded op must produce a scalar loss")
-    flows: dict[int, Array] = {id(loss): np.ones(())}
-    for out, inputs, pullback in reversed(tape._steps):
-        dy = flows.get(id(out))
-        if dy is None:
-            continue
-        for x, dx in zip(inputs, pullback(dy)):
-            if dx is None:
-                continue
-            prev = flows.get(id(x))
-            flows[id(x)] = dx if prev is None else prev + dx
-    return {
-        name: flows.get(id(arr), np.zeros_like(arr))
-        for name, arr in tape._watched.items()
-    }
-
-
-# ---------------------------------------------------------------------------
 # layers
 
 
@@ -172,13 +113,7 @@ def _dense_backward(weights: Array, x: Array, dz: Array) -> tuple[Array, Array]:
     return np.outer(dz, x), weights.T @ dz
 
 
-def dense_forward(
-    weights: Array,
-    bias: Array,
-    x: Array,
-    activation: str = "linear",
-    tape: Tape | None = None,
-) -> Array:
+def dense_forward(weights: Array, bias: Array, x: Array, activation: str = "linear") -> Array:
     W, b, xv = _as_f64(weights), _as_f64(bias), _as_f64(x)
     if W.ndim != 2:
         raise ShapeError(f"dense: weights must be 2-D, got shape {W.shape}")
@@ -189,16 +124,7 @@ def dense_forward(
     if activation not in ("linear", "relu"):
         raise ConfigError(f"dense: unknown activation {activation!r}")
     z = W @ xv + b
-    y = np.maximum(z, 0.0) if activation == "relu" else z
-    if tape is not None:
-
-        def pull(dy, W=W, xv=xv, z=z, relu_act=(activation == "relu")):
-            dz = dy * (z > 0.0) if relu_act else dy
-            dW, dx = _dense_backward(W, xv, dz)
-            return dW, dz, dx
-
-        tape.record(y, (W, b, xv), pull)
-    return y
+    return np.maximum(z, 0.0) if activation == "relu" else z
 
 
 @dataclass(frozen=True)
@@ -293,7 +219,6 @@ def lstm_forward(
     inputs: Array,
     dropout: DropoutSpec = DROPOUT_OFF,
     rng=None,
-    tape: Tape | None = None,
 ) -> Array:
     """Single-layer LSTM over one sequence; returns one hidden row per step.
 
@@ -317,68 +242,26 @@ def lstm_forward(
     if dropout.active and rng is None:
         raise ConfigError("lstm: active dropout needs an rng")
 
-    steps = X.shape[0]
-    masks = _draw_mask((steps, hidden), dropout, rng) if dropout.active else np.ones((steps, hidden))
-    states = _lstm_recurrence(Wx, Wh, b, X)
-    out = states.outputs * masks
-
-    if tape is not None:
-
-        def pull(dout):
-            dWx, dWh, db, das = _lstm_backward(Wh, X, states, dout * masks)
-            dX = np.empty_like(X)
-            for t in range(steps):
-                dX[t] = Wx.T @ das[t]
-            return dWx, dWh, db, dX
-
-        tape.record(out, (Wx, Wh, b, X), pull)
-    return out
+    shape = (X.shape[0], hidden)
+    masks = _draw_mask(shape, dropout, rng) if dropout.active else np.ones(shape)
+    return _lstm_recurrence(Wx, Wh, b, X).outputs * masks
 
 
-def take_last(sequence: Array, tape: Tape | None = None) -> Array:
-    seq = _as_f64(sequence)
-    if seq.ndim != 2 or seq.shape[0] == 0:
-        raise ShapeError(f"take_last expects a nonempty (steps, dim) array, got {seq.shape}")
-    y = seq[-1].copy()
-    if tape is not None:
-
-        def pull(dy, seq=seq):
-            d = np.zeros_like(seq)
-            d[-1] = dy
-            return (d,)
-
-        tape.record(y, (seq,), pull)
-    return y
-
-
-def dropout_forward(x: Array, spec: DropoutSpec, rng=None, tape: Tape | None = None) -> Array:
+def dropout_forward(x: Array, spec: DropoutSpec, rng=None) -> Array:
     xv = _as_f64(x)
     if not spec.active:
-        # Identity: gradients flow through the unchanged array object.
         return xv
     if rng is None:
         raise ConfigError("dropout: active dropout needs an rng")
-    mask = _draw_mask(xv.shape, spec, rng)
-    y = xv * mask
-    if tape is not None:
-        tape.record(y, (xv,), lambda dy: (dy * mask,))
-    return y
+    return xv * _draw_mask(xv.shape, spec, rng)
 
 
 def _softplus_backward(x: Array, dy: Array) -> Array:
     return dy * sigmoid(x)
 
 
-def softplus_forward(x: Array, tape: Tape | None = None) -> Array:
-    xv = _as_f64(x)
-    y = np.asarray(softplus(xv))
-    if tape is not None:
-        tape.record(y, (xv,), lambda dy: (_softplus_backward(xv, dy),))
-    return y
-
-
 # ---------------------------------------------------------------------------
-# losses and reductions
+# losses
 
 
 def _check_target(target: Array, n: int) -> Array:
@@ -423,15 +306,12 @@ def _sampled_xent_backward(
     return dv, dy * dsig
 
 
-def softmax_xent(logits: Array, target: Array, tape: Tape | None = None) -> Array:
+def softmax_xent(logits: Array, target: Array) -> Array:
     """Cross-entropy of softmax(logits) against a one-hot target (0-d array)."""
     v = _as_f64(logits)
     p = softmax(v)
     y = _check_target(target, v.shape[0])
-    loss = np.asarray(_xent(p, y))
-    if tape is not None:
-        tape.record(loss, (v,), lambda dy: (_xent_backward(p, y, dy),))
-    return loss
+    return np.asarray(_xent(p, y))
 
 
 def sampled_xent(
@@ -439,13 +319,12 @@ def sampled_xent(
     variance: Array,
     target: Array,
     noise: Array,
-    tape: Tape | None = None,
 ) -> Array:
     """Mean cross-entropy over logit vectors perturbed by Gaussian noise.
 
     One row of ``noise`` per sample; each row is scaled componentwise by
     sqrt(variance) and added to the logits, so the gradient w.r.t. variance
-    comes out of the recorded draws (reparameterisation). ``variance`` may
+    comes out of the fixed draws (reparameterisation). ``variance`` may
     be a single shared value or one value per logit. All-zero variance
     short-circuits to the plain cross-entropy, bit for bit.
     """
@@ -465,66 +344,104 @@ def sampled_xent(
 
     sqrt_sig = np.sqrt(sig)
     if np.all(sqrt_sig == 0.0):
-        return softmax_xent(v, y, tape=tape)
-    value, probs = _sampled_xent(v, sqrt_sig, y, eps)
-    loss = np.asarray(value)
-    if tape is not None:
-        tape.record(loss, (v, sig), lambda dy: _sampled_xent_backward(probs, sqrt_sig, y, eps, dy))
-    return loss
-
-
-def weighted_sum(a: Array, b: Array, weight_a: float, weight_b: float, tape: Tape | None = None) -> Array:
-    out = np.asarray(weight_a * np.asarray(a) + weight_b * np.asarray(b))
-    if tape is not None:
-        tape.record(out, (a, b), lambda dy: (weight_a * dy, weight_b * dy))
-    return out
-
-
-def tensor_sum(x: Array, tape: Tape | None = None) -> Array:
-    xv = _as_f64(x)
-    out = np.asarray(xv.sum())
-    if tape is not None:
-        tape.record(out, (xv,), lambda dy: (dy * np.ones_like(xv),))
-    return out
-
-
-def inner(x: Array, weights: Array, tape: Tape | None = None) -> Array:
-    """Sum of the elementwise product with a constant weight array."""
-    xv, w = _as_f64(x), _as_f64(weights)
-    if xv.shape != w.shape:
-        raise ShapeError(f"inner: shapes {xv.shape} and {w.shape} differ")
-    out = np.asarray(float((xv * w).sum()))
-    if tape is not None:
-        tape.record(out, (xv,), lambda dy: (dy * w,))
-    return out
+        return softmax_xent(v, y)
+    return np.asarray(_sampled_xent(v, sqrt_sig, y, eps)[0])
 
 
 # ---------------------------------------------------------------------------
-# optimiser
+# training step
 
 
-def sgd_step(params, grads, learning_rate: float):
-    """One plain SGD update; returns fresh arrays, inputs are untouched."""
+def backward(
+    layers: dict[str, Array],
+    vectors: Array,
+    target: Array,
+    dropout: DropoutSpec,
+    rng,
+    samples: int,
+    ce_weight: float,
+    aleatoric_weight: float,
+) -> tuple[float, float, dict[str, Array]]:
+    """Training loss of one branch and its exact gradients; mutates nothing.
+
+    ``layers`` is the network ``model.forward_branch`` runs (``lstm.*``,
+    ``relu<i>.*``, the ``out.*`` logits and the ``var.*`` softplus variance
+    head). The loss is ``ce_weight`` times the cross-entropy against the
+    one-hot ``target`` plus ``aleatoric_weight`` times ``sampled_xent`` over
+    ``samples`` noise rows. Random numbers come in forward_branch's order,
+    the LSTM mask block and then each ReLU mask, followed by the noise
+    block. Returns (cross-entropy, sampled loss, gradients by layer name).
+    At all-zero variance ``sampled_xent`` is the plain cross-entropy, so
+    the variance layers get no gradient entry.
+    """
+    n_relu = sum(name.startswith("relu") for name in layers) // 2
+    wx, wh, b = layers["lstm.wx"], layers["lstm.wh"], layers["lstm.b"]
+    steps, hidden = vectors.shape[0], wh.shape[1]
+    masks = _draw_mask((steps, hidden), dropout, rng) if dropout.active else np.ones((steps, hidden))
+    states = _lstm_recurrence(wx, wh, b, vectors)
+    u = states.outputs[-1] * masks[-1]
+    relu_cache = []
+    for i in range(n_relu):
+        z = layers[f"relu{i}.w"] @ u + layers[f"relu{i}.b"]
+        y = np.maximum(z, 0.0)
+        mask = _draw_mask(y.shape, dropout, rng) if dropout.active else None
+        relu_cache.append((u, z, mask))
+        u = y if mask is None else y * mask
+    w_out, w_var = layers["out.w"], layers["var.w"]
+    logits = w_out @ u + layers["out.b"]
+    var_pre = w_var @ u + layers["var.b"]
+    sqrt_sig = np.sqrt(softplus(var_pre))
+    p = softmax(logits)
+    ce = _xent(p, target)
+    noise = rng.standard_normal((samples, logits.shape[0]))
+
+    grads = {}
+    dlogits = _xent_backward(p, target, ce_weight)
+    if np.all(sqrt_sig == 0.0):
+        # sampled_xent's short circuit: the plain cross-entropy, no variance gradient.
+        sampled = ce
+        dlogits = _xent_backward(p, target, aleatoric_weight) + dlogits
+        dw_out, du = _dense_backward(w_out, u, dlogits)
+    else:
+        sampled, probs = _sampled_xent(logits, sqrt_sig, target, noise)
+        dv, dsig = _sampled_xent_backward(probs, sqrt_sig, target, noise, aleatoric_weight)
+        dlogits = dv + dlogits
+        dz_var = _softplus_backward(var_pre, dsig)
+        grads["var.w"], du_var = _dense_backward(w_var, u, dz_var)
+        grads["var.b"] = dz_var
+        dw_out, du_out = _dense_backward(w_out, u, dlogits)
+        du = du_var + du_out
+    grads["out.w"], grads["out.b"] = dw_out, dlogits
+
+    for i in reversed(range(n_relu)):
+        u_in, z, mask = relu_cache[i]
+        dz = (du if mask is None else du * mask) * (z > 0.0)
+        grads[f"relu{i}.w"], du = _dense_backward(layers[f"relu{i}.w"], u_in, dz)
+        grads[f"relu{i}.b"] = dz
+
+    d_hidden = np.zeros((steps, hidden))
+    d_hidden[-1] = du
+    grads["lstm.wx"], grads["lstm.wh"], grads["lstm.b"], _ = _lstm_backward(
+        wh, vectors, states, d_hidden * masks
+    )
+    return ce, sampled, grads
+
+
+def sgd_step(layers: dict[str, Array], grads: dict[str, Array], learning_rate: float) -> None:
+    """One plain SGD update in place: ``layers[name] -= learning_rate * grads[name]``.
+
+    A layer with no gradient entry is left as it is.
+    """
     lr = float(learning_rate)
     if lr < 0:
         raise ConfigError(f"learning rate must be nonnegative, got {lr}")
-    if isinstance(params, dict):
-        if not isinstance(grads, dict):
-            raise ShapeError("sgd_step: params is a dict but grads is not")
-        out = {}
-        for name, value in params.items():
-            g = grads.get(name)
-            if g is None:
-                out[name] = value.copy()
-                continue
-            if np.shape(g) != value.shape:
-                raise ShapeError(f"sgd_step: gradient shape {np.shape(g)} != {value.shape} for {name!r}")
-            out[name] = value - lr * g
-        return out
-    p, g = _as_f64(params), _as_f64(grads)
-    if p.shape != g.shape:
-        raise ShapeError(f"sgd_step: gradient shape {g.shape} != parameter shape {p.shape}")
-    return p - lr * g
+    for name, value in layers.items():
+        g = grads.get(name)
+        if g is None:
+            continue
+        if np.shape(g) != value.shape:
+            raise ShapeError(f"sgd_step: gradient shape {np.shape(g)} != {value.shape} for layer {name!r}")
+        value -= lr * g
 
 
 # ---------------------------------------------------------------------------

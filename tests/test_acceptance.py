@@ -49,7 +49,7 @@ from veritas import nn
 from veritas.calibration import ConfidenceRecord
 from veritas.cli import main as cli_main
 from veritas.model import forward_branch, init_params
-from veritas.nn import DropoutSpec, Tape, make_rng
+from veritas.nn import DropoutSpec, make_rng
 from veritas.rejection import curve_to_csv, rejection_curve
 from veritas.uncertainty import MEASURES, SampleSet
 
@@ -67,6 +67,13 @@ def _random_layers(seed: int, variance_dim: int) -> dict:
 
 
 def test_criterion_1_gradient_suite():
+    """The training step's gradients against central finite differences.
+
+    Layer checks run on the derivative kernels ``nn.backward`` is built
+    from; the full-loss check runs on ``nn.backward`` itself, against the
+    inference forward pass with the same masks and noise (the rng is
+    re-seeded for every evaluation).
+    """
     started = time.monotonic()
     n_seeds = 24
     worst_layer = 0.0
@@ -80,14 +87,13 @@ def test_criterion_1_gradient_suite():
         target = np.zeros(3)
         target[int(rng.integers(3))] = 1.0
 
-        # dense (both activations)
+        # dense (both activations), loss = sum of the outputs
         for activation in ("linear", "relu"):
             arrays = {"w": w.copy(), "b": b_vec.copy(), "x": x_vec.copy()}
-            tape = Tape()
-            tape.watch_all(arrays)
-            out = nn.dense_forward(arrays["w"], arrays["b"], arrays["x"], activation, tape=tape)
-            nn.tensor_sum(out, tape=tape)
-            grads = nn.backward(tape)
+            z = arrays["w"] @ arrays["x"] + arrays["b"]
+            dz = np.ones(3) * (z > 0.0) if activation == "relu" else np.ones(3)
+            dw, dx = nn._dense_backward(arrays["w"], arrays["x"], dz)
+            grads = {"w": dw, "b": dz, "x": dx}
             for name in arrays:
                 num = numeric_grad(
                     lambda a: float(
@@ -98,7 +104,7 @@ def test_criterion_1_gradient_suite():
                 )
                 worst_layer = max(worst_layer, rel_err(grads[name], num))
 
-        # lstm over a short sequence
+        # lstm over a short sequence, loss = sum of the last hidden state
         steps = int(rng.integers(1, 5))
         seq = {
             "wx": rng.standard_normal((16, 3)) * 0.4,
@@ -106,16 +112,14 @@ def test_criterion_1_gradient_suite():
             "b": rng.standard_normal(16) * 0.4,
             "x": rng.standard_normal((steps, 3)),
         }
-        tape = Tape()
-        tape.watch_all(seq)
-        hs = nn.lstm_forward(seq["wx"], seq["wh"], seq["b"], seq["x"], tape=tape)
-        nn.tensor_sum(nn.take_last(hs, tape=tape), tape=tape)
-        grads = nn.backward(tape)
+        states = nn._lstm_recurrence(seq["wx"], seq["wh"], seq["b"], seq["x"])
+        d_hidden = np.zeros((steps, 4))
+        d_hidden[-1] = 1.0
+        dwx, dwh, db, das = nn._lstm_backward(seq["wh"], seq["x"], states, d_hidden)
+        grads = {"wx": dwx, "wh": dwh, "b": db, "x": das @ seq["wx"]}
         for name in seq:
             num = numeric_grad(
-                lambda a: float(
-                    np.sum(nn.take_last(nn.lstm_forward(a["wx"], a["wh"], a["b"], a["x"])))
-                ),
+                lambda a: float(np.sum(nn.lstm_forward(a["wx"], a["wh"], a["b"], a["x"])[-1])),
                 seq,
                 name,
             )
@@ -123,33 +127,24 @@ def test_criterion_1_gradient_suite():
 
         # softmax cross-entropy, softplus, dropout (fixed mask via reseeding)
         arrays = {"z": rng.standard_normal(3) * 2.0}
-        tape = Tape()
-        tape.watch_all(arrays)
-        nn.softmax_xent(arrays["z"], target, tape=tape)
-        grads = nn.backward(tape)
+        grad = nn._xent_backward(nn.softmax(arrays["z"]), target, 1.0)
         num = numeric_grad(lambda a: float(nn.softmax_xent(a["z"], target)), arrays, "z")
-        worst_layer = max(worst_layer, rel_err(grads["z"], num))
+        worst_layer = max(worst_layer, rel_err(grad, num))
 
         arrays = {"z": rng.standard_normal(4) * 3.0}
-        tape = Tape()
-        tape.watch_all(arrays)
-        nn.tensor_sum(nn.softplus_forward(arrays["z"], tape=tape), tape=tape)
-        grads = nn.backward(tape)
+        grad = nn._softplus_backward(arrays["z"], np.ones(4))
         num = numeric_grad(lambda a: float(np.sum(nn.softplus(a["z"]))), arrays, "z")
-        worst_layer = max(worst_layer, rel_err(grads["z"], num))
+        worst_layer = max(worst_layer, rel_err(grad, num))
 
         spec = DropoutSpec(0.4, active=True)
         arrays = {"z": rng.standard_normal(6)}
-        tape = Tape()
-        tape.watch_all(arrays)
-        nn.tensor_sum(nn.dropout_forward(arrays["z"], spec, make_rng(50 + seed), tape=tape), tape=tape)
-        grads = nn.backward(tape)
+        grad = np.ones(6) * nn._draw_mask(6, spec, make_rng(50 + seed))
         num = numeric_grad(
             lambda a: float(np.sum(nn.dropout_forward(a["z"], spec, make_rng(50 + seed)))),
             arrays,
             "z",
         )
-        worst_layer = max(worst_layer, rel_err(grads["z"], num))
+        worst_layer = max(worst_layer, rel_err(grad, num))
 
         # noise-sampled loss wrt logits and variance, shared and per-logit
         variance_dim = 1 if seed % 2 == 0 else 3
@@ -158,34 +153,32 @@ def test_criterion_1_gradient_suite():
             "z": rng.standard_normal(3),
             "v": np.abs(rng.standard_normal(variance_dim)) + 0.1,
         }
-        tape = Tape()
-        tape.watch_all(arrays)
-        nn.sampled_xent(arrays["z"], arrays["v"], target, eps, tape=tape)
-        grads = nn.backward(tape)
+        sqrt_sig = np.sqrt(arrays["v"])
+        _, probs = nn._sampled_xent(arrays["z"], sqrt_sig, target, eps)
+        dz, dv = nn._sampled_xent_backward(probs, sqrt_sig, target, eps, 1.0)
+        grads = {"z": dz, "v": dv}
         for name in arrays:
             num = numeric_grad(
                 lambda a: float(nn.sampled_xent(a["z"], a["v"], target, eps)), arrays, name
             )
             worst_layer = max(worst_layer, rel_err(grads[name], num))
 
-        # full training loss through the whole network
+        # full training loss through the whole network, with dropout
         layers = _random_layers(seed, variance_dim)
         vectors = rng.standard_normal((steps, 3)) * 0.5
-        eps_full = rng.standard_normal((3, 3))
+        spec = DropoutSpec(0.3, active=True)
+        n_noise = 3
 
         def full_loss(arrs):
-            out = forward_branch(ModelParams(arrs), vectors)
+            step_rng = make_rng(2000 + seed)
+            out = forward_branch(ModelParams(arrs), vectors, spec, step_rng)
+            noise = step_rng.standard_normal((n_noise, 3))
             ce = float(nn.softmax_xent(out.logits, target))
-            sampled = float(nn.sampled_xent(out.logits, out.variance, target, eps_full))
+            sampled = float(nn.sampled_xent(out.logits, out.variance, target, noise))
             return 1.0 * ce + 0.2 * sampled
 
-        tape = Tape()
-        tape.watch_all(layers)
-        out = forward_branch(ModelParams(layers), vectors, tape=tape)
-        ce_node = nn.softmax_xent(out.logits, target, tape=tape)
-        sampled_node = nn.sampled_xent(out.logits, out.variance, target, eps_full, tape=tape)
-        nn.weighted_sum(ce_node, sampled_node, 1.0, 0.2, tape=tape)
-        grads = nn.backward(tape)
+        _, _, grads = nn.backward(layers, vectors, target, spec, make_rng(2000 + seed), n_noise, 1.0, 0.2)
+        assert set(grads) == set(layers)
         for name in layers:
             num = numeric_grad(full_loss, layers, name)
             worst_full = max(worst_full, rel_err(grads[name], num))

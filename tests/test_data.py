@@ -409,6 +409,11 @@ class TestEmbedders:
         with pytest.raises(ConfigError):
             TableEmbedder(table={"a": np.zeros(3)}, dimension=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_table_rejects_non_finite_vector(self, bad):
+        with pytest.raises(ConfigError, match="table vector for 'rumour' has non-finite values"):
+            TableEmbedder(table={"ok": np.zeros(2), "rumour": np.array([0.5, bad])}, dimension=2)
+
 
 def _unmemoised_token_vector(token, emb):
     h = fnv1a_64(token, emb.seed)

@@ -22,6 +22,7 @@ from veritas import (
     training_instances,
     tree_probs,
 )
+import veritas.model
 from veritas import nn
 from veritas.errors import ConfigError, DataError, InvalidInput, ShapeError
 from veritas.model import input_rms
@@ -373,6 +374,52 @@ class TestTrain:
         (a, history_a), (b, history_b) = runs
         assert history_a == history_b
         assert all(np.array_equal(a[k], b[k]) for k in a.layers)
+
+    def test_train_calls_backward_and_sgd_step_per_branch_and_epoch(self, monkeypatch):
+        trees, folds, emb = self._setup(per_class=3)
+        # A second reply to each root: two branches per tree.
+        forked = [
+            ConversationTree(
+                tree_id=t.tree_id, event=t.event, label=t.label,
+                tweets=t.tweets + (Tweet(id=f"{t.tree_id}.x", parent_id=t.tweets[0].id, timestamp=9, text="and"),),
+            )
+            for t in trees
+        ]
+        calls = {"backward": 0, "sgd_step": 0}
+        for name in calls:
+            def spy(*args, _name=name, _original=getattr(nn, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(nn, name, spy)
+        config = TrainingConfig(hidden_size=4, num_relu_layers=1, epochs=3, aleatoric_samples=2, seed=0)
+        train(forked, folds, 0, config, emb)
+        branches = sum(len(decompose_branches(t)) for t in forked if folds.assignments[t.tree_id] != 0)
+        assert branches == 2 * sum(folds.assignments[t.tree_id] != 0 for t in forked)
+        assert calls == {"backward": branches * config.epochs, "sgd_step": branches * config.epochs}
+
+    def test_step_error_names_fold_epoch_and_tree(self, monkeypatch):
+        trees, folds, emb = self._setup(per_class=3)
+        embedded = []
+
+        def counting_branch_matrix(branch, embedder):
+            embedded.append(branch)
+            return branch_matrix(branch, embedder)
+
+        monkeypatch.setattr(veritas.model, "branch_matrix", counting_branch_matrix)
+        # A learning rate this large overflows the logits within the first epoch.
+        config = TrainingConfig(
+            hidden_size=4, num_relu_layers=2, epochs=2, learning_rate=1e100, aleatoric_samples=3, seed=0
+        )
+        with np.errstate(all="ignore"), pytest.raises(InvalidInput) as info:
+            train(trees, folds, 0, config, emb)
+        assert str(info.value) == (
+            "training with test fold 0, epoch 0, tree false1: softmax: logits must be finite"
+        )
+        assert folds.assignments["false1"] != 0
+        assert isinstance(info.value.__cause__, InvalidInput)
+        train_trees = [t for t in trees if folds.assignments[t.tree_id] != 0]
+        assert len(embedded) == sum(len(decompose_branches(t)) for t in train_trees)
 
     def test_variance_per_logit_widens_head(self):
         trees, folds, emb = self._setup(per_class=2)

@@ -1,4 +1,9 @@
-"""Numeric core: activations, layers, tape gradients, optimiser, checkpoints."""
+"""Numeric core: activations, layers, the training step, optimiser, checkpoints.
+
+``TestTape`` and ``TestGradients`` check ``tests/tape_reference.py``, the
+exact oracle of the training step in ``tests/test_train_step.py``, against
+finite differences; criterion 1 checks ``nn.backward`` and its kernels.
+"""
 
 import json
 import math
@@ -9,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veritas import nn
-from veritas.errors import ConfigError, DataError, InvalidInput, ShapeError, StateError
+from veritas.errors import ConfigError, DataError, InvalidInput, ShapeError
+from veritas.model import forward_branch, init_params
 
+import tape_reference as tr
 from conftest import numeric_grad, rel_err
 
 
@@ -211,80 +218,76 @@ class TestDropout:
 
 
 # ---------------------------------------------------------------------------
-# tape plumbing
+# the tape reference: plumbing
 
 
 class TestTape:
     def test_sum_of_parameters_gives_unit_gradients(self, rng):
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=4)
-        tape = nn.Tape()
-        tape.watch("a", a)
-        tape.watch("b", b)
-        sa = nn.tensor_sum(a, tape)
-        sb = nn.tensor_sum(b, tape)
-        nn.weighted_sum(sa, sb, 1.0, 1.0, tape)
-        grads = nn.backward(tape)
+        tape = tr.Tape()
+        tape.watch_all({"a": a, "b": b})
+        tr.weighted_sum(tr.tensor_sum(a, tape), tr.tensor_sum(b, tape), 1.0, 1.0, tape)
+        grads = tr.backward(tape)
         np.testing.assert_array_equal(grads["a"], np.ones((2, 3)))
         np.testing.assert_array_equal(grads["b"], np.ones(4))
 
     def test_zero_weighted_loss_gives_zero_gradients(self, rng):
         a = rng.normal(size=5)
-        tape = nn.Tape()
-        tape.watch("a", a)
-        s = nn.tensor_sum(a, tape)
-        nn.weighted_sum(s, s, 0.0, 0.0, tape)
-        np.testing.assert_array_equal(nn.backward(tape)["a"], np.zeros(5))
+        tape = tr.Tape()
+        tape.watch_all({"a": a})
+        s = tr.tensor_sum(a, tape)
+        tr.weighted_sum(s, s, 0.0, 0.0, tape)
+        np.testing.assert_array_equal(tr.backward(tape)["a"], np.zeros(5))
 
     def test_untouched_watch_gets_zeros(self, rng):
         a = rng.normal(size=3)
         unused = rng.normal(size=(2, 2))
-        tape = nn.Tape()
-        tape.watch("a", a)
-        tape.watch("unused", unused)
-        nn.tensor_sum(a, tape)
-        grads = nn.backward(tape)
+        tape = tr.Tape()
+        tape.watch_all({"a": a, "unused": unused})
+        tr.tensor_sum(a, tape)
+        grads = tr.backward(tape)
         np.testing.assert_array_equal(grads["unused"], np.zeros((2, 2)))
 
     def test_empty_tape_raises(self):
-        with pytest.raises(StateError):
-            nn.backward(nn.Tape())
+        with pytest.raises(tr.TapeError):
+            tr.backward(tr.Tape())
 
     def test_non_scalar_final_op_raises(self, rng):
-        tape = nn.Tape()
+        tape = tr.Tape()
         W, b, x = rng.normal(size=(2, 3)), rng.normal(size=2), rng.normal(size=3)
-        tape.watch("w", W)
-        nn.dense_forward(W, b, x, tape=tape)
-        with pytest.raises(StateError):
-            nn.backward(tape)
+        tape.watch_all({"w": W})
+        tr.dense(W, b, x, "linear", tape)
+        with pytest.raises(tr.TapeError):
+            tr.backward(tape)
 
     def test_fan_out_accumulates(self, rng):
         # The same node feeds two ops; gradients must add.
         x = rng.normal(size=4)
-        tape = nn.Tape()
-        tape.watch("x", x)
-        s1 = nn.tensor_sum(x, tape)
-        s2 = nn.inner(x, np.full(4, 2.0), tape)
-        nn.weighted_sum(s1, s2, 1.0, 1.0, tape)
-        np.testing.assert_allclose(nn.backward(tape)["x"], np.full(4, 3.0))
+        tape = tr.Tape()
+        tape.watch_all({"x": x})
+        s1 = tr.tensor_sum(x, tape)
+        s2 = tr.inner(x, np.full(4, 2.0), tape)
+        tr.weighted_sum(s1, s2, 1.0, 1.0, tape)
+        np.testing.assert_allclose(tr.backward(tape)["x"], np.full(4, 3.0))
 
 
 # ---------------------------------------------------------------------------
-# gradient checks, layer by layer
+# the tape reference: gradient checks, op by op
 
 GRAD_TOL = 1e-4
 
 
 def _check_grads(build, arrays, names, tol=GRAD_TOL):
-    """build(arrays, tape=None) -> scalar; compares tape grads vs FD."""
+    """build(arrays, tape) -> scalar node; compares tape grads vs FD."""
 
     def value(arrs):
-        return float(build(arrs, None))
+        return float(build(arrs, tr.Tape()))
 
-    tape = nn.Tape()
+    tape = tr.Tape()
     tape.watch_all(arrays)
     build(arrays, tape)
-    grads = nn.backward(tape)
+    grads = tr.backward(tape)
     for name in names:
         fd = numeric_grad(value, arrays, name)
         err = rel_err(grads[name], fd)
@@ -304,8 +307,7 @@ class TestGradients:
         r = rng.normal(size=4)
 
         def build(arrs, tape):
-            y = nn.dense_forward(arrs["w"], arrs["b"], arrs["x"], activation, tape=tape)
-            return nn.inner(y, r, tape)
+            return tr.inner(tr.dense(arrs["w"], arrs["b"], arrs["x"], activation, tape), r, tape)
 
         _check_grads(build, arrays, ("w", "b", "x"))
 
@@ -322,8 +324,8 @@ class TestGradients:
         r = rng.normal(size=(steps, hidden))
 
         def build(arrs, tape):
-            hs = nn.lstm_forward(arrs["wx"], arrs["wh"], arrs["b"], arrs["x"], tape=tape)
-            return nn.inner(hs, r, tape)
+            hs = tr.lstm(arrs["wx"], arrs["wh"], arrs["b"], arrs["x"], nn.DROPOUT_OFF, None, tape)
+            return tr.inner(hs, r, tape)
 
         _check_grads(build, arrays, ("wx", "wh", "b", "x"))
 
@@ -341,10 +343,8 @@ class TestGradients:
 
         def build(arrs, tape):
             # Fresh generator per call keeps the mask fixed across FD evals.
-            hs = nn.lstm_forward(
-                arrs["wx"], arrs["wh"], arrs["b"], arrs["x"], spec, nn.make_rng(11), tape=tape
-            )
-            return nn.inner(hs, r, tape)
+            hs = tr.lstm(arrs["wx"], arrs["wh"], arrs["b"], arrs["x"], spec, nn.make_rng(11), tape)
+            return tr.inner(hs, r, tape)
 
         _check_grads(build, arrays, ("wx", "wh", "b", "x"))
 
@@ -355,9 +355,8 @@ class TestGradients:
         spec = nn.DropoutSpec(0.3, active=True)
 
         def build(arrs, tape):
-            y = nn.dropout_forward(arrs["x"], spec, nn.make_rng(2), tape=tape)
-            z = nn.softplus_forward(y, tape=tape)
-            return nn.inner(z, r, tape)
+            y = tr.dropout(arrs["x"], spec, nn.make_rng(2), tape)
+            return tr.inner(tr.softplus(y, tape), r, tape)
 
         _check_grads(build, arrays, ("x",))
 
@@ -367,7 +366,7 @@ class TestGradients:
         r = rng.normal(size=3)
 
         def build(arrs, tape):
-            return nn.inner(nn.take_last(arrs["x"], tape), r, tape)
+            return tr.inner(tr.take_last(arrs["x"], tape), r, tape)
 
         _check_grads(build, arrays, ("x",))
 
@@ -379,7 +378,7 @@ class TestGradients:
         y[int(rng.integers(4))] = 1.0
 
         def build(arrs, tape):
-            return nn.softmax_xent(arrs["v"], y, tape=tape)
+            return tr.softmax_xent(arrs["v"], y, tape)
 
         _check_grads(build, arrays, ("v",))
 
@@ -398,7 +397,7 @@ class TestGradients:
         eps = rng.standard_normal((40, n_classes))
 
         def build(arrs, tape):
-            return nn.sampled_xent(arrs["v"], arrs["sig"], y, eps, tape=tape)
+            return tr.sampled_xent(arrs["v"], arrs["sig"], y, eps, tape)
 
         _check_grads(build, arrays, ("v", "sig"), tol=1e-3)
 
@@ -408,9 +407,9 @@ class TestGradients:
         r = rng.normal(size=5)
 
         def build(arrs, tape):
-            a = nn.inner(arrs["x"], 0.5 * r, tape)
-            b = nn.tensor_sum(arrs["x"], tape)
-            return nn.weighted_sum(a, b, 1.0, 0.25, tape)
+            a = tr.inner(arrs["x"], 0.5 * r, tape)
+            b = tr.tensor_sum(arrs["x"], tape)
+            return tr.weighted_sum(a, b, 1.0, 0.25, tape)
 
         _check_grads(build, arrays, ("x",))
 
@@ -432,17 +431,17 @@ class TestSampledXent:
             assert float(sampled) == float(plain)
 
     def test_zero_variance_gradients(self, rng):
-        v = rng.normal(size=4)
-        sig = np.zeros(1)
+        # The training step's short circuit: plain cross-entropy gradients on
+        # the logits and no gradient entry for the variance head.
+        params = init_params(3, 4, 0, 4, seed=2)
+        params.layers["var.b"][:] = -800.0
+        vectors = rng.normal(size=(2, 3))
         y = np.array([0.0, 1.0, 0.0, 0.0])
-        eps = rng.standard_normal((10, 4))
-        tape = nn.Tape()
-        tape.watch("v", v)
-        tape.watch("sig", sig)
-        nn.sampled_xent(v, sig, y, eps, tape=tape)
-        grads = nn.backward(tape)
-        np.testing.assert_allclose(grads["v"], nn.softmax(v) - y, atol=1e-12)
-        np.testing.assert_array_equal(grads["sig"], np.zeros(1))
+        out = forward_branch(params, vectors)
+        assert np.all(out.variance == 0.0)
+        _, _, grads = nn.backward(params.layers, vectors, y, nn.DROPOUT_OFF, rng, 10, 0.0, 1.0)
+        assert "var.w" not in grads and "var.b" not in grads
+        np.testing.assert_allclose(grads["out.b"], nn.softmax(out.logits) - y, atol=1e-12)
 
     def test_single_draw_is_direct_evaluation(self, rng):
         v = rng.normal(size=3)
@@ -470,31 +469,37 @@ class TestSampledXent:
 class TestSgd:
     def test_zero_lr_unchanged(self, rng):
         p = rng.normal(size=4)
-        out = nn.sgd_step(p, rng.normal(size=4), 0.0)
-        np.testing.assert_array_equal(out, p)
+        layers = {"a": p.copy()}
+        nn.sgd_step(layers, {"a": rng.normal(size=4)}, 0.0)
+        np.testing.assert_array_equal(layers["a"], p)
 
     def test_hand_case(self):
-        assert nn.sgd_step(np.array([1.0]), np.array([1.0]), 0.1)[0] == pytest.approx(0.9)
+        layers = {"a": np.array([1.0])}
+        nn.sgd_step(layers, {"a": np.array([1.0])}, 0.1)
+        assert layers["a"][0] == pytest.approx(0.9)
 
     def test_dict_matches_elementwise_oracle(self, rng):
         params = {"a": rng.normal(size=(2, 2)), "b": rng.normal(size=3)}
         grads = {"a": rng.normal(size=(2, 2)), "b": rng.normal(size=3)}
-        out = nn.sgd_step(params, grads, 0.05)
+        layers = {k: v.copy() for k, v in params.items()}
+        arrays = dict(layers)
+        nn.sgd_step(layers, grads, 0.05)
         for k in params:
-            np.testing.assert_allclose(out[k], params[k] - 0.05 * grads[k], rtol=1e-12)
+            assert layers[k] is arrays[k]  # updated in place
+            assert np.array_equal(layers[k], params[k] - 0.05 * grads[k])
 
-    def test_missing_grad_key_copies(self, rng):
-        params = {"a": rng.normal(size=2)}
-        out = nn.sgd_step(params, {}, 0.1)
-        np.testing.assert_array_equal(out["a"], params["a"])
-        assert out["a"] is not params["a"]
+    def test_missing_grad_key_kept(self, rng):
+        a = rng.normal(size=2)
+        layers = {"a": a, "b": rng.normal(size=3)}
+        before = a.copy()
+        nn.sgd_step(layers, {"b": np.ones(3)}, 0.1)
+        assert layers["a"] is a
+        np.testing.assert_array_equal(a, before)
 
     def test_errors(self):
         with pytest.raises(ConfigError):
-            nn.sgd_step(np.zeros(2), np.zeros(2), -0.1)
-        with pytest.raises(ShapeError):
-            nn.sgd_step(np.zeros(2), np.zeros(3), 0.1)
-        with pytest.raises(ShapeError):
+            nn.sgd_step({"a": np.zeros(2)}, {"a": np.zeros(2)}, -0.1)
+        with pytest.raises(ShapeError, match="layer 'a'"):
             nn.sgd_step({"a": np.zeros(2)}, {"a": np.zeros(3)}, 0.1)
 
 

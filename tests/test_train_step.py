@@ -1,30 +1,20 @@
-"""The fused training step against the Tape reference it replaces.
+"""The library's training step against the Tape reference it replaced.
 
-The reference is the per-branch step ``model.train`` used to run: the
-network and both losses recorded on a ``Tape``, ``nn.backward``, then
-``nn.sgd_step``. The fused step must give the same parameters and loss
-values bit for bit and consume the same random numbers, so the checks use
-exact equality, not a tolerance.
+``nn.backward`` followed by the in-place ``nn.sgd_step`` must give the
+same parameters and loss values as ``tape_reference.reference_step`` (the
+network and both losses recorded on a Tape, a reverse sweep, a functional
+SGD update) bit for bit, and consume the same random numbers, so the
+checks use exact equality, not a tolerance.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tape_reference import reference_step
 
 from veritas import nn
-from veritas.model import ModelParams, TrainingConfig, _train_step, forward_branch, init_params
-from veritas.nn import DropoutSpec, Tape
-
-
-def reference_step(layers, vectors, target, config, dropout, rng):
-    tape = Tape()
-    tape.watch_all(layers)
-    out = forward_branch(ModelParams(layers), vectors, dropout, rng, tape=tape)
-    ce = nn.softmax_xent(out.logits, target, tape=tape)
-    noise = rng.standard_normal((config.aleatoric_samples, target.shape[0]))
-    sampled = nn.sampled_xent(out.logits, out.variance, target, noise, tape=tape)
-    nn.weighted_sum(ce, sampled, config.ce_weight, config.aleatoric_weight, tape=tape)
-    return nn.sgd_step(layers, nn.backward(tape), config.learning_rate), float(ce), float(sampled)
+from veritas.model import ModelParams, TrainingConfig, forward_branch, init_params
+from veritas.nn import DropoutSpec
 
 
 @st.composite
@@ -65,18 +55,22 @@ def step_cases(draw):
 def test_fused_step_equals_tape_reference(case):
     layers, vectors, target, config, seed = case
     dropout = DropoutSpec(config.dropout_rate_train, active=config.dropout_rate_train > 0)
-    ref_rng, fused_rng = nn.make_rng(seed), nn.make_rng(seed)
+    ref_rng, step_rng = nn.make_rng(seed), nn.make_rng(seed)
     expected, ref_ce, ref_sampled = reference_step(layers, vectors, target, config, dropout, ref_rng)
 
-    fused = {k: v.copy() for k, v in layers.items()}
-    n_relu = ModelParams(fused).num_relu_layers
-    ce, sampled = _train_step(fused, n_relu, vectors, target, config, dropout, fused_rng)
+    stepped = {k: v.copy() for k, v in layers.items()}
+    ce, sampled, grads = nn.backward(
+        stepped, vectors, target, dropout, step_rng,
+        config.aleatoric_samples, config.ce_weight, config.aleatoric_weight,
+    )
+    assert all(np.array_equal(stepped[k], layers[k]) for k in layers)  # backward mutates nothing
+    nn.sgd_step(stepped, grads, config.learning_rate)
 
     assert (ce, sampled) == (ref_ce, ref_sampled)
-    assert set(fused) == set(expected)
+    assert set(stepped) == set(expected)
     for name in expected:
-        assert np.array_equal(fused[name], expected[name]), name
-    assert fused_rng.random() == ref_rng.random()
+        assert np.array_equal(stepped[name], expected[name]), name
+    assert step_rng.random() == ref_rng.random()
 
 
 def test_zero_variance_case_is_reached():
