@@ -6,6 +6,7 @@ from a slice still pull the average down with an F1 of zero.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,15 +24,13 @@ class MetricsReport:
     n_instances: int
 
 
-def _gold_pred_pairs(records_or_pairs) -> list[tuple[str, str]]:
-    pairs = []
+def _gold_pred_pairs(records_or_pairs):
     for item in records_or_pairs:
         if hasattr(item, "gold") and hasattr(item, "pred"):
-            pairs.append((item.gold, item.pred))
+            yield item.gold, item.pred
         else:
             gold, pred = item
-            pairs.append((gold, pred))
-    return pairs
+            yield gold, pred
 
 
 def evaluate(records_or_pairs, classes: tuple[str, ...]) -> MetricsReport:
@@ -42,27 +41,36 @@ def evaluate(records_or_pairs, classes: tuple[str, ...]) -> MetricsReport:
     """
     if not classes:
         raise ConfigError("evaluate needs a nonempty class set")
-    pairs = _gold_pred_pairs(records_or_pairs)
-    if not pairs:
+    counts = Counter(_gold_pred_pairs(records_or_pairs))
+    if not counts:
         raise ConfigError("evaluate needs at least one instance")
     class_set = set(classes)
-    for gold, pred in pairs:
+    # Distinct pairs in order of first appearance, so the first bad pair
+    # reported is the first bad one in the input.
+    for gold, pred in counts:
         if gold not in class_set:
             raise DataError(f"gold label {gold!r} not in class set {classes}")
         if pred not in class_set:
             raise DataError(f"predicted label {pred!r} not in class set {classes}")
-    n = len(pairs)
-    correct = sum(1 for gold, pred in pairs if gold == pred)
+    gold_n: Counter = Counter()
+    pred_n: Counter = Counter()
+    hits: Counter = Counter()
+    for (gold, pred), count in counts.items():
+        gold_n[gold] += count
+        pred_n[pred] += count
+        if gold == pred:
+            hits[gold] += count
     per_class = {}
     for cls in classes:
-        tp = sum(1 for g, p in pairs if g == cls and p == cls)
-        fp = sum(1 for g, p in pairs if g != cls and p == cls)
-        fn = sum(1 for g, p in pairs if g == cls and p != cls)
+        tp = hits[cls]
+        fp = pred_n[cls] - tp
+        fn = gold_n[cls] - tp
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         per_class[cls] = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    n = counts.total()
     return MetricsReport(
-        accuracy=correct / n,
+        accuracy=sum(hits.values()) / n,
         macro_f=sum(per_class.values()) / len(classes),
         per_class_f1=per_class,
         n_instances=n,

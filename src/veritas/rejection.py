@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DataError, DataWarning
 from .metrics import evaluate
 from .nn import child_rng, make_rng, sigmoid
-from .uncertainty import UncertaintyBundle, uncertainty_value
+from .uncertainty import UncertaintyBundle, measure_spec
 
 Array = np.ndarray
 
@@ -56,53 +56,90 @@ def make_record(tree_id: str, gold: str, pred: str, bundle: UncertaintyBundle, f
 # unsupervised / random
 
 
+def _ranking(records: Sequence[PredictionRecord], measure: str, per_fold: bool) -> list[list[int]]:
+    """Record positions from most to least uncertain, ties broken on tree_id.
+
+    One list for all records, or one per fold in fold order when
+    ``per_fold`` is set. A cut at fraction f removes the first
+    ceil((1-f)*len) positions of every list.
+    """
+    if not records:
+        return []
+    spec = measure_spec(measure)
+    keys = []
+    for r in records:
+        value = getattr(r.bundle, spec.field)
+        u = 1.0 - value if spec.confidence else value
+        keys.append((r.fold if per_fold else 0, -u, r.tree_id))
+    order = sorted(range(len(records)), key=keys.__getitem__)
+    groups: list[list[int]] = []
+    for i in order:
+        if not groups or keys[i][0] != keys[groups[-1][0]][0]:
+            groups.append([])
+        groups[-1].append(i)
+    return groups
+
+
+def _removed_positions(groups: list[list[int]], retain_fraction: float) -> list[list[int]]:
+    return [g[: math.ceil((1.0 - retain_fraction) * len(g))] for g in groups]
+
+
+def _split(
+    records: Sequence[PredictionRecord], removed: list[list[int]]
+) -> tuple[list[PredictionRecord], list[PredictionRecord]]:
+    """(retained, removed), both in input order."""
+    keep = [True] * len(records)
+    for g in removed:
+        for i in g:
+            keep[i] = False
+    retained = [r for r, k in zip(records, keep) if k]
+    dropped = [r for r, k in zip(records, keep) if not k]
+    return retained, dropped
+
+
+def _check_fraction(retain_fraction: float) -> None:
+    if not 0.0 < retain_fraction <= 1.0:
+        raise ConfigError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
+
+
 def unsupervised_reject(
     records: Sequence[PredictionRecord], measure: str, retain_fraction: float
 ) -> tuple[list[PredictionRecord], list[PredictionRecord]]:
     """Remove the ceil((1-f)*n) most uncertain records by one measure.
 
-    Ranking ties break on tree_id; the retained list keeps input order.
+    Ranking ties break on tree_id; the retained list keeps input order and
+    the removed list is most uncertain first.
     """
-    if not 0.0 < retain_fraction <= 1.0:
-        raise ConfigError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
-    if not records:
-        return [], []
-    n_remove = math.ceil((1.0 - retain_fraction) * len(records))
-    ranked = sorted(records, key=lambda r: (-uncertainty_value(r.bundle, measure), r.tree_id))
-    removed = ranked[:n_remove]
-    removed_ids = {id(r) for r in removed}
-    retained = [r for r in records if id(r) not in removed_ids]
-    return retained, removed
+    _check_fraction(retain_fraction)
+    removed = _removed_positions(_ranking(records, measure, False), retain_fraction)
+    retained, _ = _split(records, removed)
+    return retained, [records[i] for g in removed for i in g]
 
 
 def random_reject(
     records: Sequence[PredictionRecord], retain_fraction: float, seed: int = 0
 ) -> tuple[list[PredictionRecord], list[PredictionRecord]]:
     """Keep a uniform floor(f*n) subsample, input order preserved."""
-    if not 0.0 < retain_fraction <= 1.0:
-        raise ConfigError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
+    _check_fraction(retain_fraction)
     n = len(records)
-    n_keep = math.floor(retain_fraction * n)
-    keep = np.sort(make_rng(seed).choice(n, size=n_keep, replace=False))
-    keep_set = set(int(i) for i in keep)
-    retained = [r for i, r in enumerate(records) if i in keep_set]
-    removed = [r for i, r in enumerate(records) if i not in keep_set]
+    keep = np.zeros(n, dtype=bool)
+    keep[make_rng(seed).choice(n, size=math.floor(retain_fraction * n), replace=False)] = True
+    flags = keep.tolist()
+    retained = [r for r, k in zip(records, flags) if k]
+    removed = [r for r, k in zip(records, flags) if not k]
     return retained, removed
 
 
 def per_fold_reject(
     records: Sequence[PredictionRecord], measure: str, retain_fraction: float
 ) -> tuple[list[PredictionRecord], list[PredictionRecord]]:
-    """Apply the unsupervised cut inside each fold, then pool."""
-    folds = sorted({r.fold for r in records})
-    removed_ids: set[int] = set()
-    for fold in folds:
-        fold_records = [r for r in records if r.fold == fold]
-        _, removed = unsupervised_reject(fold_records, measure, retain_fraction)
-        removed_ids.update(id(r) for r in removed)
-    retained = [r for r in records if id(r) not in removed_ids]
-    removed_all = [r for r in records if id(r) in removed_ids]
-    return retained, removed_all
+    """Apply the unsupervised cut inside each fold, then pool.
+
+    Both lists keep input order.
+    """
+    if records:
+        _check_fraction(retain_fraction)
+    return _split(records, _removed_positions(_ranking(records, measure, True), retain_fraction))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +192,10 @@ def rejection_curve(
         raise ConfigError("fractions must be strictly decreasing")
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ConfigError("fractions must lie in (0, 1]")
-    cut = per_fold_reject if per_fold else unsupervised_reject
-    points = tuple(curve_point(f, cut(records, measure, f)[0], classes) for f in fractions)
+    groups = _ranking(records, measure, per_fold)
+    points = tuple(
+        curve_point(f, _split(records, _removed_positions(groups, f))[0], classes) for f in fractions
+    )
     return RejectionCurve(measure=measure, points=points)
 
 
@@ -212,15 +251,22 @@ def _fit_linear_hinge(X: Array, y01: Array, hp: dict, seed: int) -> dict:
     b = 0.0
     lr = float(hp["learning_rate"])
     lam = float(hp["l2"])
+    # The same products the update spells out, hoisted out of the loop:
+    # Python multiplies left to right, so lr * 2.0 * lam is (lr * 2.0) * lam.
+    two_lam = 2.0 * lam
+    decay = lr * 2.0 * lam
+    rows = list(Z)
+    signed_rows = list(y[:, None] * Z)
+    labels = y.tolist()
     rng = make_rng(seed)
     for _ in range(int(hp["epochs"])):
-        for i in rng.permutation(len(y)):
-            zi, yi = Z[int(i)], y[int(i)]
-            if yi * (w @ zi + b) < 1.0:
-                w = w - lr * (2.0 * lam * w - yi * zi)
+        for i in rng.permutation(len(labels)).tolist():
+            yi = labels[i]
+            if yi * (w @ rows[i] + b) < 1.0:
+                w = w - lr * (two_lam * w - signed_rows[i])
                 b = b + lr * yi
             else:
-                w = w - lr * 2.0 * lam * w
+                w = w - decay * w
     return {
         "weights": w.tolist(),
         "bias": float(b),
@@ -287,10 +333,14 @@ def _grow_tree(X: Array, y: Array, rng, depth: int, max_depth: int, n_sub: int):
     }
 
 
-def _tree_prob(node: dict, x: Array) -> float:
-    while "f" in node:
-        node = node["l"] if x[node["f"]] <= node["t"] else node["r"]
-    return node["p"]
+def _fill_tree_probs(node: dict, X: Array, rows: Array, out: Array) -> None:
+    """Write the leaf probability of each of X[rows] into out[rows]."""
+    if "f" not in node:
+        out[rows] = node["p"]
+        return
+    left = X[rows, node["f"]] <= node["t"]
+    _fill_tree_probs(node["l"], X, rows[left], out)
+    _fill_tree_probs(node["r"], X, rows[~left], out)
 
 
 def _fit_forest(X: Array, y01: Array, hp: dict, seed: int) -> dict:
@@ -307,9 +357,17 @@ def _fit_forest(X: Array, y01: Array, hp: dict, seed: int) -> dict:
 
 
 def _forest_scores(state: dict, X: Array) -> Array:
-    return np.asarray(
-        [float(np.mean([_tree_prob(t, x) for t in state["trees"]])) for x in X]
-    )
+    """Mean leaf probability over the trees, one row of trees per record.
+
+    Each row is contiguous, so its mean is the same pairwise sum that
+    np.mean takes over one record's list of tree probabilities.
+    """
+    trees = state["trees"]
+    probs = np.empty((len(X), len(trees)))
+    rows = np.arange(len(X))
+    for t, tree in enumerate(trees):
+        _fill_tree_probs(tree, X, rows, probs[:, t])
+    return probs.mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
