@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -22,11 +21,6 @@ from .errors import ConfigError, DataError
 from .model import EpochStats, ModelParams, TrainingConfig, train
 from .rejection import PredictionRecord, make_record
 from .uncertainty import MEASURE_TABLE, UncertaintyBundle, UncertaintyConfig, bundle, uncertainty_value
-
-
-def _tree_seed(base_seed: int, tree_id: str) -> int:
-    """Stable per-tree stream id; independent of processing order."""
-    return (int(base_seed) << 32) + zlib.crc32(tree_id.encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -54,7 +48,7 @@ def _score_trees(
             embedder,
             uq.n_samples,
             uq.dropout_rate,
-            seed=_tree_seed(uq.seed, tree.tree_id),
+            seed=uq.seed,
             branch_level=uq.branch_level,
         )
         records.append(
@@ -257,8 +251,8 @@ def timeline_report(
 ) -> TimelineSeries:
     """Uncertainty bundle after each tweet arrives, in repaired time order.
 
-    Every prefix is scored with the same seed, so the final step matches a
-    whole-tree bundle computed with that seed exactly.
+    Every prefix keeps the tree's id and is scored with ``uq.seed``, so the
+    final step equals the tree's whole-tree bundle and its records row.
     """
     if uq is None:
         uq = UncertaintyConfig()

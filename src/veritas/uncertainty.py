@@ -9,6 +9,7 @@ scores are computed from the single deterministic prediction.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,11 @@ def _entropy(p: Array) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
+def _tree_seed(base_seed: int, tree_id: str) -> int:
+    """Stable per-tree stream id; independent of processing order."""
+    return (int(base_seed) << 32) + zlib.crc32(tree_id.encode("utf-8"))
+
+
 def mc_sample(
     params: ModelParams,
     tree: ConversationTree,
@@ -107,14 +113,16 @@ def mc_sample(
 ) -> SampleSet:
     """n_samples stochastic tree predictions with dropout active.
 
-    Sample i uses an independent stream derived from (seed, i), so results
-    do not depend on evaluation order.
+    Sample i uses an independent stream derived from (seed, tree_id, i), so
+    results depend on neither evaluation order nor the path that scores the
+    tree: a timeline prefix keeps its tree's id and so its streams.
     """
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     dropout = DropoutSpec(dropout_rate, active=dropout_rate > 0)
+    tree_seed = _tree_seed(seed, tree.tree_id)
     rows = [
-        tree_probs(params, tree, embedder, dropout, child_rng(seed, i))
+        tree_probs(params, tree, embedder, dropout, child_rng(tree_seed, i))
         for i in range(n_samples)
     ]
     return SampleSet(np.stack(rows))
@@ -128,15 +136,16 @@ def mc_sample_branches(
     dropout_rate: float,
     seed: int = 0,
 ) -> list[SampleSet]:
-    """Per-branch sample sets (ablation mode); stream (seed, branch, sample)."""
+    """Per-branch sample sets (ablation mode); stream (seed, tree_id, branch, sample)."""
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     dropout = DropoutSpec(dropout_rate, active=dropout_rate > 0)
+    tree_seed = _tree_seed(seed, tree.tree_id)
     sets = []
     for b, branch in enumerate(decompose_branches(tree)):
         vectors = branch_matrix(branch, embedder)
         rows = [
-            forward_branch(params, vectors, dropout, child_rng(seed, b, i)).probs
+            forward_branch(params, vectors, dropout, child_rng(tree_seed, b, i)).probs
             for i in range(n_samples)
         ]
         sets.append(SampleSet(np.stack(rows)))

@@ -31,8 +31,8 @@ from veritas import (
     write_records_csv,
 )
 from veritas.data import CANONICAL_LABELS, timeline_prefixes
-from veritas.harness import records_header
-from veritas.uncertainty import MEASURE_TABLE, UncertaintyBundle
+from veritas.harness import _score_trees, records_header
+from veritas.uncertainty import MEASURE_TABLE, UncertaintyBundle, UncertaintyConfig
 from veritas.errors import ConfigError, DataError, DataWarning
 
 CLASSES = ("true", "false", "unverified")
@@ -331,6 +331,22 @@ class TestTimeline:
         )
         assert series.steps[-1].bundle == whole
         assert series.steps[-1].n_tweets == tree.size
+
+    def test_last_step_equals_records_row_for_every_tree(self, small_run):
+        res, emb, uq = small_run["res"], small_run["emb"], small_run["uq"]
+        by_id = {t.tree_id: t for t in small_run["trees"]}
+        for record in res.records:
+            series = timeline_report(res.models[record.fold], by_id[record.tree_id], emb, uq)
+            assert series.steps[-1].bundle == record.bundle, record.tree_id
+
+    def test_branch_level_last_step_equals_scored_record(self, small_run):
+        res, emb = small_run["res"], small_run["emb"]
+        uq = UncertaintyConfig(n_samples=3, dropout_rate=0.3, seed=4, branch_level=True)
+        trees = [t for t in small_run["trees"] if small_run["folds"].assignments[t.tree_id] == 1]
+        for record in _score_trees(res.models[1], trees, emb, uq, res.classes, 1):
+            tree = next(t for t in trees if t.tree_id == record.tree_id)
+            series = timeline_report(res.models[1], tree, emb, uq)
+            assert series.steps[-1].bundle == record.bundle, record.tree_id
 
     def test_steps_match_independent_prefix_scoring(self, small_run):
         res, emb, uq = small_run["res"], small_run["emb"], small_run["uq"]
