@@ -306,8 +306,13 @@ def _gini_best_split(x: Array, y: Array) -> tuple[float, float] | None:
     p_r = pos_right / n_right
     gini = (n_left * 2.0 * p_l * (1.0 - p_l) + n_right * 2.0 * p_r * (1.0 - p_r)) / n
     best = int(np.argmin(gini))
-    threshold = 0.5 * (xs[idx[best]] + xs[idx[best] + 1])
-    return float(threshold), float(gini[best])
+    lo, hi = float(xs[idx[best]]), float(xs[idx[best] + 1])
+    threshold = 0.5 * (lo + hi)
+    if not threshold < hi:
+        # adjacent doubles (or a sum that overflows): the midpoint is not
+        # below hi, and x <= threshold would send both sides left
+        threshold = lo
+    return threshold, float(gini[best])
 
 
 def _grow_tree(X: Array, y: Array, rng, depth: int, max_depth: int, n_sub: int):
@@ -411,9 +416,10 @@ class MetaClassifier:
 
     @classmethod
     def from_json(cls, text: str) -> "MetaClassifier":
+        """Parse a saved meta-classifier; a state scores() cannot use is a DataError."""
         try:
             doc = json.loads(text)
-            return cls(
+            meta = cls(
                 backend=str(doc["backend"]),
                 state=doc["state"],
                 n_classes=int(doc["n_classes"]),
@@ -421,10 +427,74 @@ class MetaClassifier:
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad meta-classifier JSON: {exc}") from exc
+        _check_state(meta)
+        return meta
 
     @classmethod
     def load(cls, path) -> "MetaClassifier":
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
+
+
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _node_problem(root, n_features: int) -> str | None:
+    """Why a forest tree is unusable, or None."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        keys = set(node) if isinstance(node, dict) else None
+        if keys == {"p"}:
+            if not (_finite(node["p"]) and 0.0 <= node["p"] <= 1.0):
+                return f"leaf value {node['p']!r} is not a number in [0, 1]"
+        elif keys == {"f", "t", "l", "r"}:
+            f = node["f"]
+            if not (isinstance(f, int) and not isinstance(f, bool) and 0 <= f < n_features):
+                return f"feature {f!r} is not an integer in [0, {n_features})"
+            if not _finite(node["t"]):
+                return f"threshold {node['t']!r} is not a finite number"
+            stack += [node["l"], node["r"]]
+        else:
+            found = sorted(keys) if keys is not None else type(node).__name__
+            return f"node {found} is neither a leaf {{p}} nor a split {{f, t, l, r}}"
+    return None
+
+
+def _check_state(meta: MetaClassifier) -> None:
+    """Raise DataError unless the state fits the backend and n_features."""
+    where = f"meta-classifier {meta.backend}"
+    if meta.backend not in ("linear_hinge", "random_forest"):
+        raise DataError(f"meta-classifier: unknown backend {meta.backend!r}")
+    if meta.n_classes < 2 or meta.n_features != 4 + 2 * meta.n_classes:
+        raise DataError(
+            f"{where}: {meta.n_features} features do not fit {meta.n_classes} classes "
+            "(4 measures, then probabilities and a one-hot prediction per class)"
+        )
+    state = meta.state
+    if not isinstance(state, dict):
+        raise DataError(f"{where}: state is not an object")
+    if state.get("constant") is not None:
+        if not (_finite(state["constant"]) and 0.0 <= state["constant"] <= 1.0):
+            raise DataError(f"{where}: constant {state['constant']!r} is not a number in [0, 1]")
+        return
+    if meta.backend == "linear_hinge":
+        for key in ("weights", "mean", "std"):
+            values = state.get(key)
+            if not (isinstance(values, list) and len(values) == meta.n_features and all(map(_finite, values))):
+                raise DataError(f"{where}: {key} is not a list of {meta.n_features} finite numbers")
+        if not all(v > 0 for v in state["std"]):
+            raise DataError(f"{where}: std has a value that is not positive")
+        if not _finite(state.get("bias")):
+            raise DataError(f"{where}: bias {state.get('bias')!r} is not a finite number")
+        return
+    trees = state.get("trees")
+    if not isinstance(trees, list) or not trees:
+        raise DataError(f"{where}: trees is not a nonempty list")
+    for i, tree in enumerate(trees):
+        problem = _node_problem(tree, meta.n_features)
+        if problem is not None:
+            raise DataError(f"{where}: tree {i}: {problem}")
 
 
 def train_meta(

@@ -1,5 +1,6 @@
 """Rejection strategies: quantile cuts, random baseline, meta-classifier."""
 
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,8 @@ from veritas import (
     unsupervised_reject,
 )
 from veritas.errors import ConfigError, DataError, DataWarning
-from veritas.rejection import curve_to_csv
+from veritas.nn import make_rng
+from veritas.rejection import _fit_forest, _forest_scores, _grow_tree, curve_to_csv
 from veritas.uncertainty import uncertainty_value
 
 
@@ -376,3 +378,106 @@ def test_meta_feature_order():
     np.testing.assert_allclose(
         meta_features(r), [1.5, 0.02, 0.7, 0.25, 0.5, 0.3, 0.2, 1.0, 0.0, 0.0]
     )
+
+
+class TestForestSplit:
+    def adjacent_case(self):
+        a = 0.3
+        b = float(np.nextafter(a, 1.0))
+        assert 0.5 * (a + b) == b  # the midpoint rounds up to the larger value
+        X = np.array([[a], [b], [a], [b]])
+        return a, X, np.array([0.0, 1.0, 0.0, 1.0])
+
+    def test_adjacent_doubles_give_the_perfect_split(self):
+        a, X, y = self.adjacent_case()
+        tree = _grow_tree(X, y, make_rng(0), 0, 8, 1)
+        assert tree == {"f": 0, "t": a, "l": {"p": 0.0}, "r": {"p": 1.0}}
+
+    def test_adjacent_doubles_leave_finite_leaves_and_scores(self):
+        _, X, y = self.adjacent_case()
+        state = _fit_forest(X, y, {"n_trees": 10, "max_depth": 8, "bootstrap_fraction": 1.0}, 3)
+
+        def leaves(node):
+            return [node["p"]] if "f" not in node else leaves(node["l"]) + leaves(node["r"])
+
+        assert all(math.isfinite(p) for tree in state["trees"] for p in leaves(tree))
+        scores = _forest_scores(state, X)
+        assert np.all(np.isfinite(scores))
+        np.testing.assert_array_equal(scores >= 0.5, y == 1.0)
+
+    def test_overflowing_midpoint_keeps_both_sides(self):
+        hi = np.finfo(float).max
+        lo = float(np.nextafter(hi, 0.0))
+        X = np.array([[lo], [hi]])
+        tree = _grow_tree(X, np.array([0.0, 1.0]), make_rng(0), 0, 8, 1)
+        assert tree == {"f": 0, "t": lo, "l": {"p": 0.0}, "r": {"p": 1.0}}
+
+
+def _saved(backend, mutate):
+    """A trained meta-classifier's JSON document after ``mutate(doc)``."""
+    dev = meta_training_records(40, np.random.default_rng(8))
+    doc = json.loads(train_meta(dev, backend=backend, hyperparams={"n_trees": 3} if backend == "random_forest" else None, seed=1).to_json())
+    mutate(doc)
+    return json.dumps(doc)
+
+
+def _set(path, value):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+def _deepest_split(doc):
+    node = doc["state"]["trees"][2]
+    while "f" in node["l"]:
+        node = node["l"]
+    return node
+
+
+class TestMetaValidation:
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (_set(("state", "weights"), [0.1] * 3), "linear_hinge: weights is not a list of 10 finite"),
+            (_set(("state", "mean", 2), float("nan")), "linear_hinge: mean is not a list of 10 finite"),
+            (_set(("state", "std", 0), float("inf")), "linear_hinge: std is not a list of 10 finite"),
+            (_set(("state", "std", 4), 0.0), "linear_hinge: std has a value that is not positive"),
+            (_set(("state", "bias"), "1"), "linear_hinge: bias '1' is not a finite number"),
+            (_set(("state", "constant"), 1.5), "linear_hinge: constant 1.5 is not a number in"),
+            (_set(("n_features",), 9), "linear_hinge: 9 features do not fit 3 classes"),
+            (_set(("backend",), "svm"), "unknown backend 'svm'"),
+        ],
+    )
+    def test_bad_linear_state(self, mutate, message):
+        with pytest.raises(DataError, match=message):
+            MetaClassifier.from_json(_saved("linear_hinge", mutate))
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: _deepest_split(d).update(f=10), r"tree 2: feature 10 is not an integer in \[0, 10\)"),
+            (lambda d: _deepest_split(d).update(f=-1), r"tree 2: feature -1 is not an integer"),
+            (lambda d: _deepest_split(d).update(f=1.0), r"tree 2: feature 1.0 is not an integer"),
+            (lambda d: _deepest_split(d).update(f=True), r"tree 2: feature True is not an integer"),
+            (lambda d: _deepest_split(d).update(t=float("nan")), "tree 2: threshold nan is not a finite"),
+            (lambda d: _deepest_split(d)["l"].update(p=1.5), r"tree 2: leaf value 1.5 is not a number in \[0, 1\]"),
+            (lambda d: _deepest_split(d)["l"].update(p=float("nan")), "tree 2: leaf value nan"),
+            (lambda d: _deepest_split(d).pop("r"), r"tree 2: node \['f', 'l', 't'\] is neither a leaf"),
+            (lambda d: _deepest_split(d)["l"].update(extra=0), r"tree 2: node \['extra', 'p'\] is neither"),
+            (lambda d: _deepest_split(d).update(l=[0.5]), "tree 2: node list is neither"),
+            (_set(("state", "trees"), []), "random_forest: trees is not a nonempty list"),
+            (_set(("state", "constant"), -0.1), "random_forest: constant -0.1 is not a number in"),
+        ],
+    )
+    def test_bad_forest_state(self, mutate, message):
+        with pytest.raises(DataError, match=message):
+            MetaClassifier.from_json(_saved("random_forest", mutate))
+
+    def test_good_states_load(self):
+        for backend in ("linear_hinge", "random_forest"):
+            MetaClassifier.from_json(_saved(backend, lambda doc: None))
+        MetaClassifier.from_json(_saved("linear_hinge", _set(("state",), {"constant": 1.0})))
