@@ -26,9 +26,9 @@ class MetricsReport:
 
 def _gold_pred_pairs(records_or_pairs):
     for item in records_or_pairs:
-        if hasattr(item, "gold") and hasattr(item, "pred"):
+        try:
             yield item.gold, item.pred
-        else:
+        except AttributeError:
             gold, pred = item
             yield gold, pred
 
