@@ -10,6 +10,7 @@ the options.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -72,12 +73,7 @@ def _ranking(records: Sequence[PredictionRecord], measure: str, per_fold: bool) 
         u = 1.0 - value if spec.confidence else value
         keys.append((r.fold if per_fold else 0, -u, r.tree_id))
     order = sorted(range(len(records)), key=keys.__getitem__)
-    groups: list[list[int]] = []
-    for i in order:
-        if not groups or keys[i][0] != keys[groups[-1][0]][0]:
-            groups.append([])
-        groups[-1].append(i)
-    return groups
+    return [list(group) for _, group in itertools.groupby(order, key=lambda i: keys[i][0])]
 
 
 def _removed_positions(groups: list[list[int]], retain_fraction: float) -> list[list[int]]:
@@ -251,11 +247,10 @@ def _fit_linear_hinge(X: Array, y01: Array, hp: dict, seed: int) -> dict:
     b = 0.0
     lr = float(hp["learning_rate"])
     lam = float(hp["l2"])
-    # The update w - lr * (2 * lam * w - y_i * z_i), or w - lr * 2 * lam * w
-    # off the margin, with every scalar factor spread into a vector ahead of
-    # the loop: an elementwise product with a vector of c rounds like one
-    # with c, and costs less. Python multiplies left to right, so
-    # lr * 2.0 * lam is (lr * 2.0) * lam. w.dot is the BLAS dot of w @ z_i.
+    # Each scalar factor of the update is spread into a vector: a product
+    # with a vector of c rounds like one with c but skips numpy's scalar
+    # conversion. lr * 2.0 * lam is (lr * 2.0) * lam, as in w - lr*2.0*lam*w.
+    # w.dot is the same BLAS dot as w @ z, with less call overhead.
     d = Z.shape[1]
     lr_v = np.full(d, lr)
     two_lam_v = np.full(d, 2.0 * lam)

@@ -160,7 +160,7 @@ def test_forest_scores_byte_equal_to_per_record_walk(case):
 @st.composite
 def hinge_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
-    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 8))
+    n, d = draw(st.integers(2, 60)), draw(st.integers(1, 24))
     X = rng.normal(size=(n, d))
     if draw(st.booleans()):
         X[:, 0] = 1.0  # a constant column gets std 1
