@@ -358,6 +358,10 @@ def fnv1a_64(token: str, seed: int = 0) -> int:
 # Most distinct tokens a HashingEmbedder keeps vectors for; tokens beyond
 # it are hashed on every call, so memory stays bounded on any corpus.
 _MEMO_TOKENS = 1 << 15
+# Most tweet texts a HashingEmbedder keeps whole-tweet vectors for, oldest
+# dropped first. Scoring re-embeds one tree's tweets on every pass and a
+# timeline on every prefix, so a few hundred texts cover the reuse.
+_MEMO_TEXTS = 256
 
 
 @dataclass(frozen=True)
@@ -365,8 +369,12 @@ class HashingEmbedder:
     """Feature-hashing token vectors: one hot at hash(token) mod dimension,
     signed +-1/sqrt(dimension) by hash parity.
 
-    Vectors are memoised per instance, because the pure-Python FNV hash
-    costs most of an embedding; memoised vectors are read-only.
+    Each instance keeps two memos of read-only vectors. Token vectors are
+    kept for up to ``_MEMO_TOKENS`` distinct tokens, because the pure-Python
+    FNV hash costs most of an embedding. Whole-tweet vectors (the mean that
+    ``embed_tweet`` returns) are kept by text for the ``_MEMO_TEXTS`` most
+    recently added texts, first in first out, so re-embedding a tweet skips
+    tokenising too.
     """
 
     dimension: int = 32
@@ -376,6 +384,18 @@ class HashingEmbedder:
         if self.dimension < 1:
             raise ConfigError(f"embedder dimension must be >= 1, got {self.dimension}")
         object.__setattr__(self, "_vectors", {})
+        object.__setattr__(self, "_texts", {})
+
+    def tweet_vector(self, text: str) -> np.ndarray:
+        """The read-only mean of the text's token vectors, memoised by text."""
+        vec = self._texts.get(text)
+        if vec is None:
+            vec = _mean_token_vector(text, self)
+            vec.flags.writeable = False
+            if len(self._texts) >= _MEMO_TEXTS:
+                del self._texts[next(iter(self._texts))]
+            self._texts[text] = vec
+        return vec
 
     def token_vector(self, token: str) -> np.ndarray:
         vec = self._vectors.get(token)
@@ -412,7 +432,17 @@ class TableEmbedder:
 
 
 def embed_tweet(text: str, embedder) -> np.ndarray:
-    """Mean of the token vectors; zero vector when nothing embeds."""
+    """Mean of the token vectors; zero vector when nothing embeds.
+
+    Always a fresh writable array, also when a ``HashingEmbedder`` serves
+    it from its text memo.
+    """
+    if isinstance(embedder, HashingEmbedder):
+        return embedder.tweet_vector(text).copy()
+    return _mean_token_vector(text, embedder)
+
+
+def _mean_token_vector(text: str, embedder) -> np.ndarray:
     vectors = [v for v in (embedder.token_vector(tok) for tok in tokenize(text)) if v is not None]
     if not vectors:
         return np.zeros(embedder.dimension)

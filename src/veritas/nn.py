@@ -49,7 +49,8 @@ def child_rng(seed: int, *stream: int) -> np.random.Generator:
 def sigmoid(x: Array) -> Array:
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # One division: 1/(1+e) for x >= 0 and e/(1+e) below, as two would give.
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(logits: Array) -> Array:
@@ -148,26 +149,37 @@ class _LSTMStates:
 
 
 def _lstm_recurrence(Wx: Array, Wh: Array, b: Array, X: Array) -> _LSTMStates:
-    """Run the LSTM recurrence over the rows of X (shapes already checked)."""
+    """Run the LSTM recurrence over the rows of X (shapes already checked).
+
+    Each step writes its gates, cell, tanh-cell and hidden state in place
+    into the preallocated state arrays. Every elementwise op is the one
+    ``sigmoid`` and the textbook update take, ``a = Wx x + Wh h + b`` and
+    ``c = f * c + i * g``, in the same order, so the bits are theirs.
+    """
     steps, hidden = X.shape[0], Wh.shape[1]
     acts = np.empty((steps, 4 * hidden))
     cells = np.zeros((steps + 1, hidden))
     hiddens = np.zeros((steps + 1, hidden))
     tanh_cells = np.empty((steps, hidden))
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    candidate = slice(2 * hidden, 3 * hidden)
+    e = np.empty(4 * hidden)
+    gate_i, gate_f, gate_g, gate_o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
     for t in range(steps):
-        a = Wx @ X[t] + Wh @ h + b
-        s = sigmoid(a)
-        g = np.tanh(a[candidate])
-        s[candidate] = g
-        acts[t] = s
-        c = s[hidden : 2 * hidden] * c + s[:hidden] * g
-        tanh_cells[t] = np.tanh(c)
-        h = s[3 * hidden :] * tanh_cells[t]
-        cells[t + 1] = c
-        hiddens[t + 1] = h
+        a = Wx @ X[t]
+        a += Wh @ hiddens[t]
+        a += b
+        s = acts[t]
+        np.abs(a, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        ones_or_e = np.where(a >= 0, 1.0, e)
+        e += 1.0
+        np.divide(ones_or_e, e, out=s)
+        np.tanh(a[gate_g], out=s[gate_g])
+        c = cells[t + 1]
+        np.multiply(s[gate_f], cells[t], out=c)
+        c += s[gate_i] * s[gate_g]
+        np.tanh(c, out=tanh_cells[t])
+        np.multiply(s[gate_o], tanh_cells[t], out=hiddens[t + 1])
     return _LSTMStates(acts, cells, hiddens, tanh_cells)
 
 
@@ -177,12 +189,20 @@ def _lstm_backward(
     """Gradients (dWx, dWh, db, per-step gate gradients) of the recurrence.
 
     ``d_hidden`` is the gradient reaching each emitted hidden state (after
-    its dropout mask). Weight gradients are summed as per-step outer
-    products in reversed time order, starting from zeros: gemm and gemv
-    round differently, so a stacked product would change the bits. Each
-    gate gradient is one product chain over the 4H axis,
+    its dropout mask). The time loop runs only the gate-gradient chain;
+    each gate gradient is one product chain over the 4H axis,
     ``[dc, dc, dc, dh] * [g, c_prev, i, tanh c] * [i, f, 1, o] * [1-i, 1-f, 1-g^2, 1-o]``,
     which rounds exactly as the four per-gate chains it replaces.
+
+    The weight gradients are the per-step outer products ``da_t x_t``,
+    ``da_t h_{t-1}`` and ``da_t`` summed in reversed time order starting
+    from zeros. Each is one ``np.add.reduce(..., axis=0, initial=0.0)``
+    over the broadcast products after the loop: a reduction over the
+    leading axis adds the rows one after another, so it rounds as the
+    per-step ``+=`` did, while a stacked gemm would not. An input column
+    that is zero at every step gets exactly zero from that sum, so ``dWx``
+    is reduced only over the columns that are nonzero somewhere; a hashing
+    embedding fills a few of them.
     """
     steps, hidden = X.shape[0], Wh.shape[1]
     acts = states.acts.reshape(steps, 4, hidden)
@@ -192,23 +212,22 @@ def _lstm_backward(
     third = np.concatenate([i, f, np.ones((steps, hidden)), o], axis=1)
     fourth = np.concatenate([1.0 - i, 1.0 - f, 1.0 - g * g, 1.0 - o], axis=1)
     dtanh = 1.0 - tc * tc
-    dWx = np.zeros((4 * hidden, X.shape[1]))
-    dWh = np.zeros((4 * hidden, hidden))
-    db = np.zeros(4 * hidden)
     das = np.empty((steps, 4 * hidden))
     dh_next = np.zeros(hidden)
     dc_next = np.zeros(hidden)
-    hiddens = states.hiddens
     for t in reversed(range(steps)):
         dh = d_hidden[t] + dh_next
         dc = dh * o[t] * dtanh[t] + dc_next
         da = np.concatenate((dc, dc, dc, dh)) * second[t] * third[t] * fourth[t]
-        dWx += np.outer(da, X[t])
-        dWh += np.outer(da, hiddens[t])
-        db += da
         das[t] = da
         dh_next = Wh.T @ da
         dc_next = dc * f[t]
+    rev_das = das[::-1, :, None]
+    cols = np.flatnonzero(X.any(axis=0))
+    dWx = np.zeros((4 * hidden, X.shape[1]))
+    dWx[:, cols] = np.add.reduce(rev_das * X[::-1, None, cols], axis=0, initial=0.0)
+    dWh = np.add.reduce(rev_das * states.hiddens[steps - 1 :: -1, None, :], axis=0, initial=0.0)
+    db = np.add.reduce(das[::-1], axis=0, initial=0.0)
     return dWx, dWh, db, das
 
 
@@ -242,9 +261,8 @@ def lstm_forward(
     if dropout.active and rng is None:
         raise ConfigError("lstm: active dropout needs an rng")
 
-    shape = (X.shape[0], hidden)
-    masks = _draw_mask(shape, dropout, rng) if dropout.active else np.ones(shape)
-    return _lstm_recurrence(Wx, Wh, b, X).outputs * masks
+    outputs = _lstm_recurrence(Wx, Wh, b, X).outputs
+    return outputs * _draw_mask(outputs.shape, dropout, rng) if dropout.active else outputs
 
 
 def dropout_forward(x: Array, spec: DropoutSpec, rng=None) -> Array:

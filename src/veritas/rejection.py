@@ -62,11 +62,12 @@ def _ranking(records: Sequence[PredictionRecord], measure: str, per_fold: bool) 
 
     One list for all records, or one per fold in fold order when
     ``per_fold`` is set. A cut at fraction f removes the first
-    ceil((1-f)*len) positions of every list.
+    ceil((1-f)*len) positions of every list. An unknown measure is a
+    ConfigError even when there is nothing to rank.
     """
+    spec = measure_spec(measure)
     if not records:
         return []
-    spec = measure_spec(measure)
     keys = []
     for r in records:
         value = getattr(r.bundle, spec.field)
@@ -133,8 +134,7 @@ def per_fold_reject(
 
     Both lists keep input order.
     """
-    if records:
-        _check_fraction(retain_fraction)
+    _check_fraction(retain_fraction)
     return _split(records, _removed_positions(_ranking(records, measure, True), retain_fraction))
 
 
@@ -389,6 +389,8 @@ class MetaClassifier:
     n_features: int
 
     def scores(self, records: Sequence[PredictionRecord]) -> Array:
+        if not records:
+            return np.empty(0)
         X = _feature_matrix(records)
         if X.shape[1] != self.n_features:
             raise ConfigError(

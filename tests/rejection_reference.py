@@ -18,12 +18,18 @@ from veritas.errors import ConfigError, DataError
 from veritas.metrics import MetricsReport
 from veritas.nn import make_rng
 from veritas.rejection import CurvePoint, RejectionCurve
-from veritas.uncertainty import uncertainty_value
+from veritas.uncertainty import measure_spec, uncertainty_value
+
+
+def _check_cut(measure, retain_fraction):
+    """The cuts' up-front checks: the fraction, then the measure."""
+    if not 0.0 < retain_fraction <= 1.0:
+        raise ConfigError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
+    measure_spec(measure)
 
 
 def unsupervised_reject(records, measure, retain_fraction):
-    if not 0.0 < retain_fraction <= 1.0:
-        raise ConfigError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
+    _check_cut(measure, retain_fraction)
     if not records:
         return [], []
     n_remove = math.ceil((1.0 - retain_fraction) * len(records))
@@ -47,6 +53,7 @@ def random_reject(records, retain_fraction, seed=0):
 
 
 def per_fold_reject(records, measure, retain_fraction):
+    _check_cut(measure, retain_fraction)
     folds = sorted({r.fold for r in records})
     removed_ids: set[int] = set()
     for fold in folds:

@@ -27,7 +27,7 @@ from veritas import (
     validate_tree,
     write_dataset,
 )
-from veritas.data import fnv1a_64
+from veritas.data import _MEMO_TEXTS, fnv1a_64
 from veritas.errors import ConfigError, DataError, DataWarning
 
 
@@ -439,3 +439,29 @@ def test_memoised_embedding_equals_unmemoised(text, dimension):
         got = embed_tweet(text, emb)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
         assert got.flags.writeable
+
+
+@st.composite
+def text_streams(draw):
+    """More texts than the text memo holds, with repeats that hit and miss it."""
+    n_distinct = draw(st.integers(_MEMO_TEXTS + 1, _MEMO_TEXTS + 60))
+    words = draw(st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=5))
+    pool = [""] + [f"{' '.join(words)} {i}" for i in range(1, n_distinct)]
+    order = draw(st.lists(st.integers(0, n_distinct - 1), min_size=n_distinct, max_size=3 * n_distinct))
+    return [pool[i] for i in range(n_distinct)] + [pool[i] for i in order]
+
+
+@given(text_streams(), st.integers(1, 40))
+@settings(max_examples=25, deadline=None)
+def test_text_memo_is_bounded_and_returns_fresh_vectors(texts, dimension):
+    """Past the bound the memo still gives a fresh embedder's bytes, never grows
+    beyond _MEMO_TEXTS, and a caller writing to a vector changes nothing later."""
+    emb = HashingEmbedder(dimension=dimension, seed=3)
+    for text in texts:
+        got = embed_tweet(text, emb)
+        expected = embed_tweet(text, HashingEmbedder(dimension=dimension, seed=3))
+        assert got.tobytes() == expected.tobytes()
+        assert len(emb._texts) <= _MEMO_TEXTS
+        got += 1.0
+        assert embed_tweet(text, emb).tobytes() == expected.tobytes()
+    assert len(emb._texts) == _MEMO_TEXTS

@@ -117,6 +117,13 @@ class TestUnsupervisedReject:
     def test_empty_input(self):
         assert unsupervised_reject([], "entropy", 0.5) == ([], [])
 
+    @pytest.mark.parametrize("cut", [unsupervised_reject, per_fold_reject])
+    def test_empty_input_still_checks_measure_and_fraction(self, cut):
+        with pytest.raises(ConfigError, match="unknown measure 'banana'"):
+            cut([], "banana", 0.5)
+        with pytest.raises(ConfigError, match="retain_fraction must be in"):
+            cut([], "entropy", 1.5)
+
 
 class TestRandomReject:
     def test_fraction_one_keeps_all(self):
@@ -188,6 +195,13 @@ class TestPerFoldReject:
 
 
 class TestRejectionCurve:
+    def test_empty_records_still_check_measure(self):
+        with pytest.raises(ConfigError, match="unknown measure 'banana'"):
+            rejection_curve([], "banana", ("true", "false"))
+        for per_fold in (False, True):
+            curve = rejection_curve([], "entropy", ("true", "false"), (1.0, 0.5), per_fold=per_fold)
+            assert [p.defined for p in curve.points] == [False, False]
+
     def test_all_correct_is_flat_one(self):
         recs = records_with_uncertainty([0.1, 0.5, 0.9], correct=[1, 1, 1])
         curve = rejection_curve(recs, "entropy", ("true", "false"), (1.0, 0.5))
@@ -352,6 +366,20 @@ class TestSupervisedReject:
         precision = sum(r.correct for r in called_correct) / len(called_correct)
         accuracy = sum(r.correct for r in retained) / len(retained)
         assert precision == pytest.approx(accuracy, abs=1e-15)
+
+    @pytest.mark.parametrize("backend", ["linear_hinge", "random_forest"])
+    def test_no_records_scores_and_rejects_nothing(self, rng, backend):
+        meta = train_meta(meta_training_records(30, rng), backend=backend, seed=1)
+        scores = meta.scores([])
+        assert scores.shape == (0,) and scores.dtype == np.float64
+        assert supervised_reject(meta, []) == ([], [], 0)
+
+    def test_no_records_with_constant_meta(self, rng):
+        dev = records_with_uncertainty(rng.random(5), correct=[0] * 5)
+        with pytest.warns(DataWarning, match="single-class"):
+            meta = train_meta(dev, backend="random_forest")
+        assert meta.scores([]).shape == (0,)
+        assert supervised_reject(meta, [], threshold=0.0) == ([], [], 0)
 
     def test_threshold_validation(self, rng):
         recs = meta_training_records(10, rng)

@@ -92,14 +92,14 @@ def test_random_reject_matches_reference(records, fraction, seed):
 
 def test_cut_errors_match_reference():
     records = [make_record("a", "true", "true", bundle_with(), 0)]
-    for args in ((records, "entropy", 0.0), (records, "banana", 0.5), (records, "banana", 1.5)):
-        for fast_cut, slow_cut in ((unsupervised_reject, ref.unsupervised_reject), (per_fold_reject, ref.per_fold_reject)):
-            with pytest.raises(ConfigError) as fast:
-                fast_cut(*args)
-            with pytest.raises(ConfigError) as slow:
-                slow_cut(*args)
-            assert str(fast.value) == str(slow.value)
-    assert per_fold_reject([], "banana", 0.0) == ref.per_fold_reject([], "banana", 0.0) == ([], [])
+    for recs in (records, []):
+        for args in ((recs, "entropy", 0.0), (recs, "banana", 0.5), (recs, "banana", 1.5)):
+            for fast_cut, slow_cut in ((unsupervised_reject, ref.unsupervised_reject), (per_fold_reject, ref.per_fold_reject)):
+                with pytest.raises(ConfigError) as fast:
+                    fast_cut(*args)
+                with pytest.raises(ConfigError) as slow:
+                    slow_cut(*args)
+                assert str(fast.value) == str(slow.value)
 
 
 LABELS = st.sampled_from(CLASSES + ("rumour", ""))
