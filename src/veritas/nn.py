@@ -198,8 +198,8 @@ def _lstm_backward(
     ``da_t h_{t-1}`` and ``da_t`` summed in reversed time order starting
     from zeros. Each is one ``np.add.reduce(..., axis=0, initial=0.0)``
     over the broadcast products after the loop: a reduction over the
-    leading axis adds the rows one after another, so it rounds as the
-    per-step ``+=`` did, while a stacked gemm would not. An input column
+    leading axis adds the rows one after another, so it rounds as a loop
+    of per-step ``+=`` would, while a stacked gemm would not. An input column
     that is zero at every step gets exactly zero from that sum, so ``dWx``
     is reduced only over the columns that are nonzero somewhere; a hashing
     embedding fills a few of them.
