@@ -103,24 +103,16 @@ def bin_index(confidence: float, n_bins: int) -> int:
 
 
 def ece(records: Sequence[ConfidenceRecord], n_bins: int = 10) -> float:
-    """Expected calibration error: bin-weighted |accuracy - confidence|.
+    """Expected calibration error: sum of (count/n)·|accuracy - mean confidence|.
 
-    Empty bins contribute zero.
+    The sum runs over ``reliability_bins`` in bin order; empty bins
+    contribute zero. The result does not depend on the order of records.
     """
-    if n_bins < 1:
-        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+    bins = reliability_bins(records, n_bins)
     if not records:
         raise ConfigError("ece needs at least one record")
-    total = 0.0
     n = len(records)
-    grouped: dict[int, list[ConfidenceRecord]] = {}
-    for r in records:
-        grouped.setdefault(bin_index(r.confidence, n_bins), []).append(r)
-    for members in grouped.values():
-        acc = sum(1.0 for r in members if r.correct) / len(members)
-        conf = sum(r.confidence for r in members) / len(members)
-        total += (len(members) / n) * abs(acc - conf)
-    return total
+    return sum((b.count / n) * abs(b.accuracy - b.mean_confidence) for b in bins if b.count)
 
 
 @dataclass(frozen=True)
@@ -131,7 +123,11 @@ class BinStats:
 
 
 def reliability_bins(records: Sequence[ConfidenceRecord], n_bins: int = 10) -> tuple[BinStats, ...]:
-    """Per-bin count, mean confidence and accuracy; empty bins have None."""
+    """Per-bin count, mean confidence and accuracy; empty bins have None.
+
+    A bin's confidences are summed with ``math.fsum``, which rounds once,
+    so no statistic depends on the order of records.
+    """
     if n_bins < 1:
         raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
     grouped: dict[int, list[ConfidenceRecord]] = {}
@@ -146,7 +142,7 @@ def reliability_bins(records: Sequence[ConfidenceRecord], n_bins: int = 10) -> t
             out.append(
                 BinStats(
                     count=len(members),
-                    mean_confidence=sum(r.confidence for r in members) / len(members),
+                    mean_confidence=math.fsum(r.confidence for r in members) / len(members),
                     accuracy=sum(1.0 for r in members if r.correct) / len(members),
                 )
             )

@@ -96,7 +96,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     uq = _build(UncertaintyConfig, raw.get("uncertainty", {}), "uncertainty")
     emb_raw = raw.get("embedder", {})
     embedder = _build(HashingEmbedder, emb_raw, "embedder")
-    classes = tuple(raw["classes"]) if "classes" in raw else infer_classes(trees)
+    classes = raw.get("classes")
+    if classes is None:
+        classes = infer_classes(trees)
+    elif isinstance(classes, list) and all(isinstance(c, str) for c in classes):
+        classes = tuple(classes)
+    else:
+        raise ConfigError(f"config key 'classes' must be a list of strings, got {classes!r}")
 
     if args.dev_fold is not None:
         folds = FoldSpec(

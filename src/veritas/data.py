@@ -292,6 +292,8 @@ class FoldSpec:
     def load(cls, path) -> "FoldSpec":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(doc["assignments"], dict):
+                raise DataError(f"fold file {path}: assignments must be an object of tree id to fold")
             return cls(
                 scheme=str(doc["scheme"]),
                 assignments={str(k): int(v) for k, v in doc["assignments"].items()},
@@ -299,6 +301,8 @@ class FoldSpec:
             )
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"cannot read fold file {path}: {exc}") from exc
+        except ConfigError as exc:
+            raise DataError(f"fold file {path}: {exc}") from exc
 
 
 def make_folds(trees, scheme: str, k: int | None = None, seed: int = 0, dev_fold: int | None = None) -> FoldSpec:

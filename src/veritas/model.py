@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn
 from .data import ConversationTree, HashingEmbedder, branch_matrix, decompose_branches, infer_classes
-from .errors import ConfigError, DataError, InvalidInput, ShapeError
+from .errors import ConfigError, DataError, InvalidInput
 from .nn import DROPOUT_OFF, DropoutSpec
 
 Array = np.ndarray
@@ -66,16 +66,7 @@ class ModelParams:
                 f"layer var.w: expected shape (1, {hidden}) or ({n_classes}, {hidden}), "
                 f"got {self.layers['var.w'].shape}"
             )
-        expected = {
-            "lstm.wx": (4 * hidden, input_dim),
-            "lstm.wh": (4 * hidden, hidden),
-            "lstm.b": (4 * hidden,),
-            **{f"relu{i}.{k}": shape for i in relu for k, shape in (("w", (hidden, hidden)), ("b", (hidden,)))},
-            "out.w": (n_classes, hidden),
-            "out.b": (n_classes,),
-            "var.w": (var_rows, hidden),
-            "var.b": (var_rows,),
-        }
+        expected = nn.layer_shapes(input_dim, hidden, len(relu), n_classes, var_rows)
         for name, shape in expected.items():
             actual = np.shape(self.layers[name]) if name in self.layers else None
             if actual != shape:
@@ -155,29 +146,18 @@ def init_params(
     if not (input_scale > 0.0 and math.isfinite(input_scale)):
         raise ConfigError(f"init_params: input_scale must be positive, got {input_scale}")
     rng = nn.make_rng(seed)
-
-    def uniform(shape, fan_in, scale=1.0):
-        bound = 1.0 / (np.sqrt(fan_in) * scale)
-        return rng.uniform(-bound, bound, shape)
-
-    layers = {
-        "lstm.wx": uniform((4 * hidden_size, input_dim), input_dim, input_scale),
-        "lstm.wh": uniform((4 * hidden_size, hidden_size), hidden_size),
-        "lstm.b": np.zeros(4 * hidden_size),
-    }
-    for i in range(num_relu_layers):
-        layers[f"relu{i}.w"] = uniform((hidden_size, hidden_size), hidden_size)
-        layers[f"relu{i}.b"] = np.zeros(hidden_size)
-    layers["out.w"] = uniform((n_classes, hidden_size), hidden_size)
-    layers["out.b"] = np.zeros(n_classes)
-    layers["var.w"] = uniform((variance_dim, hidden_size), hidden_size)
-    layers["var.b"] = np.zeros(variance_dim)
+    layers = {}
+    for name, shape in nn.layer_shapes(input_dim, hidden_size, num_relu_layers, n_classes, variance_dim).items():
+        if len(shape) == 1:
+            layers[name] = np.zeros(shape)
+        else:
+            bound = 1.0 / (np.sqrt(shape[1]) * (input_scale if name == "lstm.wx" else 1.0))
+            layers[name] = rng.uniform(-bound, bound, shape)
     return ModelParams(layers)
 
 
 @dataclass(frozen=True)
 class BranchOutput:
-    hidden: Array    # input to both heads
     logits: Array
     variance: Array  # (1,) shared, or (n_classes,) per logit
     probs: Array
@@ -195,21 +175,13 @@ def forward_branch(
 ) -> BranchOutput:
     """Run one embedded branch (steps, input_dim) through the network.
 
-    Dropout masks apply to each LSTM output step and after every ReLU layer.
+    Dropout masks apply to each LSTM output step and after every ReLU layer,
+    drawn in the order ``nn.backward`` draws them in training.
     """
-    x = np.asarray(vectors, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != params.input_dim:
-        raise ShapeError(
-            f"forward_branch: expected (steps, {params.input_dim}) vectors, got {x.shape}"
-        )
     p = params.layers
-    u = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], x, dropout, rng)[-1]
-    for i in range(params.num_relu_layers):
-        u = nn.dense_forward(p[f"relu{i}.w"], p[f"relu{i}.b"], u, "relu")
-        u = nn.dropout_forward(u, dropout, rng)
-    logits = nn.dense_forward(p["out.w"], p["out.b"], u, "linear")
-    variance = nn.softplus(nn.dense_forward(p["var.w"], p["var.b"], u, "linear"))
-    return BranchOutput(hidden=u, logits=logits, variance=variance, probs=nn.softmax(logits))
+    u = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], vectors, dropout, rng)[-1]
+    _, _, logits, var_pre = nn.head_forward(p, u, dropout, rng)
+    return BranchOutput(logits=logits, variance=nn.softplus(var_pre), probs=nn.softmax(logits))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Numeric building blocks of the branch classifier.
 
-Everything is plain float64 numpy. The forward ops (dense, a single LSTM
-layer, inverted dropout, softplus and the two cross-entropy losses) serve
-inference. ``backward`` is the one gradient path: the forward and backward
-pass of the fixed branch network for one training example, built from the
-private per-layer derivative kernels (``_dense_backward``,
-``_lstm_backward``, ``_xent_backward``, ``_sampled_xent_backward``,
-``_softplus_backward``). ``sgd_step`` applies its gradients in place. This
-is not a general autodiff engine.
+Everything is plain float64 numpy. The branch network is defined once:
+``layer_shapes`` is its layer table, and the LSTM recurrence followed by
+``head_forward`` (ReLU stack, logits, variance head) is its forward pass,
+run by inference (``lstm_forward`` in ``model.forward_branch``) and by
+training (``backward``, which adds the gradients from the private
+per-layer kernels ``_dense_backward``, ``_lstm_backward``,
+``_xent_backward``, ``_sampled_xent_backward`` and ``_softplus_backward``).
+``sgd_step`` applies them in place. This is not a general autodiff engine.
+``dense_forward``, ``dropout_forward``, ``softmax_xent`` and
+``sampled_xent`` are checked single-op references no library path calls.
 """
 
 from __future__ import annotations
@@ -265,6 +267,33 @@ def lstm_forward(
     return outputs * _draw_mask(outputs.shape, dropout, rng) if dropout.active else outputs
 
 
+def layer_shapes(input_dim: int, hidden: int, n_relu: int, n_classes: int, variance_dim: int) -> dict:
+    """The branch network's ``{layer name: shape}`` in order: lstm, relu<i>, out, var."""
+    shapes = {"lstm.wx": (4 * hidden, input_dim), "lstm.wh": (4 * hidden, hidden), "lstm.b": (4 * hidden,)}
+    for i in range(n_relu):
+        shapes[f"relu{i}.w"], shapes[f"relu{i}.b"] = (hidden, hidden), (hidden,)
+    shapes["out.w"], shapes["out.b"] = (n_classes, hidden), (n_classes,)
+    shapes["var.w"], shapes["var.b"] = (variance_dim, hidden), (variance_dim,)
+    return shapes
+
+
+def head_forward(layers: dict[str, Array], u: Array, dropout: DropoutSpec, rng):
+    """The ReLU stack and both heads on the LSTM's last (masked) output ``u``.
+
+    With dropout active one mask per ReLU output is drawn from rng, in layer
+    order. Returns the heads' input, an ``(input, pre-activation, mask or
+    None)`` per ReLU layer, the logits and the variance pre-activation.
+    """
+    cache = []
+    for i in range(sum(name.startswith("relu") for name in layers) // 2):
+        z = layers[f"relu{i}.w"] @ u + layers[f"relu{i}.b"]
+        y = np.maximum(z, 0.0)
+        mask = _draw_mask(y.shape, dropout, rng) if dropout.active else None
+        cache.append((u, z, mask))
+        u = y if mask is None else y * mask
+    return u, cache, layers["out.w"] @ u + layers["out.b"], layers["var.w"] @ u + layers["var.b"]
+
+
 def dropout_forward(x: Array, spec: DropoutSpec, rng=None) -> Array:
     xv = _as_f64(x)
     if not spec.active:
@@ -392,22 +421,12 @@ def backward(
     At all-zero variance ``sampled_xent`` is the plain cross-entropy, so
     the variance layers get no gradient entry.
     """
-    n_relu = sum(name.startswith("relu") for name in layers) // 2
     wx, wh, b = layers["lstm.wx"], layers["lstm.wh"], layers["lstm.b"]
     steps, hidden = vectors.shape[0], wh.shape[1]
     masks = _draw_mask((steps, hidden), dropout, rng) if dropout.active else np.ones((steps, hidden))
     states = _lstm_recurrence(wx, wh, b, vectors)
-    u = states.outputs[-1] * masks[-1]
-    relu_cache = []
-    for i in range(n_relu):
-        z = layers[f"relu{i}.w"] @ u + layers[f"relu{i}.b"]
-        y = np.maximum(z, 0.0)
-        mask = _draw_mask(y.shape, dropout, rng) if dropout.active else None
-        relu_cache.append((u, z, mask))
-        u = y if mask is None else y * mask
+    u, relu_cache, logits, var_pre = head_forward(layers, states.outputs[-1] * masks[-1], dropout, rng)
     w_out, w_var = layers["out.w"], layers["var.w"]
-    logits = w_out @ u + layers["out.b"]
-    var_pre = w_var @ u + layers["var.b"]
     sqrt_sig = np.sqrt(softplus(var_pre))
     p = softmax(logits)
     ce = _xent(p, target)
@@ -431,7 +450,7 @@ def backward(
         du = du_var + du_out
     grads["out.w"], grads["out.b"] = dw_out, dlogits
 
-    for i in reversed(range(n_relu)):
+    for i in reversed(range(len(relu_cache))):
         u_in, z, mask = relu_cache[i]
         dz = (du if mask is None else du * mask) * (z > 0.0)
         grads[f"relu{i}.w"], du = _dense_backward(layers[f"relu{i}.w"], u_in, dz)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,9 +90,14 @@ def _split(
     for g in removed:
         for i in g:
             keep[i] = False
-    retained = [r for r, k in zip(records, keep) if k]
-    dropped = [r for r, k in zip(records, keep) if not k]
-    return retained, dropped
+    return _partition(records, keep)
+
+
+def _partition(
+    records: Sequence[PredictionRecord], keep: Sequence[bool]
+) -> tuple[list[PredictionRecord], list[PredictionRecord]]:
+    """(records whose keep flag is set, the rest), both in input order."""
+    return [r for r, k in zip(records, keep) if k], [r for r, k in zip(records, keep) if not k]
 
 
 def _check_fraction(retain_fraction: float) -> None:
@@ -121,10 +127,7 @@ def random_reject(
     n = len(records)
     keep = np.zeros(n, dtype=bool)
     keep[make_rng(seed).choice(n, size=math.floor(retain_fraction * n), replace=False)] = True
-    flags = keep.tolist()
-    retained = [r for r, k in zip(records, flags) if k]
-    removed = [r for r, k in zip(records, flags) if not k]
-    return retained, removed
+    return _partition(records, keep.tolist())
 
 
 def per_fold_reject(
@@ -438,7 +441,7 @@ class MetaClassifier:
 
 
 def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _node_problem(root, n_features: int) -> str | None:
@@ -519,6 +522,8 @@ def train_meta(
     for key, value in (hyperparams or {}).items():
         if key not in defaults:
             raise ConfigError(f"unknown {backend} hyperparameter {key!r}")
+        if not _finite(value):
+            raise ConfigError(f"{backend} hyperparameter {key!r} must be a finite number, got {value!r}")
         hp[key] = value
     X = _feature_matrix(dev_records)
     y01 = np.asarray([1.0 if r.correct else 0.0 for r in dev_records])
@@ -542,9 +547,7 @@ def supervised_reject(
     meta: MetaClassifier, records: Sequence[PredictionRecord], threshold: float = 0.5
 ) -> tuple[list[PredictionRecord], list[PredictionRecord], int]:
     """Drop records the meta-classifier scores below the threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
-    scores = meta.scores(records)
-    retained = [r for r, s in zip(records, scores) if s >= threshold]
-    removed = [r for r, s in zip(records, scores) if s < threshold]
+    if not (_finite(threshold) and 0.0 <= threshold <= 1.0):
+        raise ConfigError(f"threshold must be a number in [0, 1], got {threshold!r}")
+    retained, removed = _partition(records, (meta.scores(records) >= threshold).tolist())
     return retained, removed, len(removed)

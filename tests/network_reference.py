@@ -1,0 +1,50 @@
+"""The branch network as it was written before ``nn`` defined it once.
+
+``init_params`` builds every layer by hand, in its own shape table, and
+``forward_branch`` chains the checked single-layer ops (``dense_forward``
+and ``dropout_forward``) after the LSTM. ``model.init_params`` and
+``model.forward_branch`` now run ``nn.layer_shapes`` and
+``nn.head_forward`` instead, and must match these bit for bit, so the
+properties compare with ``np.array_equal`` and equal bytes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from veritas import nn
+
+
+def init_params(input_dim, hidden_size, num_relu_layers, n_classes, seed=0, variance_dim=1, input_scale=1.0):
+    """Seeded uniform(+-1/sqrt(fan_in)) weights, zero biases, as a layer dict."""
+    rng = nn.make_rng(seed)
+
+    def uniform(shape, fan_in, scale=1.0):
+        bound = 1.0 / (np.sqrt(fan_in) * scale)
+        return rng.uniform(-bound, bound, shape)
+
+    layers = {
+        "lstm.wx": uniform((4 * hidden_size, input_dim), input_dim, input_scale),
+        "lstm.wh": uniform((4 * hidden_size, hidden_size), hidden_size),
+        "lstm.b": np.zeros(4 * hidden_size),
+    }
+    for i in range(num_relu_layers):
+        layers[f"relu{i}.w"] = uniform((hidden_size, hidden_size), hidden_size)
+        layers[f"relu{i}.b"] = np.zeros(hidden_size)
+    layers["out.w"] = uniform((n_classes, hidden_size), hidden_size)
+    layers["out.b"] = np.zeros(n_classes)
+    layers["var.w"] = uniform((variance_dim, hidden_size), hidden_size)
+    layers["var.b"] = np.zeros(variance_dim)
+    return layers
+
+
+def forward_branch(params, vectors, dropout=nn.DROPOUT_OFF, rng=None):
+    """(hidden, logits, variance, probs) of one branch through the dense-op chain."""
+    p = params.layers
+    u = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], vectors, dropout, rng)[-1]
+    for i in range(params.num_relu_layers):
+        u = nn.dense_forward(p[f"relu{i}.w"], p[f"relu{i}.b"], u, "relu")
+        u = nn.dropout_forward(u, dropout, rng)
+    logits = nn.dense_forward(p["out.w"], p["out.b"], u, "linear")
+    variance = nn.softplus(nn.dense_forward(p["var.w"], p["var.b"], u, "linear"))
+    return u, logits, variance, nn.softmax(logits)

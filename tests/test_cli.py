@@ -363,3 +363,57 @@ class TestParser:
         )
         assert rc == 2
         capfd.readouterr()
+
+
+class TestBadInputExits2:
+    """Malformed files and options exit 2 with an error naming the file or key."""
+
+    def _train(self, workspace, folds, config):
+        return main(
+            [
+                "train",
+                "--data", str(workspace["data"]),
+                "--folds", str(folds),
+                "--config", config,
+                "--out", str(workspace["root"] / "bad"),
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"scheme": "k_fold", "assignments": ["t0", 0]},
+            {"scheme": "k_fold", "assignments": {"t0": 0, "t1": 1}, "dev_fold": 5},
+        ],
+    )
+    def test_bad_folds_file(self, workspace, tmp_path, capfd, doc):
+        folds = tmp_path / "bad_folds.json"
+        folds.write_text(json.dumps(doc), encoding="utf-8")
+        assert self._train(workspace, folds, json.dumps(CONFIG)) == 2
+        assert str(folds) in capfd.readouterr().err
+
+    @pytest.mark.parametrize("classes", [3, "ab", ["a", 1]])
+    def test_classes_not_a_list_of_strings(self, workspace, capfd, classes):
+        assert self._train(workspace, workspace["folds"], json.dumps({**CONFIG, "classes": classes})) == 2
+        assert "'classes'" in capfd.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ({"threshold": "0.5"}, "threshold"),
+            ({"backend": "linear_hinge", "epochs": "many"}, "'epochs'"),
+            ({"n_trees": None}, "'n_trees'"),
+        ],
+    )
+    def test_bad_meta_value(self, workspace, capfd, extra, key):
+        spec = {"dev_records": str(workspace["out"] / "dev_records.csv"), **extra}
+        rc = main(
+            [
+                "reject",
+                "--records", str(workspace["out"] / "records.csv"),
+                "--mode", "sup",
+                "--meta", json.dumps(spec),
+            ]
+        )
+        assert rc == 2
+        assert key in capfd.readouterr().err

@@ -305,6 +305,10 @@ class TestTrainMeta:
             train_meta(dev, backend="svm")
         with pytest.raises(ConfigError, match="hyperparameter"):
             train_meta(dev, backend="linear_hinge", hyperparams={"kernel": "rbf"})
+        for bad in ("many", None, float("nan"), True):
+            with pytest.raises(ConfigError, match="'epochs' must be a finite number"):
+                train_meta(dev, backend="linear_hinge", hyperparams={"epochs": bad})
+        train_meta(dev, backend="linear_hinge", hyperparams={"epochs": np.int64(3), "l2": np.float32(0.01)})
         with pytest.raises(ConfigError):
             train_meta([], backend="linear_hinge")
 
@@ -384,8 +388,10 @@ class TestSupervisedReject:
     def test_threshold_validation(self, rng):
         recs = meta_training_records(10, rng)
         meta = train_meta(recs, backend="linear_hinge")
-        with pytest.raises(ConfigError):
-            supervised_reject(meta, recs, threshold=1.5)
+        for bad in (1.5, "0.5", None, float("nan")):
+            with pytest.raises(ConfigError, match="threshold"):
+                supervised_reject(meta, recs, threshold=bad)
+        assert supervised_reject(meta, recs, threshold=np.float32(0.5)) == supervised_reject(meta, recs, 0.5)
 
     def test_schema_mismatch_rejected(self, rng):
         dev = meta_training_records(20, rng)
