@@ -39,9 +39,9 @@ from .rejection import (
     curve_to_csv,
     per_fold_reject,
     random_reject,
-    rejection_curve,
     supervised_reject,
     train_meta,
+    unsupervised_reject,
 )
 from .synth import SyntheticSpec, generate_synthetic
 from .uncertainty import UncertaintyConfig
@@ -108,11 +108,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         folds = FoldSpec(
             scheme=folds.scheme, assignments=folds.assignments, dev_fold=args.dev_fold
         )
-    with_dev = folds.dev_fold is not None
-
-    result = cross_validate(
-        trees, folds, config, uq, embedder, with_dev=with_dev, classes=classes
-    )
+    result = cross_validate(trees, folds, config, uq, embedder, classes=classes)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,10 +129,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         result.models[fold].save(fold_dir / "params.json")
         write_history_csv(result.histories[fold], fold_dir / "history.csv")
     write_records_csv(result.records, out / "records.csv")
-    if with_dev:
-        pooled = [r for fold in sorted(result.dev_records) for r in result.dev_records[fold]]
-        if pooled:
-            write_records_csv(pooled, out / "dev_records.csv")
+    pooled = [r for fold in sorted(result.dev_records) for r in result.dev_records[fold]]
+    if pooled:
+        write_records_csv(pooled, out / "dev_records.csv")
     print(
         json.dumps(
             {
@@ -190,20 +185,15 @@ def _cmd_reject(args: argparse.Namespace) -> int:
         raise ConfigError(f"mode {args.mode} needs --retain")
     fraction = args.retain
     if args.mode == "random":
+        measure = "random"
         retained, _ = random_reject(records, fraction, seed=args.seed)
-        _print_cut("random", records, fraction, retained, classes)
-        return 0
-
-    if args.measure is None:
+    elif args.measure is None:
         raise ConfigError(f"mode {args.mode} needs --measure")
-    if args.mode == "perfold":
-        retained, _ = per_fold_reject(records, args.measure, fraction)
-        _print_cut(args.measure, records, fraction, retained, classes)
-        return 0
-
-    fractions = (1.0,) if fraction >= 1.0 else (1.0, fraction)
-    curve = rejection_curve(records, args.measure, classes, fractions=fractions)
-    print(curve_to_csv(curve), end="")
+    else:
+        measure = args.measure
+        cut = per_fold_reject if args.mode == "perfold" else unsupervised_reject
+        retained, _ = cut(records, measure, fraction)
+    _print_cut(measure, records, fraction, retained, classes)
     return 0
 
 

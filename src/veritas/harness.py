@@ -63,12 +63,11 @@ def cross_validate(
     config: TrainingConfig,
     uq: UncertaintyConfig | None = None,
     embedder=None,
-    with_dev: bool = False,
     classes: tuple[str, ...] | None = None,
 ) -> CrossValResult:
     """Train and score one model per test fold.
 
-    With ``with_dev`` the dev fold joins neither training nor the test
+    A dev fold named by ``folds`` joins neither training nor the test
     folds; instead each iteration's model also scores it, giving per-fold
     dev records for meta-classifier training.
     """
@@ -78,8 +77,6 @@ def cross_validate(
         embedder = HashingEmbedder()
     if classes is None:
         classes = infer_classes(trees)
-    if with_dev and folds.dev_fold is None:
-        raise ConfigError("with_dev needs a fold file with a dev fold")
     missing = [t.tree_id for t in trees if t.tree_id not in folds.assignments]
     if missing:
         raise ConfigError(f"trees without fold assignment: {missing[:5]}")
@@ -88,7 +85,8 @@ def cross_validate(
     for tree in trees:
         by_fold.setdefault(folds.assignments[tree.tree_id], []).append(tree)
 
-    test_folds = [f for f in folds.fold_ids() if not (with_dev and f == folds.dev_fold)]
+    dev_fold = folds.dev_fold
+    test_folds = [f for f in folds.fold_ids() if f != dev_fold]
     records: list[PredictionRecord] = []
     dev_records: dict[int, list[PredictionRecord]] = {}
     models: dict[int, ModelParams] = {}
@@ -101,16 +99,15 @@ def cross_validate(
             fold,
             config,
             embedder,
-            dev_fold=folds.dev_fold if with_dev else None,
+            dev_fold=dev_fold,
             classes=classes,
             history=history,
         )
         models[fold] = params
         histories[fold] = history
         records.extend(_score_trees(params, by_fold.get(fold, []), embedder, uq, classes, fold))
-        if with_dev:
-            dev_trees = by_fold.get(folds.dev_fold, [])
-            dev_records[fold] = _score_trees(params, dev_trees, embedder, uq, classes, fold)
+        if dev_fold is not None:
+            dev_records[fold] = _score_trees(params, by_fold.get(dev_fold, []), embedder, uq, classes, fold)
     records.sort(key=lambda r: (r.fold, r.tree_id))
     return CrossValResult(
         records=records, dev_records=dev_records, models=models, histories=histories, classes=classes

@@ -13,7 +13,6 @@ draws: per branch, ``nn.backward`` computes the loss and its gradients and
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,13 +21,8 @@ import numpy as np
 from . import nn
 from .data import ConversationTree, HashingEmbedder, branch_matrix, decompose_branches, infer_classes
 from .errors import ConfigError, DataError, InvalidInput
-from .nn import DROPOUT_OFF, DropoutSpec
 
 Array = np.ndarray
-
-_LSTM_KEYS = ("lstm.wx", "lstm.wh", "lstm.b")
-_HEAD_KEYS = ("out.w", "out.b", "var.w", "var.b")
-_RELU_WEIGHT = re.compile(r"relu(\d+)\.w")
 
 
 @dataclass(frozen=True)
@@ -45,13 +39,17 @@ class ModelParams:
     num_relu_layers: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        missing = [k for k in (*_LSTM_KEYS, *_HEAD_KEYS) if k not in self.layers]
-        if missing:
-            raise ConfigError(f"model parameters missing layers: {missing}")
-        relu = sorted(int(m.group(1)) for k in self.layers if (m := _RELU_WEIGHT.fullmatch(k)))
-        if relu != list(range(len(relu))):
-            raise ConfigError(f"relu layer indices must run 0..{len(relu) - 1} without gaps, got {relu}")
-        object.__setattr__(self, "num_relu_layers", len(relu))
+        # The ReLU count as nn.head_forward reads it; the layer names depend on nothing else.
+        n_relu = sum(name.startswith("relu") for name in self.layers) // 2
+        names = nn.layer_shapes(0, 0, n_relu, 0, 0)
+        problems = {
+            "missing": [name for name in names if name not in self.layers],
+            "unknown": sorted(set(self.layers) - set(names)),
+        }
+        if any(problems.values()):
+            found = ", ".join(f"{kind} layers: {layers}" for kind, layers in problems.items() if layers)
+            raise ConfigError(f"model parameters have {found}")
+        object.__setattr__(self, "num_relu_layers", n_relu)
 
         def dims(name: str) -> tuple[int, int]:
             shape = np.shape(self.layers[name])
@@ -66,14 +64,9 @@ class ModelParams:
                 f"layer var.w: expected shape (1, {hidden}) or ({n_classes}, {hidden}), "
                 f"got {self.layers['var.w'].shape}"
             )
-        expected = nn.layer_shapes(input_dim, hidden, len(relu), n_classes, var_rows)
-        for name, shape in expected.items():
-            actual = np.shape(self.layers[name]) if name in self.layers else None
-            if actual != shape:
+        for name, shape in nn.layer_shapes(input_dim, hidden, n_relu, n_classes, var_rows).items():
+            if (actual := np.shape(self.layers[name])) != shape:
                 raise ConfigError(f"layer {name}: expected shape {shape}, got {actual}")
-        unknown = sorted(set(self.layers) - set(expected))
-        if unknown:
-            raise ConfigError(f"model parameters have unknown layers: {unknown}")
 
     def __getitem__(self, name: str) -> Array:
         return self.layers[name]
@@ -170,13 +163,13 @@ class BranchOutput:
 def forward_branch(
     params: ModelParams,
     vectors: Array,
-    dropout: DropoutSpec = DROPOUT_OFF,
+    dropout: float = 0.0,
     rng=None,
 ) -> BranchOutput:
     """Run one embedded branch (steps, input_dim) through the network.
 
-    Dropout masks apply to each LSTM output step and after every ReLU layer,
-    drawn in the order ``nn.backward`` draws them in training.
+    At a positive dropout rate masks apply to each LSTM output step and after
+    every ReLU layer, drawn in the order ``nn.backward`` draws them in training.
     """
     p = params.layers
     u = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], vectors, dropout, rng)[-1]
@@ -305,7 +298,6 @@ def train(
     )
     # init_params made fresh arrays, so the in-place updates touch nothing else.
     layers = params.layers
-    dropout = DropoutSpec(config.dropout_rate_train, active=config.dropout_rate_train > 0)
     targets = [_one_hot(y, n_classes) for y in range(n_classes)]
 
     for epoch in range(config.epochs):
@@ -315,7 +307,7 @@ def train(
             vectors, y_idx = instances[int(idx)]
             try:
                 ce, sampled, grads = nn.backward(
-                    layers, vectors, targets[y_idx], dropout, rng,
+                    layers, vectors, targets[y_idx], config.dropout_rate_train, rng,
                     config.aleatoric_samples, config.ce_weight, config.aleatoric_weight,
                 )
             except InvalidInput as exc:
@@ -342,7 +334,7 @@ def tree_branch_outputs(
     params: ModelParams,
     tree: ConversationTree,
     embedder,
-    dropout: DropoutSpec = DROPOUT_OFF,
+    dropout: float = 0.0,
     rng=None,
 ) -> list[BranchOutput]:
     return [
@@ -355,7 +347,7 @@ def tree_probs(
     params: ModelParams,
     tree: ConversationTree,
     embedder,
-    dropout: DropoutSpec = DROPOUT_OFF,
+    dropout: float = 0.0,
     rng=None,
 ) -> Array:
     """Mean of the branch softmax vectors."""

@@ -8,8 +8,10 @@ training (``backward``, which adds the gradients from the private
 per-layer kernels ``_dense_backward``, ``_lstm_backward``,
 ``_xent_backward``, ``_sampled_xent_backward`` and ``_softplus_backward``).
 ``sgd_step`` applies them in place. This is not a general autodiff engine.
-``dense_forward``, ``dropout_forward``, ``softmax_xent`` and
-``sampled_xent`` are checked single-op references no library path calls.
+Dropout is a rate in [0, 1): each op that takes one draws an inverted-dropout
+mask exactly when the rate is positive. ``dense_forward``, ``softmax_xent``
+and ``sampled_xent`` are checked single-op references no library path
+calls; the benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -83,24 +85,18 @@ def softplus(x):
 # dropout
 
 
-@dataclass(frozen=True)
-class DropoutSpec:
-    rate: float = 0.0
-    active: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {self.rate}")
+def _drops(rate: float) -> bool:
+    """Whether dropout at ``rate`` draws a mask; a rate outside [0, 1) is a ConfigError."""
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    return rate > 0.0
 
 
-DROPOUT_OFF = DropoutSpec()
-
-
-def _draw_mask(shape, spec: DropoutSpec, rng) -> Array:
+def _draw_mask(shape, rate: float, rng) -> Array:
     # Inverted dropout: survivors are scaled by 1/(1-rate) so the expected
     # activation is unchanged and no rescaling is needed at test time.
-    keep = 1.0 - spec.rate
-    return (rng.random(shape) >= spec.rate) / keep
+    keep = 1.0 - rate
+    return (rng.random(shape) >= rate) / keep
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +234,15 @@ def lstm_forward(
     weights_h: Array,
     bias: Array,
     inputs: Array,
-    dropout: DropoutSpec = DROPOUT_OFF,
+    dropout: float = 0.0,
     rng=None,
 ) -> Array:
     """Single-layer LSTM over one sequence; returns one hidden row per step.
 
-    Gate layout along the 4H axis is input, forget, candidate, output. With
-    dropout active an inverted-dropout mask (one per step, drawn from rng)
-    is applied to each emitted hidden state; the recurrent path itself stays
-    undropped. Fixed rng seed and inputs give identical outputs.
+    Gate layout along the 4H axis is input, forget, candidate, output. At a
+    positive dropout rate an inverted-dropout mask (one per step, drawn from
+    rng) is applied to each emitted hidden state; the recurrent path itself
+    stays undropped. Fixed rng seed and inputs give identical outputs.
     """
     Wx, Wh, b = _as_f64(weights_x), _as_f64(weights_h), _as_f64(bias)
     X = _as_f64(inputs)
@@ -260,11 +256,12 @@ def lstm_forward(
         raise ShapeError(f"lstm: input weights {Wx.shape} do not match inputs {X.shape}")
     if Wh.shape != (four_h, hidden):
         raise ShapeError(f"lstm: recurrent weights {Wh.shape} do not match hidden size {hidden}")
-    if dropout.active and rng is None:
-        raise ConfigError("lstm: active dropout needs an rng")
+    drops = _drops(dropout)
+    if drops and rng is None:
+        raise ConfigError("lstm: a positive dropout rate needs an rng")
 
     outputs = _lstm_recurrence(Wx, Wh, b, X).outputs
-    return outputs * _draw_mask(outputs.shape, dropout, rng) if dropout.active else outputs
+    return outputs * _draw_mask(outputs.shape, dropout, rng) if drops else outputs
 
 
 def layer_shapes(input_dim: int, hidden: int, n_relu: int, n_classes: int, variance_dim: int) -> dict:
@@ -277,30 +274,22 @@ def layer_shapes(input_dim: int, hidden: int, n_relu: int, n_classes: int, varia
     return shapes
 
 
-def head_forward(layers: dict[str, Array], u: Array, dropout: DropoutSpec, rng):
+def head_forward(layers: dict[str, Array], u: Array, dropout: float, rng):
     """The ReLU stack and both heads on the LSTM's last (masked) output ``u``.
 
-    With dropout active one mask per ReLU output is drawn from rng, in layer
-    order. Returns the heads' input, an ``(input, pre-activation, mask or
+    At a positive dropout rate one mask per ReLU output is drawn from rng, in
+    layer order. Returns the heads' input, an ``(input, pre-activation, mask or
     None)`` per ReLU layer, the logits and the variance pre-activation.
     """
+    drops = _drops(dropout)
     cache = []
     for i in range(sum(name.startswith("relu") for name in layers) // 2):
         z = layers[f"relu{i}.w"] @ u + layers[f"relu{i}.b"]
         y = np.maximum(z, 0.0)
-        mask = _draw_mask(y.shape, dropout, rng) if dropout.active else None
+        mask = _draw_mask(y.shape, dropout, rng) if drops else None
         cache.append((u, z, mask))
         u = y if mask is None else y * mask
     return u, cache, layers["out.w"] @ u + layers["out.b"], layers["var.w"] @ u + layers["var.b"]
-
-
-def dropout_forward(x: Array, spec: DropoutSpec, rng=None) -> Array:
-    xv = _as_f64(x)
-    if not spec.active:
-        return xv
-    if rng is None:
-        raise ConfigError("dropout: active dropout needs an rng")
-    return xv * _draw_mask(xv.shape, spec, rng)
 
 
 def _softplus_backward(x: Array, dy: Array) -> Array:
@@ -403,7 +392,7 @@ def backward(
     layers: dict[str, Array],
     vectors: Array,
     target: Array,
-    dropout: DropoutSpec,
+    dropout: float,
     rng,
     samples: int,
     ce_weight: float,
@@ -423,7 +412,7 @@ def backward(
     """
     wx, wh, b = layers["lstm.wx"], layers["lstm.wh"], layers["lstm.b"]
     steps, hidden = vectors.shape[0], wh.shape[1]
-    masks = _draw_mask((steps, hidden), dropout, rng) if dropout.active else np.ones((steps, hidden))
+    masks = _draw_mask((steps, hidden), dropout, rng) if _drops(dropout) else np.ones((steps, hidden))
     states = _lstm_recurrence(wx, wh, b, vectors)
     u, relu_cache, logits, var_pre = head_forward(layers, states.outputs[-1] * masks[-1], dropout, rng)
     w_out, w_var = layers["out.w"], layers["var.w"]

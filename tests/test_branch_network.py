@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import network_reference as ref
 from veritas import nn
 from veritas.model import ModelParams, forward_branch, init_params
-from veritas.nn import DropoutSpec
 
 
 def same_bits(a, b):
@@ -64,7 +63,7 @@ def branch_cases(draw):
     target = np.zeros(dims["n_classes"])
     target[int(data.integers(dims["n_classes"]))] = 1.0
     rate = draw(st.sampled_from([0.0, 0.2, 0.5]))
-    return ModelParams(layers), vectors, target, DropoutSpec(rate, active=rate > 0), seed
+    return ModelParams(layers), vectors, target, rate, seed
 
 
 @settings(max_examples=300, deadline=None)

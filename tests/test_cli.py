@@ -208,6 +208,38 @@ class TestReject:
         assert rc == 2
         assert "measure" in capfd.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["unsup", "perfold", "random"])
+    def test_retain_above_one_exits_2(self, workspace, capfd, mode):
+        rc = main(
+            [
+                "reject",
+                "--records", str(workspace["out"] / "records.csv"),
+                "--mode", mode,
+                "--measure", "entropy",
+                "--retain", "1.5",
+            ]
+        )
+        assert rc == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert "retain_fraction must be in (0, 1]" in captured.err
+
+    def test_unsup_at_full_retention_prints_both_rows(self, workspace, capfd):
+        rc = main(
+            [
+                "reject",
+                "--records", str(workspace["out"] / "records.csv"),
+                "--mode", "unsup",
+                "--measure", "entropy",
+                "--retain", "1.0",
+            ]
+        )
+        assert rc == 0
+        lines = capfd.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[1].startswith("entropy,1.0,16,")
+        assert lines[1] == lines[2]
+
     def test_unsup_without_retain_exits_2(self, workspace, capfd):
         rc = main(
             [

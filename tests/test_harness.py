@@ -48,7 +48,7 @@ def small_run():
         seed=17,
     )
     trees = generate_synthetic(spec)
-    folds = make_folds(trees, "k_fold", k=3, seed=2, dev_fold=0)
+    folds = make_folds(trees, "k_fold", k=3, seed=2)
     cfg = TrainingConfig(
         hidden_size=6,
         num_relu_layers=1,
@@ -97,16 +97,16 @@ class TestCrossValidate:
             assert [h.epoch for h in history] == list(range(cfg.epochs))
             assert all(np.isfinite(h.loss_total) for h in history)
 
+    def test_no_dev_fold_no_dev_records(self, small_run):
+        assert small_run["folds"].dev_fold is None
+        assert small_run["res"].dev_records == {}
+        assert sorted(small_run["res"].models) == small_run["folds"].fold_ids()
+
     def test_with_dev_excludes_dev_fold(self, small_run):
+        folds = make_folds(small_run["trees"], "k_fold", k=3, seed=2, dev_fold=0)
         res = cross_validate(
-            small_run["trees"],
-            small_run["folds"],
-            small_run["cfg"],
-            small_run["uq"],
-            small_run["emb"],
-            with_dev=True,
+            small_run["trees"], folds, small_run["cfg"], small_run["uq"], small_run["emb"]
         )
-        folds = small_run["folds"]
         dev_ids = set(folds.trees_in(folds.dev_fold))
         assert not dev_ids & {r.tree_id for r in res.records}
         test_folds = [f for f in folds.fold_ids() if f != folds.dev_fold]
@@ -114,14 +114,6 @@ class TestCrossValidate:
         for fold, dev_recs in res.dev_records.items():
             assert sorted(r.tree_id for r in dev_recs) == sorted(dev_ids)
             assert all(r.fold == fold for r in dev_recs)
-
-    def test_with_dev_needs_dev_fold(self, small_run):
-        folds = make_folds(small_run["trees"], "k_fold", k=3, seed=2)
-        with pytest.raises(ConfigError):
-            cross_validate(
-                small_run["trees"], folds, small_run["cfg"], small_run["uq"], small_run["emb"],
-                with_dev=True,
-            )
 
     def test_unassigned_tree_rejected(self, small_run):
         stray = ConversationTree(

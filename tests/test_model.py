@@ -507,10 +507,32 @@ class TestModelParamsValidation:
         with pytest.raises(ConfigError, match=message):
             ModelParams(layers)
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("lstm.wh", r"model parameters have missing layers: \['lstm\.wh'\]$"),
+            (
+                "relu0.b",
+                r"model parameters have missing layers: \['relu0\.b'\], "
+                r"unknown layers: \['relu1\.b', 'relu1\.w'\]$",
+            ),
+            ("var.b", r"model parameters have missing layers: \['var\.b'\]$"),
+        ],
+    )
+    def test_missing_layer_named(self, name, message):
+        layers = _layers()
+        del layers[name]
+        with pytest.raises(ConfigError, match=message):
+            ModelParams(layers)
+
     def test_relu_indices_must_be_contiguous(self):
         layers = _layers()
         layers["relu2.w"], layers["relu2.b"] = layers.pop("relu1.w"), layers.pop("relu1.b")
-        with pytest.raises(ConfigError, match=r"relu layer indices .* got \[0, 2\]"):
+        message = (
+            r"model parameters have missing layers: \['relu1\.w', 'relu1\.b'\], "
+            r"unknown layers: \['relu2\.b', 'relu2\.w'\]$"
+        )
+        with pytest.raises(ConfigError, match=message):
             ModelParams(layers)
 
     def test_relu_bias_without_weights_rejected(self):

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veritas import nn
+from veritas import HashingEmbedder, SyntheticSpec, generate_synthetic, mc_sample, nn
 from veritas.errors import ConfigError, DataError, InvalidInput, ShapeError
 from veritas.model import forward_branch, init_params
 
+import network_reference as ref
 import tape_reference as tr
 from conftest import numeric_grad, rel_err
 
@@ -160,9 +161,8 @@ class TestLstm:
         Wh = rng.normal(size=(8, 2))
         b = rng.normal(size=8)
         X = rng.normal(size=(4, 3))
-        spec = nn.DropoutSpec(0.5, active=True)
-        a = nn.lstm_forward(Wx, Wh, b, X, spec, nn.make_rng(9))
-        b_ = nn.lstm_forward(Wx, Wh, b, X, spec, nn.make_rng(9))
+        a = nn.lstm_forward(Wx, Wh, b, X, 0.5, nn.make_rng(9))
+        b_ = nn.lstm_forward(Wx, Wh, b, X, 0.5, nn.make_rng(9))
         np.testing.assert_array_equal(a, b_)
 
     def test_matches_scalar_loop_oracle(self, rng):
@@ -183,7 +183,7 @@ class TestLstm:
         with pytest.raises(ConfigError):
             nn.lstm_forward(
                 np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(8), np.zeros((3, 2)),
-                nn.DropoutSpec(0.5, active=True), rng=None,
+                0.5, rng=None,
             )
 
 
@@ -194,27 +194,38 @@ class TestLstm:
 class TestDropout:
     def test_inactive_returns_same_object(self):
         x = np.ones(4)
-        assert nn.dropout_forward(x, nn.DROPOUT_OFF) is x
+        assert ref.dropout_forward(x, 0.0) is x
 
     def test_zero_fraction_near_rate(self):
-        masks = nn._draw_mask((10_000, 100), nn.DropoutSpec(0.3, active=True), nn.make_rng(0))
+        masks = nn._draw_mask((10_000, 100), 0.3, nn.make_rng(0))
         zero_fraction = float((masks == 0).mean())
         assert abs(zero_fraction - 0.3) <= 0.02
 
     def test_survivors_scaled_and_mean_preserved(self):
-        spec = nn.DropoutSpec(0.25, active=True)
-        mask = nn._draw_mask(200_000, spec, nn.make_rng(3))
+        mask = nn._draw_mask(200_000, 0.25, nn.make_rng(3))
         survivors = mask[mask > 0]
         assert np.allclose(survivors, 1.0 / 0.75)
         x = np.full(200_000, 2.0)
-        dropped = nn.dropout_forward(x, spec, nn.make_rng(4))
+        dropped = ref.dropout_forward(x, 0.25, nn.make_rng(4))
         assert abs(dropped.mean() - 2.0) < 0.02
 
     def test_invalid_rate(self):
-        with pytest.raises(ConfigError):
-            nn.DropoutSpec(1.0, active=True)
-        with pytest.raises(ConfigError):
-            nn.DropoutSpec(-0.1)
+        params = init_params(4, 3, 1, 3, seed=0)
+        vectors = np.ones((2, 4))
+        target = np.array([1.0, 0.0, 0.0])
+        tree = generate_synthetic(SyntheticSpec(trees_per_class=1, seed=0))[0]
+        emb = HashingEmbedder(dimension=4, seed=0)
+        p = params.layers
+        for rate in (1.0, -0.1):
+            calls = (
+                lambda: nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], vectors, rate, nn.make_rng(0)),
+                lambda: nn.backward(p, vectors, target, rate, nn.make_rng(0), 2, 1.0, 0.2),
+                lambda: forward_branch(params, vectors, rate, nn.make_rng(0)),
+                lambda: mc_sample(params, tree, emb, 2, rate),
+            )
+            for call in calls:
+                with pytest.raises(ConfigError, match=rf"dropout rate must be in \[0, 1\), got {rate}"):
+                    call()
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +335,7 @@ class TestGradients:
         r = rng.normal(size=(steps, hidden))
 
         def build(arrs, tape):
-            hs = tr.lstm(arrs["wx"], arrs["wh"], arrs["b"], arrs["x"], nn.DROPOUT_OFF, None, tape)
+            hs = tr.lstm(arrs["wx"], arrs["wh"], arrs["b"], arrs["x"], 0.0, None, tape)
             return tr.inner(hs, r, tape)
 
         _check_grads(build, arrays, ("wx", "wh", "b", "x"))
@@ -339,11 +350,9 @@ class TestGradients:
             "x": rng.normal(size=(steps, dim)),
         }
         r = rng.normal(size=(steps, hidden))
-        spec = nn.DropoutSpec(0.4, active=True)
-
         def build(arrs, tape):
             # Fresh generator per call keeps the mask fixed across FD evals.
-            hs = tr.lstm(arrs["wx"], arrs["wh"], arrs["b"], arrs["x"], spec, nn.make_rng(11), tape)
+            hs = tr.lstm(arrs["wx"], arrs["wh"], arrs["b"], arrs["x"], 0.4, nn.make_rng(11), tape)
             return tr.inner(hs, r, tape)
 
         _check_grads(build, arrays, ("wx", "wh", "b", "x"))
@@ -352,10 +361,8 @@ class TestGradients:
         rng = np.random.default_rng(5)
         arrays = {"x": rng.normal(size=6)}
         r = rng.normal(size=6)
-        spec = nn.DropoutSpec(0.3, active=True)
-
         def build(arrs, tape):
-            y = tr.dropout(arrs["x"], spec, nn.make_rng(2), tape)
+            y = tr.dropout(arrs["x"], 0.3, nn.make_rng(2), tape)
             return tr.inner(tr.softplus(y, tape), r, tape)
 
         _check_grads(build, arrays, ("x",))
@@ -439,7 +446,7 @@ class TestSampledXent:
         y = np.array([0.0, 1.0, 0.0, 0.0])
         out = forward_branch(params, vectors)
         assert np.all(out.variance == 0.0)
-        _, _, grads = nn.backward(params.layers, vectors, y, nn.DROPOUT_OFF, rng, 10, 0.0, 1.0)
+        _, _, grads = nn.backward(params.layers, vectors, y, 0.0, rng, 10, 0.0, 1.0)
         assert "var.w" not in grads and "var.b" not in grads
         np.testing.assert_allclose(grads["out.b"], nn.softmax(out.logits) - y, atol=1e-12)
 

@@ -14,7 +14,6 @@ from tape_reference import reference_step
 
 from veritas import nn
 from veritas.model import ModelParams, TrainingConfig, forward_branch, init_params
-from veritas.nn import DropoutSpec
 
 
 @st.composite
@@ -54,13 +53,13 @@ def step_cases(draw):
 @given(step_cases())
 def test_fused_step_equals_tape_reference(case):
     layers, vectors, target, config, seed = case
-    dropout = DropoutSpec(config.dropout_rate_train, active=config.dropout_rate_train > 0)
     ref_rng, step_rng = nn.make_rng(seed), nn.make_rng(seed)
-    expected, ref_ce, ref_sampled = reference_step(layers, vectors, target, config, dropout, ref_rng)
+    rate = config.dropout_rate_train
+    expected, ref_ce, ref_sampled = reference_step(layers, vectors, target, config, rate, ref_rng)
 
     stepped = {k: v.copy() for k, v in layers.items()}
     ce, sampled, grads = nn.backward(
-        stepped, vectors, target, dropout, step_rng,
+        stepped, vectors, target, rate, step_rng,
         config.aleatoric_samples, config.ce_weight, config.aleatoric_weight,
     )
     assert all(np.array_equal(stepped[k], layers[k]) for k in layers)  # backward mutates nothing

@@ -29,7 +29,7 @@ from veritas import (
 )
 from veritas.data import branch_matrix, decompose_branches
 from veritas.errors import ConfigError, InvalidInput
-from veritas.nn import DropoutSpec, child_rng
+from veritas.nn import child_rng
 from veritas.uncertainty import MEASURES, aleatoric_score
 
 
@@ -82,7 +82,7 @@ class TestMcSample:
         tree = trees[0]
         small = mc_sample(params, tree, emb, 25, 0.3, seed=1)
         oracle_rows = [
-            tree_probs(params, tree, emb, DropoutSpec(0.3, active=True), child_rng(777, i))
+            tree_probs(params, tree, emb, 0.3, child_rng(777, i))
             for i in range(10000)
         ]
         oracle_mean = np.mean(oracle_rows, axis=0)
