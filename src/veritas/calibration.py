@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataWarning, InvalidInput
 from .rejection import PredictionRecord
-from .uncertainty import UncertaintyBundle, measure_spec, uncertainty_value
+from .uncertainty import UncertaintyBundle, measure_spec
 
 
 @dataclass(frozen=True)
@@ -55,24 +55,48 @@ def to_confidence(
     aleatoric variance is min-max normalised with dev stats (values clipped
     into the dev range). A degenerate dev range maps to 0.5 with a warning.
     """
+    return float(_confidences([bundle], measure, stats)[0])
+
+
+def _clip01(x: np.ndarray) -> np.ndarray:
+    """``min(1.0, max(0.0, x))`` elementwise: NaN and -0.0 become 0.0."""
+    return np.where(x > 0.0, np.minimum(x, 1.0), 0.0)
+
+
+def _confidences(
+    bundles: Sequence[UncertaintyBundle], measure: str, stats: NormalizationStats | None
+) -> np.ndarray:
+    """``to_confidence`` of each bundle, mapped as one array.
+
+    Each value gets the arithmetic a Python float would, and no warning:
+    an inf or NaN it makes is clipped like any other value. The
+    degenerate-range warning is given once per call, not per bundle.
+    """
     spec = measure_spec(measure)
+    values = np.array([getattr(b, spec.field) for b in bundles], dtype=np.float64)
     if spec.confidence_map == "clip":
-        return float(min(1.0, max(0.0, getattr(bundle, spec.field))))
-    u = uncertainty_value(bundle, measure)
+        return _clip01(values)
+    u = 1.0 - values if spec.confidence else values
     if spec.confidence_map == "dev_minmax":
         if stats is None:
             raise ConfigError(f"{measure} confidence needs dev-set normalisation stats")
         if stats.hi <= stats.lo:
-            warnings.warn(
-                f"degenerate {measure} dev range; confidence defaults to 0.5",
-                DataWarning,
-                stacklevel=2,
-            )
-            return 0.5
-        u = (u - stats.lo) / (stats.hi - stats.lo)
+            if len(bundles):
+                warnings.warn(
+                    f"degenerate {measure} dev range; confidence defaults to 0.5",
+                    DataWarning,
+                    stacklevel=3,
+                )
+            return np.full(len(bundles), 0.5)
+        with np.errstate(all="ignore"):
+            u = (u - stats.lo) / (stats.hi - stats.lo)
     elif spec.confidence_map == "entropy":
-        u = u / math.log(bundle.n_classes)
-    return float(min(1.0, max(0.0, 1.0 - u)))
+        ceilings = np.array([math.log(b.n_classes) for b in bundles])
+        if (ceilings == 0.0).any():
+            raise InvalidInput(f"{measure} confidence needs bundles of at least two classes")
+        with np.errstate(all="ignore"):
+            u = u / ceilings
+    return _clip01(1.0 - u)
 
 
 def confidence_records(
@@ -80,10 +104,8 @@ def confidence_records(
     measure: str,
     stats: NormalizationStats | None = None,
 ) -> list[ConfidenceRecord]:
-    return [
-        ConfidenceRecord(confidence=to_confidence(r.bundle, measure, stats), correct=r.correct)
-        for r in records
-    ]
+    conf = _confidences([r.bundle for r in records], measure, stats)
+    return [ConfidenceRecord(confidence=float(c), correct=r.correct) for c, r in zip(conf, records)]
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +130,7 @@ def ece(records: Sequence[ConfidenceRecord], n_bins: int = 10) -> float:
     The sum runs over ``reliability_bins`` in bin order; empty bins
     contribute zero. The result does not depend on the order of records.
     """
-    bins = reliability_bins(records, n_bins)
-    if not records:
-        raise ConfigError("ece needs at least one record")
-    n = len(records)
-    return sum((b.count / n) * abs(b.accuracy - b.mean_confidence) for b in bins if b.count)
+    return _ece(*_columns(records), n_bins)
 
 
 @dataclass(frozen=True)
@@ -128,25 +146,47 @@ def reliability_bins(records: Sequence[ConfidenceRecord], n_bins: int = 10) -> t
     A bin's confidences are summed with ``math.fsum``, which rounds once,
     so no statistic depends on the order of records.
     """
+    return _bin_stats(*_columns(records), n_bins)
+
+
+def _columns(records: Sequence[ConfidenceRecord]) -> tuple[np.ndarray, np.ndarray]:
+    conf = np.array([r.confidence for r in records], dtype=np.float64)
+    return conf, np.array([r.correct for r in records], dtype=bool)
+
+
+def _bin_numbers(conf: np.ndarray, n_bins: int) -> np.ndarray:
+    """``bin_index`` of each confidence in [0, 1]: ``ceil(conf * n_bins)``, with 0 in bin 1."""
+    return np.clip(np.ceil(conf * n_bins), 1, n_bins).astype(np.intp)
+
+
+def _bin_stats(conf: np.ndarray, correct: np.ndarray, n_bins: int) -> tuple[BinStats, ...]:
+    """``reliability_bins`` of confidences in [0, 1] and their correct flags."""
     if n_bins < 1:
         raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
-    grouped: dict[int, list[ConfidenceRecord]] = {}
-    for r in records:
-        grouped.setdefault(bin_index(r.confidence, n_bins), []).append(r)
+    bins = _bin_numbers(conf, n_bins)
     out = []
     for m in range(1, n_bins + 1):
-        members = grouped.get(m)
-        if not members:
+        members = bins == m
+        count = int(np.count_nonzero(members))
+        if not count:
             out.append(BinStats(0, None, None))
         else:
             out.append(
                 BinStats(
-                    count=len(members),
-                    mean_confidence=math.fsum(r.confidence for r in members) / len(members),
-                    accuracy=sum(1.0 for r in members if r.correct) / len(members),
+                    count=count,
+                    mean_confidence=math.fsum(conf[members].tolist()) / count,
+                    accuracy=int(np.count_nonzero(correct[members])) / count,
                 )
             )
     return tuple(out)
+
+
+def _ece(conf: np.ndarray, correct: np.ndarray, n_bins: int) -> float:
+    bins = _bin_stats(conf, correct, n_bins)
+    n = len(conf)
+    if not n:
+        raise ConfigError("ece needs at least one record")
+    return sum((b.count / n) * abs(b.accuracy - b.mean_confidence) for b in bins if b.count)
 
 
 @dataclass(frozen=True)
@@ -163,9 +203,13 @@ def fit_histogram_binning(dev_records: Sequence[ConfidenceRecord], n_bins: int =
 
     Bins with no dev records fall back to the bin midpoint (identity).
     """
-    if not dev_records:
+    return _fit(*_columns(dev_records), n_bins)
+
+
+def _fit(conf: np.ndarray, correct: np.ndarray, n_bins: int) -> CalibrationMap:
+    if not len(conf):
         raise ConfigError("fit_histogram_binning needs a nonempty dev split")
-    bins = reliability_bins(dev_records, n_bins)
+    bins = _bin_stats(conf, correct, n_bins)
     calibrated = []
     for m, stats in enumerate(bins, start=1):
         if stats.count == 0:
@@ -212,16 +256,23 @@ def calibration_report(
     measure: str,
     n_bins: int = 10,
 ) -> CalibrationReport:
-    """Fit binning on dev confidences, report test ECE before and after."""
+    """Fit binning on dev confidences, report test ECE before and after.
+
+    Each record set is mapped and binned as arrays, with the arithmetic of
+    ``to_confidence``, ``bin_index`` and ``reliability_bins``.
+    """
     needs_stats = measure_spec(measure).confidence_map == "dev_minmax"
     stats = aleatoric_stats(dev_records) if needs_stats else None
-    dev_conf = confidence_records(dev_records, measure, stats)
-    test_conf = confidence_records(test_records, measure, stats)
-    cal_map = fit_histogram_binning(dev_conf, n_bins)
+    dev_conf = _confidences([r.bundle for r in dev_records], measure, stats)
+    test_conf = _confidences([r.bundle for r in test_records], measure, stats)
+    dev_correct = np.array([r.correct for r in dev_records], dtype=bool)
+    test_correct = np.array([r.correct for r in test_records], dtype=bool)
+    cal_map = _fit(dev_conf, dev_correct, n_bins)
+    calibrated = np.array(cal_map.calibrated)[_bin_numbers(test_conf, n_bins) - 1]
     return CalibrationReport(
         measure=measure,
-        ece_before=ece(test_conf, n_bins),
-        ece_after=ece(calibrate_records(cal_map, test_conf), n_bins),
+        ece_before=_ece(test_conf, test_correct, n_bins),
+        ece_after=_ece(calibrated, test_correct, n_bins),
         n_bins=n_bins,
         n_dev=len(dev_conf),
         n_test=len(test_conf),

@@ -39,7 +39,7 @@ class ModelParams:
     num_relu_layers: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # The ReLU count as nn.head_forward reads it; the layer names depend on nothing else.
+        # The names below then have to be relu0 .. relu<n-1>, the layers nn.head_forward walks.
         n_relu = sum(name.startswith("relu") for name in self.layers) // 2
         names = nn.layer_shapes(0, 0, n_relu, 0, 0)
         problems = {

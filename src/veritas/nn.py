@@ -12,6 +12,16 @@ Dropout is a rate in [0, 1): each op that takes one draws an inverted-dropout
 mask exactly when the rate is positive. ``dense_forward``, ``softmax_xent``
 and ``sampled_xent`` are checked single-op references no library path
 calls; the benchmark's tracer wraps them by name.
+
+A training step is well over a hundred numpy calls on arrays of 3 to 128
+values, so Python dispatch outweighs the arithmetic. ``backward`` therefore
+builds no ``(steps, H)`` hidden-state gradient and no masked copy of one:
+the heads read only the last emitted hidden state, so every other row of
+that gradient is zero. It draws the LSTM's whole mask block, as inference
+does, and applies only the last row. The LSTM backward starts from that
+one row, exactly: the zero rows it no longer adds changed only the sign of
+zeros in the per-step gate gradients, and the weight gradients sum those
+onto +0.0, which clears a zero's sign.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ def softmax(logits: Array) -> Array:
     v = np.asarray(logits, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ShapeError(f"softmax expects a nonempty vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidInput("softmax: logits must be finite")
     e = np.exp(v - v.max())
     return e / e.sum()
@@ -70,15 +80,13 @@ def softmax(logits: Array) -> Array:
 def softplus(x):
     """Numerically stable softplus; returns a float for scalar input."""
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput("softplus: input must be finite")
     # log1p(exp(x)) for x <= 0, x + log1p(exp(-x)) for x > 0; both share
     # log1p(exp(-|x|)) so the exp argument never overflows.
     tail = np.log1p(np.exp(-np.abs(arr)))
     out = np.where(arr > 0, arr + tail, tail)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +117,7 @@ def _as_f64(x) -> Array:
 
 def _dense_backward(weights: Array, x: Array, dz: Array) -> tuple[Array, Array]:
     """Weight gradient and input gradient of ``weights @ x + b`` for output gradient dz."""
-    return np.outer(dz, x), weights.T @ dz
+    return dz[:, None] * x[None, :], weights.T @ dz
 
 
 def dense_forward(weights: Array, bias: Array, x: Array, activation: str = "linear") -> Array:
@@ -186,46 +194,55 @@ def _lstm_backward(
 ) -> tuple[Array, Array, Array, Array]:
     """Gradients (dWx, dWh, db, per-step gate gradients) of the recurrence.
 
-    ``d_hidden`` is the gradient reaching each emitted hidden state (after
-    its dropout mask). The time loop runs only the gate-gradient chain;
-    each gate gradient is one product chain over the 4H axis,
+    ``d_hidden`` holds the gradients reaching the last ``len(d_hidden)``
+    emitted hidden states (after their dropout masks), one row per state;
+    the states before them get none from outside. A full ``(steps, H)``
+    block with zero rows in front gives the same ``dWx``, ``dWh`` and
+    ``db``. The time loop runs only the gate-gradient chain; each gate
+    gradient is one product chain over the 4H axis,
     ``[dc, dc, dc, dh] * [g, c_prev, i, tanh c] * [i, f, 1, o] * [1-i, 1-f, 1-g^2, 1-o]``,
     which rounds exactly as the four per-gate chains it replaces.
 
     The weight gradients are the per-step outer products ``da_t x_t``,
     ``da_t h_{t-1}`` and ``da_t`` summed in reversed time order starting
     from zeros. Each is one ``np.add.reduce(..., axis=0, initial=0.0)``
-    over the broadcast products after the loop: a reduction over the
-    leading axis adds the rows one after another, so it rounds as a loop
-    of per-step ``+=`` would, while a stacked gemm would not. An input column
-    that is zero at every step gets exactly zero from that sum, so ``dWx``
-    is reduced only over the columns that are nonzero somewhere; a hashing
-    embedding fills a few of them.
+    after the loop, over the per-step products stacked by ``np.einsum``
+    (one product per element, no sum): a reduction over the leading axis
+    adds the rows one after another, so it rounds as a loop of per-step
+    ``+=`` would, while a stacked gemm would not. ``dWx``'s products are
+    stacked input column first, so each row of the einsum is 4H long. An
+    input column that is zero at every step gets exactly zero from that
+    sum, so ``dWx`` is reduced only over the columns that are nonzero
+    somewhere; a hashing embedding fills a few of them.
     """
     steps, hidden = X.shape[0], Wh.shape[1]
-    acts = states.acts.reshape(steps, 4, hidden)
-    i, f, g, o = acts[:, 0], acts[:, 1], acts[:, 2], acts[:, 3]
+    first = steps - d_hidden.shape[0]
+    acts = states.acts
+    i, f, g, o = (acts[:, k * hidden : (k + 1) * hidden] for k in range(4))
+    gate_g = slice(2 * hidden, 3 * hidden)
     tc = states.tanh_cells
     second = np.concatenate([g, states.cells[:-1], i, tc], axis=1)
-    third = np.concatenate([i, f, np.ones((steps, hidden)), o], axis=1)
-    fourth = np.concatenate([1.0 - i, 1.0 - f, 1.0 - g * g, 1.0 - o], axis=1)
+    third = acts.copy()
+    third[:, gate_g] = 1.0
+    fourth = 1.0 - acts
+    np.subtract(1.0, g * g, out=fourth[:, gate_g])
     dtanh = 1.0 - tc * tc
     das = np.empty((steps, 4 * hidden))
+    wh_t = Wh.T
     dh_next = np.zeros(hidden)
     dc_next = np.zeros(hidden)
     for t in reversed(range(steps)):
-        dh = d_hidden[t] + dh_next
+        dh = d_hidden[t - first] + dh_next if t >= first else dh_next
         dc = dh * o[t] * dtanh[t] + dc_next
-        da = np.concatenate((dc, dc, dc, dh)) * second[t] * third[t] * fourth[t]
-        das[t] = da
-        dh_next = Wh.T @ da
+        da = np.multiply(np.concatenate((dc, dc, dc, dh)) * second[t] * third[t], fourth[t], out=das[t])
+        dh_next = wh_t @ da
         dc_next = dc * f[t]
-    rev_das = das[::-1, :, None]
-    cols = np.flatnonzero(X.any(axis=0))
+    rev_das = das[::-1]
+    cols = X.any(axis=0).nonzero()[0]
     dWx = np.zeros((4 * hidden, X.shape[1]))
-    dWx[:, cols] = np.add.reduce(rev_das * X[::-1, None, cols], axis=0, initial=0.0)
-    dWh = np.add.reduce(rev_das * states.hiddens[steps - 1 :: -1, None, :], axis=0, initial=0.0)
-    db = np.add.reduce(das[::-1], axis=0, initial=0.0)
+    dWx.T[cols] = np.add.reduce(np.einsum("tj,ti->tji", X[::-1, cols], rev_das), axis=0, initial=0.0)
+    dWh = np.add.reduce(np.einsum("ti,tj->tij", rev_das, states.hiddens[steps - 1 :: -1]), axis=0, initial=0.0)
+    db = np.add.reduce(rev_das, axis=0, initial=0.0)
     return dWx, dWh, db, das
 
 
@@ -277,18 +294,22 @@ def layer_shapes(input_dim: int, hidden: int, n_relu: int, n_classes: int, varia
 def head_forward(layers: dict[str, Array], u: Array, dropout: float, rng):
     """The ReLU stack and both heads on the LSTM's last (masked) output ``u``.
 
-    At a positive dropout rate one mask per ReLU output is drawn from rng, in
-    layer order. Returns the heads' input, an ``(input, pre-activation, mask or
-    None)`` per ReLU layer, the logits and the variance pre-activation.
+    The ReLU layers are ``relu0``, ``relu1``, ... for as long as their
+    weights are in ``layers``. At a positive dropout rate one mask per ReLU
+    output is drawn from rng, in layer order. Returns the heads' input, an
+    ``(input, pre-activation, mask or None)`` per ReLU layer, the logits and
+    the variance pre-activation.
     """
     drops = _drops(dropout)
     cache = []
-    for i in range(sum(name.startswith("relu") for name in layers) // 2):
+    i = 0
+    while f"relu{i}.w" in layers:
         z = layers[f"relu{i}.w"] @ u + layers[f"relu{i}.b"]
         y = np.maximum(z, 0.0)
         mask = _draw_mask(y.shape, dropout, rng) if drops else None
         cache.append((u, z, mask))
         u = y if mask is None else y * mask
+        i += 1
     return u, cache, layers["out.w"] @ u + layers["out.b"], layers["var.w"] @ u + layers["var.b"]
 
 
@@ -319,12 +340,13 @@ def _xent_backward(p: Array, target: Array, dy) -> Array:
 def _sampled_xent(logits: Array, sqrt_sig: Array, target: Array, noise: Array) -> tuple[float, Array]:
     """Mean cross-entropy over the noise-perturbed logits, and their softmax rows."""
     perturbed = logits[None, :] + noise * sqrt_sig[None, :]
-    if not np.all(np.isfinite(perturbed)):
+    if not np.isfinite(perturbed).all():
         raise InvalidInput("sampled_xent: perturbed logits are not finite")
     z = perturbed - perturbed.max(axis=1, keepdims=True)
     e = np.exp(z)
     probs = e / e.sum(axis=1, keepdims=True)
-    return float(np.mean(-(np.log(np.maximum(probs, LOG_FLOOR)) @ target))), probs
+    # np.mean's own arithmetic: one pairwise sum, then a division by the count.
+    return float(np.add.reduce(-(np.log(np.maximum(probs, LOG_FLOOR)) @ target)) / len(noise)), probs
 
 
 def _sampled_xent_backward(
@@ -336,7 +358,8 @@ def _sampled_xent_backward(
     dv = dy * g.sum(axis=0)
     per_logit = (g * noise).sum(axis=0)
     if sqrt_sig.shape == (n_classes,):
-        dsig = np.where(sqrt_sig > 0.0, per_logit / (2.0 * np.where(sqrt_sig > 0.0, sqrt_sig, 1.0)), 0.0)
+        positive = sqrt_sig > 0.0
+        dsig = np.where(positive, per_logit / (2.0 * np.where(positive, sqrt_sig, 1.0)), 0.0)
     else:
         dsig = np.asarray([per_logit.sum() / (2.0 * sqrt_sig[0])])
     return dv, dy * dsig
@@ -411,10 +434,14 @@ def backward(
     the variance layers get no gradient entry.
     """
     wx, wh, b = layers["lstm.wx"], layers["lstm.wh"], layers["lstm.b"]
-    steps, hidden = vectors.shape[0], wh.shape[1]
-    masks = _draw_mask((steps, hidden), dropout, rng) if _drops(dropout) else np.ones((steps, hidden))
+    # Inference draws the LSTM's whole mask block, so training does too, but
+    # only the last emitted state reaches the heads: only its row is used.
+    lstm_mask = _draw_mask((vectors.shape[0], wh.shape[1]), dropout, rng)[-1] if _drops(dropout) else None
     states = _lstm_recurrence(wx, wh, b, vectors)
-    u, relu_cache, logits, var_pre = head_forward(layers, states.outputs[-1] * masks[-1], dropout, rng)
+    h_last = states.hiddens[-1]
+    u, relu_cache, logits, var_pre = head_forward(
+        layers, h_last if lstm_mask is None else h_last * lstm_mask, dropout, rng
+    )
     w_out, w_var = layers["out.w"], layers["var.w"]
     sqrt_sig = np.sqrt(softplus(var_pre))
     p = softmax(logits)
@@ -423,7 +450,7 @@ def backward(
 
     grads = {}
     dlogits = _xent_backward(p, target, ce_weight)
-    if np.all(sqrt_sig == 0.0):
+    if not sqrt_sig.any():
         # sampled_xent's short circuit: the plain cross-entropy, no variance gradient.
         sampled = ce
         dlogits = _xent_backward(p, target, aleatoric_weight) + dlogits
@@ -445,11 +472,8 @@ def backward(
         grads[f"relu{i}.w"], du = _dense_backward(layers[f"relu{i}.w"], u_in, dz)
         grads[f"relu{i}.b"] = dz
 
-    d_hidden = np.zeros((steps, hidden))
-    d_hidden[-1] = du
-    grads["lstm.wx"], grads["lstm.wh"], grads["lstm.b"], _ = _lstm_backward(
-        wh, vectors, states, d_hidden * masks
-    )
+    d_last = du if lstm_mask is None else du * lstm_mask
+    grads["lstm.wx"], grads["lstm.wh"], grads["lstm.b"], _ = _lstm_backward(wh, vectors, states, d_last[None, :])
     return ce, sampled, grads
 
 
@@ -465,8 +489,8 @@ def sgd_step(layers: dict[str, Array], grads: dict[str, Array], learning_rate: f
         g = grads.get(name)
         if g is None:
             continue
-        if np.shape(g) != value.shape:
-            raise ShapeError(f"sgd_step: gradient shape {np.shape(g)} != {value.shape} for layer {name!r}")
+        if g.shape != value.shape:
+            raise ShapeError(f"sgd_step: gradient shape {g.shape} != {value.shape} for layer {name!r}")
         value -= lr * g
 
 
