@@ -6,6 +6,16 @@ hand-rolled random forest) on development-set records to predict whether
 the underlying prediction is correct, and drops the ones it flags. A
 random baseline and a per-fold variant of the unsupervised cut round out
 the options.
+
+The forest grows its trees in lockstep. Each tree keeps its bootstrap,
+its own generator and a depth-first stack of pending nodes. Every step
+pops the next node of each unfinished tree, draws that node's features
+from the tree's generator, and searches all the popped nodes for their
+Gini-best split in one batch of array operations. Each generator makes
+its draws in the same order as when one tree is grown at a time, and the
+batched search computes each node's Gini values with the same elementwise
+formula and breaks ties the same way. So the saved forest is byte for
+byte the one a tree-at-a-time fit gives.
 """
 
 from __future__ import annotations
@@ -17,11 +27,11 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DataWarning
+from .errors import ConfigError, DataError, DataWarning, InvalidInput
 from .metrics import evaluate
 from .nn import child_rng, make_rng, sigmoid
 from .uncertainty import UncertaintyBundle, measure_spec
@@ -234,6 +244,15 @@ def _feature_matrix(records: Sequence[PredictionRecord]) -> np.ndarray:
 
 LINEAR_DEFAULTS = {"l2": 1e-3, "epochs": 200, "learning_rate": 0.05}
 FOREST_DEFAULTS = {"n_trees": 100, "max_depth": 8, "bootstrap_fraction": 1.0}
+# the values each hyperparameter takes; an integral float such as 100.0 is an integer
+_HYPERPARAM_RANGES = {
+    "l2": ("a number >= 0", lambda v: v >= 0),
+    "epochs": ("an integer >= 0", lambda v: v == int(v) and v >= 0),
+    "learning_rate": ("a number > 0", lambda v: v > 0),
+    "n_trees": ("an integer >= 1", lambda v: v == int(v) and v >= 1),
+    "max_depth": ("an integer >= 0", lambda v: v == int(v) and v >= 0),
+    "bootstrap_fraction": ("a number > 0", lambda v: v > 0),
+}
 
 
 def _fit_linear_hinge(X: Array, y01: Array, hp: dict, seed: int) -> dict:
@@ -262,14 +281,16 @@ def _fit_linear_hinge(X: Array, y01: Array, hp: dict, seed: int) -> dict:
     signed_rows = list(y[:, None] * Z)
     labels = y.tolist()
     rng = make_rng(seed)
-    for _ in range(int(hp["epochs"])):
-        for i in rng.permutation(len(labels)).tolist():
-            yi = labels[i]
-            if yi * (w.dot(rows[i]) + b) < 1.0:
-                w = w - lr_v * (two_lam_v * w - signed_rows[i])
-                b = b + lr * yi
-            else:
-                w = w - decay_v * w
+    # a learning rate too large overflows; train_meta reports the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(int(hp["epochs"])):
+            for i in rng.permutation(len(labels)).tolist():
+                yi = labels[i]
+                if yi * (w.dot(rows[i]) + b) < 1.0:
+                    w = w - lr_v * (two_lam_v * w - signed_rows[i])
+                    b = b + lr * yi
+                else:
+                    w = w - decay_v * w
     return {
         "weights": w.tolist(),
         "bias": float(b),
@@ -290,55 +311,163 @@ def _linear_scores(state: dict, X: Array) -> Array:
 # random forest backend
 
 
-def _gini_best_split(x: Array, y: Array) -> tuple[float, float] | None:
-    """Best (threshold, weighted Gini) for one ordered feature, or None."""
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    n = len(ys)
-    pos = np.cumsum(ys)
-    total_pos = pos[-1]
-    # split after position i: left = [0..i], right = [i+1..n-1]
-    idx = np.nonzero(xs[:-1] < xs[1:])[0]
-    if idx.size == 0:
-        return None
-    n_left = idx + 1.0
+# Node rows searched in one batched split step. A larger node is searched
+# alone. The cap bounds the step's working arrays, never the result.
+_SPLIT_ROWS = 2048
+
+
+def _column_ranks(X: Array) -> Array:
+    """Dense rank of every value within its column.
+
+    Equal values share a rank (0.0 and -0.0 too) and NaN ranks last, so a
+    stable sort on rank orders a column as a stable sort on value does.
+    """
+    ranks = np.empty(X.shape, dtype=np.int64)
+    for c in range(X.shape[1]):
+        ranks[:, c] = np.unique(X[:, c], return_inverse=True)[1]
+    return ranks
+
+
+def _stable_order(keys: Array) -> Array:
+    """np.argsort(keys, kind="stable") for nonnegative int64 keys.
+
+    Each key carries its position in its low bits, so all are distinct
+    and one plain sort, much faster than a stable one, gives the order.
+    Exact while the largest key times twice the length is below 2**63.
+    """
+    shift = len(keys).bit_length()
+    return np.sort(keys << shift | np.arange(len(keys))) & ((1 << shift) - 1)
+
+
+def _best_splits(X: Array, y01: Array, ranks: Array, node_rows: list, features: Array) -> list:
+    """The Gini-best split of each node of one step, searched as one batch.
+
+    Node k holds the rows node_rows[k] of X, in its own order, and searches
+    the sorted features[k]. Each (node, feature) pair is a segment of
+    values, and one stable sort on (segment, rank) sorts every segment as
+    a per-node stable argsort would. Per node the result is None when no
+    feature separates two values, else (feature, threshold, left rows,
+    right rows, positives on the left), the children in node order. X and
+    ranks are C-ordered; ranks is flat.
+    """
+    n_nodes, n_sub = features.shape
+    values, d = X.ravel(), np.int64(X.shape[1])  # flat indices in int64 whatever the rows' type
+    sizes = np.array([len(r) for r in node_rows])
+    rows = np.concatenate(node_rows)
+    # segment s = k * n_sub + j: node k's rows at its j-th feature
+    seg_len = np.repeat(sizes, n_sub)
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    seg = np.repeat(np.arange(len(seg_len)), seg_len)
+    local = np.arange(seg_end[-1]) - np.repeat(seg_start, seg_len)
+    at_row = np.repeat(np.repeat(np.cumsum(sizes) - sizes, n_sub), seg_len) + local
+    flat = rows[at_row] * d + np.repeat(features.ravel(), seg_len)
+    flat = flat[_stable_order(seg * (len(X) + 1) + ranks[flat])]
+    xs, ys = values[flat], y01[flat // d]
+    # a split after position i needs a larger value next in its segment;
+    # the segment's first local[i] + 1 values go left
+    valid = np.zeros(len(xs), dtype=bool)
+    valid[:-1] = xs[:-1] < xs[1:]
+    valid[seg_end - 1] = False
+    at = np.flatnonzero(valid)
+    s = seg[at]
+    # positives before each segment and up to each split; exact for 0/1 labels
+    cum = np.cumsum(ys)
+    before = cum[seg_start] - ys[seg_start]
+    n = seg_len[s]
+    n_left = local[at] + 1.0
     n_right = n - n_left
-    pos_left = pos[idx]
-    pos_right = total_pos - pos_left
+    pos_left = cum[at] - before[s]
+    pos_right = (cum[seg_end - 1] - before)[s] - pos_left
     p_l = pos_left / n_left
     p_r = pos_right / n_right
     gini = (n_left * 2.0 * p_l * (1.0 - p_l) + n_right * 2.0 * p_r * (1.0 - p_r)) / n
-    best = int(np.argmin(gini))
-    lo, hi = float(xs[idx[best]]), float(xs[idx[best] + 1])
-    threshold = 0.5 * (lo + hi)
-    if not threshold < hi:
-        # adjacent doubles (or a sum that overflows): the midpoint is not
-        # below hi, and x <= threshold would send both sides left
-        threshold = lo
-    return threshold, float(gini[best])
+    # the first minimum of each node: its lowest sorted feature, then position
+    counts = np.bincount(s // n_sub, minlength=n_nodes)
+    starts = np.cumsum(counts) - counts
+    split = counts > 0
+    best = np.minimum.reduceat(np.append(gini, np.inf), starts)
+    at_best = np.where(gini == np.repeat(best, counts), np.arange(len(gini)), len(gini))
+    first = np.minimum.reduceat(np.append(at_best, len(gini)), starts)[split]
+    lo, hi = xs[at[first]], xs[at[first] + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = 0.5 * (lo + hi)
+    # adjacent doubles (or a sum that overflows): the midpoint is not
+    # below hi, and x <= midpoint would send both sides left
+    feature = np.zeros(n_nodes, dtype=np.int64)
+    feature[split] = flat[at[first]] % d
+    threshold = np.zeros(n_nodes)
+    threshold[split] = np.where(mid < hi, mid, lo)
+    left_pos = np.zeros(n_nodes)
+    left_pos[split] = pos_left[first]
+    node = np.repeat(np.arange(n_nodes), sizes)
+    side = 2 * node + ~(values[rows * d + feature[node]] <= threshold[node])
+    ordered = rows[_stable_order(side)]
+    ends = np.cumsum(np.bincount(side, minlength=2 * n_nodes)).tolist()
+    children = [ordered[a:b].copy() for a, b in zip([0] + ends[:-1], ends)]
+    return [
+        (f, t, children[2 * k], children[2 * k + 1], int(p)) if has else None
+        for k, (has, f, t, p) in enumerate(zip(split.tolist(), feature.tolist(), threshold.tolist(), left_pos.tolist()))
+    ]
 
 
-def _grow_tree(X: Array, y: Array, rng, depth: int, max_depth: int, n_sub: int):
-    n = len(y)
-    mean = float(y.mean())
-    if depth >= max_depth or n < 2 or mean in (0.0, 1.0):
-        return {"p": mean}
-    features = rng.choice(X.shape[1], size=n_sub, replace=False)
-    best = None
-    for f in sorted(int(f) for f in features):
-        split = _gini_best_split(X[:, f], y)
-        if split is not None and (best is None or split[1] < best[2]):
-            best = (f, split[0], split[1])
-    if best is None:
-        return {"p": mean}
-    f, threshold, _ = best
-    left = X[:, f] <= threshold
-    return {
-        "f": f,
-        "t": threshold,
-        "l": _grow_tree(X[left], y[left], rng, depth + 1, max_depth, n_sub),
-        "r": _grow_tree(X[~left], y[~left], rng, depth + 1, max_depth, n_sub),
-    }
+def _row_chunks(step: list):
+    """Consecutive nodes of the step, at most _SPLIT_ROWS rows a chunk."""
+    chunk, n_rows = [], 0
+    for item in step:
+        if chunk and n_rows + len(item[0]) > _SPLIT_ROWS:
+            yield chunk
+            chunk, n_rows = [], 0
+        chunk.append(item)
+        n_rows += len(item[0])
+    if chunk:
+        yield chunk
+
+
+def _grow_trees(X: Array, y01: Array, jobs: Iterable, max_depth: int, n_sub: int) -> list:
+    """One tree per (rows, rng) job, grown in lockstep.
+
+    Each step pops every unfinished tree's next node in that tree's own
+    depth-first preorder, left before right, draws its features from the
+    tree's own generator, and searches all popped nodes in one batch. So
+    each generator makes its draws in the order that growing one tree at
+    a time by recursion makes them, and every tree comes out as it would
+    alone. A node is a leaf at max_depth, below 2 rows, when pure, or when
+    no feature splits it; its value is its share of positives. Only the
+    stacks keep the jobs' rows, so a generator of jobs frees each root once
+    it is split.
+    """
+    X = np.ascontiguousarray(X)
+    ranks = _column_ranks(X).ravel()
+    trees: list = []
+    stacks, rngs = [], []
+    for t, (rows, rng) in enumerate(jobs):
+        trees.append(None)
+        stacks.append([(rows, int(y01[rows].sum()), 0, trees, t)])
+        rngs.append(rng)
+    while True:
+        step = []
+        for stack, rng in zip(stacks, rngs):
+            while stack:
+                rows, pos, depth, parent, key = stack.pop()
+                if depth >= max_depth or len(rows) < 2 or pos in (0, len(rows)):
+                    parent[key] = {"p": pos / len(rows)}
+                    continue
+                features = np.sort(rng.choice(X.shape[1], size=n_sub, replace=False))
+                step.append((rows, pos, depth, parent, key, stack, features))
+                break
+        if not step:
+            return trees
+        for chunk in _row_chunks(step):
+            splits = _best_splits(X, y01, ranks, [item[0] for item in chunk], np.stack([item[6] for item in chunk]))
+            for (rows, pos, depth, parent, key, stack, _), split in zip(chunk, splits):
+                if split is None:
+                    parent[key] = {"p": pos / len(rows)}
+                    continue
+                f, t, left, right, left_pos = split
+                parent[key] = node = {"f": f, "t": t, "l": None, "r": None}
+                stack.append((right, pos - left_pos, depth + 1, node, "r"))
+                stack.append((left, left_pos, depth + 1, node, "l"))
 
 
 def _fill_tree_probs(node: dict, X: Array, rows: Array, out: Array) -> None:
@@ -356,12 +485,10 @@ def _fit_forest(X: Array, y01: Array, hp: dict, seed: int) -> dict:
     n = len(y01)
     n_boot = max(1, int(round(float(hp["bootstrap_fraction"]) * n)))
     n_sub = max(1, int(round(math.sqrt(X.shape[1]))))
-    trees = []
-    for i in range(int(hp["n_trees"])):
-        rng = child_rng(seed, i)
-        idx = rng.integers(0, n, size=n_boot)
-        trees.append(_grow_tree(X[idx], y01[idx], rng, 0, int(hp["max_depth"]), n_sub))
-    return {"trees": trees}
+    rngs = [child_rng(seed, i) for i in range(int(hp["n_trees"]))]
+    # int32 rows halve the pending nodes' memory, which lockstep holds for every tree
+    jobs = ((rng.integers(0, n, size=n_boot).astype(np.int32), rng) for rng in rngs)
+    return {"trees": _grow_trees(X, y01, jobs, int(hp["max_depth"]), n_sub)}
 
 
 def _forest_scores(state: dict, X: Array) -> Array:
@@ -510,8 +637,10 @@ def train_meta(
 ) -> MetaClassifier:
     """Fit a correct-vs-incorrect meta-classifier on dev-set records.
 
-    A single-class dev set degenerates to a constant predictor, with a
-    warning.
+    A hyperparameter outside its range is a ConfigError naming the backend
+    and the key. A single-class dev set degenerates to a constant
+    predictor, with a warning. A hinge fit that diverges to non-finite
+    weights is an InvalidInput.
     """
     if backend not in ("linear_hinge", "random_forest"):
         raise ConfigError(f"unknown meta backend {backend!r}")
@@ -524,6 +653,9 @@ def train_meta(
             raise ConfigError(f"unknown {backend} hyperparameter {key!r}")
         if not _finite(value):
             raise ConfigError(f"{backend} hyperparameter {key!r} must be a finite number, got {value!r}")
+        rule, holds = _HYPERPARAM_RANGES[key]
+        if not holds(value):
+            raise ConfigError(f"{backend} hyperparameter {key!r} must be {rule}, got {value!r}")
         hp[key] = value
     X = _feature_matrix(dev_records)
     y01 = np.asarray([1.0 if r.correct else 0.0 for r in dev_records])
@@ -536,6 +668,11 @@ def train_meta(
         state = {"constant": float(y01[0])}
     elif backend == "linear_hinge":
         state = _fit_linear_hinge(X, y01, hp, seed)
+        if not (all(map(_finite, state["weights"])) and _finite(state["bias"])):
+            raise InvalidInput(
+                "linear_hinge fit diverged: its weights or bias are not finite; "
+                f"lower learning_rate (got {hp['learning_rate']!r})"
+            )
     else:
         state = _fit_forest(X, y01, hp, seed)
     return MetaClassifier(

@@ -2,7 +2,8 @@
 
 Each function here is the straightforward loop that the library replaced:
 a fresh sort of every record for each cut, one Python walk per (record,
-tree) pair when scoring a forest, three passes over the pairs per class in
+tree) pair when scoring a forest, one tree grown at a time with one Gini
+search per (node, feature) pair, three passes over the pairs per class in
 ``evaluate``, and the hinge loop that indexes numpy arrays on every step.
 The library versions must give exactly the same results, so the property
 tests compare them with ``==`` or byte equality, never a tolerance.
@@ -16,7 +17,7 @@ import numpy as np
 
 from veritas.errors import ConfigError, DataError
 from veritas.metrics import MetricsReport
-from veritas.nn import make_rng
+from veritas.nn import child_rng, make_rng
 from veritas.rejection import CurvePoint, RejectionCurve
 from veritas.uncertainty import measure_spec, uncertainty_value
 
@@ -150,3 +151,67 @@ def fit_linear_hinge(X, y01, hp, seed):
         "mean": mean.tolist(),
         "std": std.tolist(),
     }
+
+
+def gini_best_split(x, y):
+    """Best (threshold, weighted Gini) for one ordered feature, or None."""
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    n = len(ys)
+    pos = np.cumsum(ys)
+    total_pos = pos[-1]
+    # split after position i: left = [0..i], right = [i+1..n-1]
+    idx = np.nonzero(xs[:-1] < xs[1:])[0]
+    if idx.size == 0:
+        return None
+    n_left = idx + 1.0
+    n_right = n - n_left
+    pos_left = pos[idx]
+    pos_right = total_pos - pos_left
+    p_l = pos_left / n_left
+    p_r = pos_right / n_right
+    gini = (n_left * 2.0 * p_l * (1.0 - p_l) + n_right * 2.0 * p_r * (1.0 - p_r)) / n
+    best = int(np.argmin(gini))
+    lo, hi = float(xs[idx[best]]), float(xs[idx[best] + 1])
+    threshold = 0.5 * (lo + hi)
+    if not threshold < hi:
+        # adjacent doubles (or a sum that overflows): the midpoint is not
+        # below hi, and x <= threshold would send both sides left
+        threshold = lo
+    return threshold, float(gini[best])
+
+
+def grow_tree(X, y, rng, depth, max_depth, n_sub):
+    n = len(y)
+    mean = float(y.mean())
+    if depth >= max_depth or n < 2 or mean in (0.0, 1.0):
+        return {"p": mean}
+    features = rng.choice(X.shape[1], size=n_sub, replace=False)
+    best = None
+    for f in sorted(int(f) for f in features):
+        split = gini_best_split(X[:, f], y)
+        if split is not None and (best is None or split[1] < best[2]):
+            best = (f, split[0], split[1])
+    if best is None:
+        return {"p": mean}
+    f, threshold, _ = best
+    left = X[:, f] <= threshold
+    return {
+        "f": f,
+        "t": threshold,
+        "l": grow_tree(X[left], y[left], rng, depth + 1, max_depth, n_sub),
+        "r": grow_tree(X[~left], y[~left], rng, depth + 1, max_depth, n_sub),
+    }
+
+
+def fit_forest(X, y01, hp, seed):
+    """One tree after another, each grown depth first by recursion."""
+    n = len(y01)
+    n_boot = max(1, int(round(float(hp["bootstrap_fraction"]) * n)))
+    n_sub = max(1, int(round(math.sqrt(X.shape[1]))))
+    trees = []
+    for i in range(int(hp["n_trees"])):
+        rng = child_rng(seed, i)
+        idx = rng.integers(0, n, size=n_boot)
+        trees.append(grow_tree(X[idx], y01[idx], rng, 0, int(hp["max_depth"]), n_sub))
+    return {"trees": trees}

@@ -449,3 +449,52 @@ class TestBadInputExits2:
         )
         assert rc == 2
         assert key in capfd.readouterr().err
+
+    @pytest.mark.parametrize(
+        "backend, key, bad",
+        [
+            ("random_forest", "n_trees", 0),
+            ("random_forest", "n_trees", 2.7),
+            ("random_forest", "max_depth", -1),
+            ("random_forest", "bootstrap_fraction", 0),
+            ("linear_hinge", "epochs", -2),
+            ("linear_hinge", "learning_rate", -0.5),
+            ("linear_hinge", "l2", -1),
+        ],
+    )
+    def test_meta_hyperparameter_out_of_range(self, workspace, tmp_path, capfd, backend, key, bad):
+        saved = tmp_path / "meta.json"
+        spec = {"dev_records": str(workspace["out"] / "dev_records.csv"), "backend": backend, key: bad, "save": str(saved)}
+        rc = main(
+            [
+                "reject",
+                "--records", str(workspace["out"] / "records.csv"),
+                "--mode", "sup",
+                "--meta", json.dumps(spec),
+            ]
+        )
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert backend in err and repr(key) in err
+        assert not saved.exists()
+
+    def test_diverged_hinge_exits_2_and_saves_nothing(self, workspace, tmp_path, capfd):
+        saved = tmp_path / "meta.json"
+        spec = {
+            "dev_records": str(workspace["out"] / "dev_records.csv"),
+            "backend": "linear_hinge",
+            "learning_rate": 1e100,
+            "save": str(saved),
+        }
+        rc = main(
+            [
+                "reject",
+                "--records", str(workspace["out"] / "records.csv"),
+                "--mode", "sup",
+                "--meta", json.dumps(spec),
+            ]
+        )
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert "linear_hinge" in err and "learning_rate" in err
+        assert not saved.exists()

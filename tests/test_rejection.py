@@ -18,9 +18,9 @@ from veritas import (
     train_meta,
     unsupervised_reject,
 )
-from veritas.errors import ConfigError, DataError, DataWarning
+from veritas.errors import ConfigError, DataError, DataWarning, InvalidInput
 from veritas.nn import make_rng
-from veritas.rejection import _fit_forest, _forest_scores, _grow_tree, curve_to_csv
+from veritas.rejection import _fit_forest, _forest_scores, _grow_trees, curve_to_csv
 from veritas.uncertainty import uncertainty_value
 
 
@@ -312,6 +312,39 @@ class TestTrainMeta:
         with pytest.raises(ConfigError):
             train_meta([], backend="linear_hinge")
 
+    @pytest.mark.parametrize(
+        "backend, key, bad, rule",
+        [
+            ("random_forest", "n_trees", 0, "an integer >= 1"),
+            ("random_forest", "n_trees", 2.7, "an integer >= 1"),
+            ("random_forest", "max_depth", -1, "an integer >= 0"),
+            ("random_forest", "max_depth", 1.5, "an integer >= 0"),
+            ("random_forest", "bootstrap_fraction", 0.0, "a number > 0"),
+            ("linear_hinge", "epochs", -1, "an integer >= 0"),
+            ("linear_hinge", "epochs", 0.5, "an integer >= 0"),
+            ("linear_hinge", "learning_rate", 0.0, "a number > 0"),
+            ("linear_hinge", "l2", -1, "a number >= 0"),
+        ],
+    )
+    def test_hyperparameter_out_of_range(self, rng, backend, key, bad, rule):
+        dev = meta_training_records(10, rng)
+        with pytest.raises(ConfigError) as exc:
+            train_meta(dev, backend=backend, hyperparams={key: bad})
+        assert str(exc.value) == f"{backend} hyperparameter {key!r} must be {rule}, got {bad!r}"
+
+    def test_hyperparameter_range_edges_and_integral_floats(self, rng):
+        dev = meta_training_records(10, rng)
+        forest = train_meta(dev, backend="random_forest", hyperparams={"n_trees": 3.0, "max_depth": 0.0, "bootstrap_fraction": 1e-9})
+        assert forest.state["trees"] == train_meta(dev, backend="random_forest", hyperparams={"n_trees": 3, "max_depth": 0, "bootstrap_fraction": 1e-9}).state["trees"]
+        assert len(forest.state["trees"]) == 3
+        hinge = train_meta(dev, backend="linear_hinge", hyperparams={"epochs": 0.0, "l2": 0, "learning_rate": 1e-12})
+        assert hinge.state["weights"] == [0.0] * hinge.n_features
+
+    def test_diverged_hinge_fit_is_an_error(self, rng):
+        dev = meta_training_records(40, rng)
+        with pytest.raises(InvalidInput, match=r"linear_hinge fit diverged.*learning_rate \(got 1e\+100\)"):
+            train_meta(dev, backend="linear_hinge", hyperparams={"learning_rate": 1e100})
+
     def test_deterministic_in_seed(self, rng):
         dev = meta_training_records(60, rng)
         a = train_meta(dev, backend="random_forest", seed=5)
@@ -424,7 +457,7 @@ class TestForestSplit:
 
     def test_adjacent_doubles_give_the_perfect_split(self):
         a, X, y = self.adjacent_case()
-        tree = _grow_tree(X, y, make_rng(0), 0, 8, 1)
+        tree = _grow_trees(X, y, [(np.arange(len(y)), make_rng(0))], 8, 1)[0]
         assert tree == {"f": 0, "t": a, "l": {"p": 0.0}, "r": {"p": 1.0}}
 
     def test_adjacent_doubles_leave_finite_leaves_and_scores(self):
@@ -443,7 +476,7 @@ class TestForestSplit:
         hi = np.finfo(float).max
         lo = float(np.nextafter(hi, 0.0))
         X = np.array([[lo], [hi]])
-        tree = _grow_tree(X, np.array([0.0, 1.0]), make_rng(0), 0, 8, 1)
+        tree = _grow_trees(X, np.array([0.0, 1.0]), [(np.arange(2), make_rng(0))], 8, 1)[0]
         assert tree == {"f": 0, "t": lo, "l": {"p": 0.0}, "r": {"p": 1.0}}
 
 

@@ -2,8 +2,12 @@
 
 ``rejection_reference`` keeps the slow versions. Every property here asks
 for exact agreement: the same records in the same order, the same error
-message, float-for-float equal reports and byte-equal forest scores.
+message, float-for-float equal reports, byte-equal forests and byte-equal
+forest scores.
 """
+
+import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ import rejection_reference as ref
 from veritas import make_record
 from veritas.errors import ConfigError, DataError
 from veritas.metrics import evaluate
+from veritas import rejection
 from veritas.rejection import (
     _fit_forest,
     _fit_linear_hinge,
@@ -155,6 +160,75 @@ def test_forest_scores_byte_equal_to_per_record_walk(case):
     X, y01, hp, seed, X_test = case
     state = _fit_forest(X, y01, hp, seed)
     assert _forest_scores(state, X_test).tobytes() == ref.forest_scores(state, X_test).tobytes()
+
+
+BIG = float(np.finfo(float).max)
+# values that stress the split search: ties, 0.0 against -0.0, adjacent
+# doubles, a pair whose midpoint overflows, subnormals, NaN and infinities
+SPECIAL = np.array(
+    [0.0, -0.0, 0.3, float(np.nextafter(0.3, 1.0)), 1.0, -1.0, BIG, float(np.nextafter(BIG, 0.0)), -BIG,
+     5e-324, -5e-324, np.nan, np.inf, -np.inf]
+)
+
+
+def feature_matrix(draw, rng, n, d):
+    kind = draw(st.sampled_from(["grid", "special", "normal"]))
+    if kind == "grid":
+        X = rng.integers(0, 5, size=(n, d)) / 4.0
+    elif kind == "special":
+        X = SPECIAL[rng.integers(0, len(SPECIAL), size=(n, d))]
+    else:
+        X = rng.normal(size=(n, d))
+    if draw(st.booleans()):
+        X[:, rng.integers(d)] = X[0, 0]  # a constant column, NaN included
+    return X
+
+
+@st.composite
+def grow_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 8))
+    X = feature_matrix(draw, rng, n, d)
+    y01 = (rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))).astype(float)
+    hp = {
+        "n_trees": draw(st.integers(1, 30)),
+        "max_depth": draw(st.integers(0, 9)),
+        "bootstrap_fraction": draw(st.floats(0.2, 3.0)),
+    }
+    # a small row cap splits even these steps into several batches
+    return X, y01, hp, draw(st.integers(0, 10**6)), draw(st.sampled_from([1, 50, rejection._SPLIT_ROWS]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grow_cases())
+def test_lockstep_forest_byte_equal_to_one_tree_at_a_time(case):
+    X, y01, hp, seed, cap = case
+    with mock.patch.object(rejection, "_SPLIT_ROWS", cap):
+        fast = _fit_forest(X, y01, hp, seed)
+    assert json.dumps(fast) == json.dumps(ref.fit_forest(X, y01, hp, seed))
+
+
+@st.composite
+def capped_cases(draw):
+    """Inputs whose first step holds more rows than the module's row cap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    if draw(st.booleans()):
+        n, n_trees, fraction = 1400, draw(st.integers(1, 2)), 3.0  # one root above the cap
+    else:
+        n, n_trees, fraction = 300, draw(st.integers(15, 30)), draw(st.floats(1.0, 3.0))
+    X = feature_matrix(draw, rng, n, draw(st.integers(1, 10)))
+    y01 = (rng.random(n) < 0.6).astype(float)
+    hp = {"n_trees": n_trees, "max_depth": draw(st.integers(0, 9)), "bootstrap_fraction": fraction}
+    return X, y01, hp, draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=8, deadline=None)
+@given(capped_cases())
+def test_lockstep_forest_byte_equal_across_the_row_cap(case):
+    X, y01, hp, seed = case
+    n_boot = round(hp["bootstrap_fraction"] * len(y01))
+    assert hp["n_trees"] * n_boot > rejection._SPLIT_ROWS
+    assert json.dumps(_fit_forest(X, y01, hp, seed)) == json.dumps(ref.fit_forest(X, y01, hp, seed))
 
 
 @st.composite
