@@ -8,6 +8,13 @@ outputs. Training minimises a weighted sum of the plain cross-entropy and a
 noise-sampled cross-entropy whose gradient flows through the fixed Gaussian
 draws: per branch, ``nn.backward`` computes the loss and its gradients and
 ``nn.sgd_step`` applies them in place.
+
+Inference scores a tree in passes, and a pass (``tree_branch_outputs``)
+runs all of the tree's branches as one batch: one lockstep
+``nn.lstm_forward`` call with the branch ``lengths``, then
+``nn.head_forward`` on the block of last outputs, with the masks a
+branch-at-a-time pass would draw (``nn.branch_masks``) and one finiteness
+check for the whole block. ``forward_branch`` is that pass over one branch.
 """
 
 from __future__ import annotations
@@ -160,6 +167,25 @@ class BranchOutput:
         return float(np.mean(self.variance))
 
 
+def _branch_heads(params: ModelParams, matrices: Sequence[Array], dropout: float, rng) -> tuple[Array, Array]:
+    """One pass over embedded branches as one batch: logits and variance pre-activations, a row per branch.
+
+    Every branch runs through one lockstep ``nn.lstm_forward`` call, and
+    the ReLU stack and both heads run once on the block of their last
+    outputs. The masks are those of a branch-at-a-time pass, drawn in its
+    order by ``nn.branch_masks``.
+    """
+    p = params.layers
+    lengths = [len(m) for m in matrices]
+    outputs = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], np.concatenate(matrices), lengths=lengths)
+    u = outputs[np.cumsum(lengths) - 1]
+    masks = nn.branch_masks(lengths, params.hidden_size, params.num_relu_layers, dropout, rng)
+    if masks is not None:
+        u *= masks[:, 0]
+    _, _, logits, var_pre = nn.head_forward(p, u, None if masks is None else masks[:, 1:])
+    return logits, var_pre
+
+
 def forward_branch(
     params: ModelParams,
     vectors: Array,
@@ -168,13 +194,12 @@ def forward_branch(
 ) -> BranchOutput:
     """Run one embedded branch (steps, input_dim) through the network.
 
-    At a positive dropout rate masks apply to each LSTM output step and after
+    This is a tree pass (``tree_branch_outputs``) over one branch. At a
+    positive dropout rate masks apply to each LSTM output step and after
     every ReLU layer, drawn in the order ``nn.backward`` draws them in training.
     """
-    p = params.layers
-    u = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], vectors, dropout, rng)[-1]
-    _, _, logits, var_pre = nn.head_forward(p, u, dropout, rng)
-    return BranchOutput(logits=logits, variance=nn.softplus(var_pre), probs=nn.softmax(logits))
+    logits, var_pre = _branch_heads(params, [vectors], dropout, rng)
+    return BranchOutput(logits=logits[0], variance=nn.softplus(var_pre[0]), probs=nn.softmax(logits[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +362,28 @@ def tree_branch_outputs(
     dropout: float = 0.0,
     rng=None,
 ) -> list[BranchOutput]:
-    return [
-        forward_branch(params, branch_matrix(branch, embedder), dropout, rng)
-        for branch in decompose_branches(tree)
-    ]
+    """One pass over the tree: every branch through the network as one batch.
+
+    The masks and their random numbers are those of a branch-at-a-time
+    pass, in branch order. The logits and variance pre-activations of all
+    branches are checked once; a non-finite one raises the InvalidInput
+    that the first branch holding one would raise alone, naming the tree
+    and that branch's leaf tweet.
+    """
+    branches = decompose_branches(tree)
+    logits, var_pre = _branch_heads(params, [branch_matrix(b, embedder) for b in branches], dropout, rng)
+    try:
+        variance, probs = nn.softplus(var_pre), nn.softmax_rows(logits)
+    except InvalidInput as exc:
+        first = int(np.argmin(np.isfinite(var_pre).all(axis=1) & np.isfinite(logits).all(axis=1)))
+        try:  # the error of that branch on its own: its variance is checked before its logits
+            nn.softplus(var_pre[first])
+            nn.softmax(logits[first])
+        except InvalidInput as branch_error:
+            exc = branch_error
+        leaf = branches[first].tweets[-1].id
+        raise InvalidInput(f"tree {tree.tree_id}, branch ending at tweet {leaf}: {exc}") from exc
+    return [BranchOutput(*row) for row in zip(logits, variance, probs)]
 
 
 def tree_probs(

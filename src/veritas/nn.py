@@ -3,15 +3,25 @@
 Everything is plain float64 numpy. The branch network is defined once:
 ``layer_shapes`` is its layer table, and the LSTM recurrence followed by
 ``head_forward`` (ReLU stack, logits, variance head) is its forward pass,
-run by inference (``lstm_forward`` in ``model.forward_branch``) and by
+run by inference (``lstm_forward`` in ``model``'s tree pass) and by
 training (``backward``, which adds the gradients from the private
 per-layer kernels ``_dense_backward``, ``_lstm_backward``,
 ``_xent_backward``, ``_sampled_xent_backward`` and ``_softplus_backward``).
 ``sgd_step`` applies them in place. This is not a general autodiff engine.
 Dropout is a rate in [0, 1): each op that takes one draws an inverted-dropout
-mask exactly when the rate is positive. ``dense_forward``, ``softmax_xent``
+mask exactly when the rate is positive, and ``branch_masks`` is the one rule
+for the masks of a pass over branches. ``dense_forward``, ``softmax_xent``
 and ``sampled_xent`` are checked single-op references no library path
 calls; the benchmark's tracer wraps them by name.
+
+Inference runs a tree's branches as one batch. ``lstm_forward`` takes
+``lengths``, the branches sitting back to back in its input, and runs
+them in lockstep through the one step kernel ``_lstm_step``: a step is
+one matrix product per weight matrix over the branches still running.
+``head_forward`` takes one branch's vector or a ``(branches, H)`` block.
+A one-row product rounds as the matrix-vector product does, so a single
+branch, and so training, gets the bits of a branch-at-a-time loop; a
+block of several rows rounds as a matrix product.
 
 A training step is well over a hundred numpy calls on arrays of 3 to 128
 values, so Python dispatch outweighs the arithmetic. ``backward`` therefore
@@ -26,7 +36,9 @@ onto +0.0, which clears a zero's sign.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
@@ -68,13 +80,23 @@ def sigmoid(x: Array) -> Array:
 
 
 def softmax(logits: Array) -> Array:
+    """Softmax of a nonempty vector."""
+    return _softmax(logits, 1)
+
+
+def softmax_rows(logits: Array) -> Array:
+    """Softmax of each row of a nonempty 2-D block, checked once for the whole block."""
+    return _softmax(logits, 2)
+
+
+def _softmax(logits: Array, ndim: int) -> Array:
     v = np.asarray(logits, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError(f"softmax expects a nonempty vector, got shape {v.shape}")
+    if v.ndim != ndim or v.size == 0:
+        raise ShapeError(f"softmax expects a nonempty {('vector', '2-D block')[ndim - 1]}, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise InvalidInput("softmax: logits must be finite")
-    e = np.exp(v - v.max())
-    return e / e.sum()
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softplus(x):
@@ -138,55 +160,109 @@ def dense_forward(weights: Array, bias: Array, x: Array, activation: str = "line
 class _LSTMStates:
     """What the LSTM backward needs from the forward recurrence.
 
-    ``acts[t]`` holds the step's four gate activations (sigmoid input,
-    sigmoid forget, tanh candidate, sigmoid output); ``cells[t]`` and
-    ``hiddens[t]`` are the states entering step t, so row ``steps`` holds
-    the final ones; ``tanh_cells[t]`` is tanh of the cell leaving step t.
+    The rows are step-major: step 0 of every sequence, then step 1 of the
+    sequences still running, and so on. ``acts`` holds each step's four
+    gate activations (sigmoid input, sigmoid forget, tanh candidate,
+    sigmoid output) and ``tanh_cells`` tanh of the cell leaving it.
+    ``cells`` and ``hiddens`` hold the zero state of each sequence, then
+    the states leaving each step. ``order`` is the input row of each step
+    row, or None for one sequence, whose rows are in input order: then
+    ``cells[t]`` and ``hiddens[t]`` are the states entering step t, so row
+    ``steps`` holds the final ones.
     """
 
     acts: Array
     cells: Array
     hiddens: Array
     tanh_cells: Array
+    order: Array | None = None
 
     @property
     def outputs(self) -> Array:
-        return self.hiddens[1:]
+        """The emitted hidden states, one per input row, in input order."""
+        if self.order is None:
+            return self.hiddens[1:]
+        out = np.empty((len(self.order), self.hiddens.shape[1]))
+        out[self.order] = self.hiddens[len(self.hiddens) - len(self.order) :]
+        return out
 
 
-def _lstm_recurrence(Wx: Array, Wh: Array, b: Array, X: Array) -> _LSTMStates:
+def _lstm_step(a: Array, c_prev: Array, s: Array, c: Array, tc: Array, h: Array) -> None:
+    """One LSTM step from the gate pre-activations ``a``, on one row or a block of rows.
+
+    Writes the gate activations into ``s``, the new cell into ``c``, its
+    tanh into ``tc`` and the new hidden state into ``h``; the last axis of
+    ``a`` and ``s`` is 4H. Every elementwise op is the one ``sigmoid`` and
+    the textbook update ``c = f * c + i * g`` take, in the same order, so
+    the bits are theirs.
+    """
+    hidden = c.shape[-1]
+    gate_g = slice(2 * hidden, 3 * hidden)
+    e = np.abs(a)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    ones_or_e = np.where(a >= 0, 1.0, e)
+    e += 1.0
+    np.divide(ones_or_e, e, out=s)
+    np.tanh(a[..., gate_g], out=s[..., gate_g])
+    np.multiply(s[..., hidden : 2 * hidden], c_prev, out=c)
+    c += s[..., :hidden] * s[..., gate_g]
+    np.tanh(c, out=tc)
+    np.multiply(s[..., 3 * hidden :], tc, out=h)
+
+
+def _lockstep_plan(lengths: list[int]) -> tuple[int, Array, list[int]]:
+    """Sequence count, step-major row order and step bounds of back-to-back sequences.
+
+    Sequences are taken longest first (ties in input order), so the ones
+    still running at every step are a prefix of those running at the step
+    before. Step t covers step rows ``bounds[t]:bounds[t + 1]``, and
+    ``order`` gives each step row's input row.
+    """
+    by_length = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    starts = list(itertools.accumulate(lengths, initial=0))
+    order, bounds = [], [0]
+    for t in range(lengths[by_length[0]]):
+        order += [starts[j] + t for j in by_length if lengths[j] > t]
+        bounds.append(len(order))
+    return len(lengths), np.array(order), bounds
+
+
+def _lstm_recurrence(Wx: Array, Wh: Array, b: Array, X: Array, lengths: list[int] | None = None) -> _LSTMStates:
     """Run the LSTM recurrence over the rows of X (shapes already checked).
 
-    Each step writes its gates, cell, tanh-cell and hidden state in place
-    into the preallocated state arrays. Every elementwise op is the one
-    ``sigmoid`` and the textbook update take, ``a = Wx x + Wh h + b`` and
-    ``c = f * c + i * g``, in the same order, so the bits are theirs.
+    ``lengths`` splits X into sequences that sit back to back, each
+    starting from the zero state; None is one sequence. The sequences run
+    in lockstep: each step is one ``rows @ Wx.T`` and one ``h @ Wh.T``
+    over the sequences still running, then ``_lstm_step`` on all of them,
+    writing in place into the preallocated state arrays. A one-row product
+    rounds as the matrix-vector product ``Wx @ x`` does, so one sequence
+    gets the bits of a plain per-step loop; a block of rows is a matrix
+    product, which rounds differently.
     """
     steps, hidden = X.shape[0], Wh.shape[1]
+    if lengths is None:
+        k, order, bounds = 1, None, range(steps + 1)
+    else:
+        k, order, bounds = _lockstep_plan(lengths)
+        X = X[order]
     acts = np.empty((steps, 4 * hidden))
-    cells = np.zeros((steps + 1, hidden))
-    hiddens = np.zeros((steps + 1, hidden))
+    cells = np.zeros((k + steps, hidden))
+    hiddens = np.zeros((k + steps, hidden))
     tanh_cells = np.empty((steps, hidden))
-    e = np.empty(4 * hidden)
-    gate_i, gate_f, gate_g, gate_o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    for t in range(steps):
-        a = Wx @ X[t]
-        a += Wh @ hiddens[t]
+    wx_t, wh_t = Wx.T, Wh.T
+    prev = 0  # first state row entering the step
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo == 1:  # one sequence running: its rows as vectors, whose ops cost less than blocks'
+            rows, entering, leaving = lo, prev, k + lo
+        else:
+            rows, entering, leaving = slice(lo, hi), slice(prev, prev + hi - lo), slice(k + lo, k + hi)
+        a = X[rows] @ wx_t
+        a += hiddens[entering] @ wh_t
         a += b
-        s = acts[t]
-        np.abs(a, out=e)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        ones_or_e = np.where(a >= 0, 1.0, e)
-        e += 1.0
-        np.divide(ones_or_e, e, out=s)
-        np.tanh(a[gate_g], out=s[gate_g])
-        c = cells[t + 1]
-        np.multiply(s[gate_f], cells[t], out=c)
-        c += s[gate_i] * s[gate_g]
-        np.tanh(c, out=tanh_cells[t])
-        np.multiply(s[gate_o], tanh_cells[t], out=hiddens[t + 1])
-    return _LSTMStates(acts, cells, hiddens, tanh_cells)
+        _lstm_step(a, cells[entering], acts[rows], cells[leaving], tanh_cells[rows], hiddens[leaving])
+        prev = k + lo
+    return _LSTMStates(acts, cells, hiddens, tanh_cells, order)
 
 
 def _lstm_backward(
@@ -253,13 +329,18 @@ def lstm_forward(
     inputs: Array,
     dropout: float = 0.0,
     rng=None,
+    lengths=None,
 ) -> Array:
-    """Single-layer LSTM over one sequence; returns one hidden row per step.
+    """Single-layer LSTM over the rows of ``inputs``; returns one hidden row per input row.
 
-    Gate layout along the 4H axis is input, forget, candidate, output. At a
-    positive dropout rate an inverted-dropout mask (one per step, drawn from
-    rng) is applied to each emitted hidden state; the recurrent path itself
-    stays undropped. Fixed rng seed and inputs give identical outputs.
+    ``lengths`` lists the sequences, which sit back to back in ``inputs``:
+    the state resets to zero at the start of each one, and they run in
+    lockstep (see ``_lstm_recurrence``). Without it the rows are one
+    sequence. Gate layout along the 4H axis is input, forget, candidate,
+    output. At a positive dropout rate an inverted-dropout mask (one per
+    row, drawn from rng as one block) is applied to each emitted hidden
+    state; the recurrent path itself stays undropped. Fixed rng seed and
+    inputs give identical outputs.
     """
     Wx, Wh, b = _as_f64(weights_x), _as_f64(weights_h), _as_f64(bias)
     X = _as_f64(inputs)
@@ -273,11 +354,15 @@ def lstm_forward(
         raise ShapeError(f"lstm: input weights {Wx.shape} do not match inputs {X.shape}")
     if Wh.shape != (four_h, hidden):
         raise ShapeError(f"lstm: recurrent weights {Wh.shape} do not match hidden size {hidden}")
+    if lengths is not None:
+        lengths = [operator.index(n) for n in lengths]
+        if min(lengths, default=0) < 1 or sum(lengths) != len(X):
+            raise ShapeError(f"lstm: lengths must be positive and sum to the {len(X)} input rows, got {lengths}")
     drops = _drops(dropout)
     if drops and rng is None:
         raise ConfigError("lstm: a positive dropout rate needs an rng")
 
-    outputs = _lstm_recurrence(Wx, Wh, b, X).outputs
+    outputs = _lstm_recurrence(Wx, Wh, b, X, lengths).outputs
     return outputs * _draw_mask(outputs.shape, dropout, rng) if drops else outputs
 
 
@@ -291,26 +376,53 @@ def layer_shapes(input_dim: int, hidden: int, n_relu: int, n_classes: int, varia
     return shapes
 
 
-def head_forward(layers: dict[str, Array], u: Array, dropout: float, rng):
+def _relu_count(layers: dict[str, Array]) -> int:
+    """ReLU layers of a network: ``relu0``, ``relu1``, ... for as long as their weights are present."""
+    n = 0
+    while f"relu{n}.w" in layers:
+        n += 1
+    return n
+
+
+def branch_masks(lengths, hidden: int, n_relu: int, rate: float, rng) -> Array | None:
+    """The dropout masks of one pass over branches of ``lengths`` steps; None at rate 0.
+
+    A pass draws, branch after branch, a mask for each LSTM step and then
+    one for each ReLU layer's output, all from one ``rng.random`` block in
+    that order. Only the masks that reach the heads are returned: entry
+    ``[j, 0]`` masks branch j's last LSTM output and ``[j, 1 + i]`` the
+    output of its ReLU layer i.
+    """
+    if not _drops(rate):
+        return None
+    if rng is None:
+        raise ConfigError("dropout: a positive dropout rate needs an rng")
+    rows, end = [], 0
+    for steps in lengths:
+        end += steps + n_relu
+        rows += range(end - n_relu - 1, end)
+    return _draw_mask((end, hidden), rate, rng)[rows].reshape(len(lengths), n_relu + 1, hidden)
+
+
+def head_forward(layers: dict[str, Array], u: Array, masks: Array | None):
     """The ReLU stack and both heads on the LSTM's last (masked) output ``u``.
 
-    The ReLU layers are ``relu0``, ``relu1``, ... for as long as their
-    weights are in ``layers``. At a positive dropout rate one mask per ReLU
-    output is drawn from rng, in layer order. Returns the heads' input, an
-    ``(input, pre-activation, mask or None)`` per ReLU layer, the logits and
-    the variance pre-activation.
+    ``u`` is one branch's vector or a ``(branches, H)`` block with one row
+    per branch. The ReLU layers are those ``_relu_count`` finds, and
+    ``masks[..., i, :]`` is the dropout mask of ReLU layer i's output (the
+    entries of ``branch_masks`` after the LSTM one); None is no dropout.
+    Returns the heads' input, an ``(input, pre-activation, mask or None)``
+    per ReLU layer, the logits and the variance pre-activation, each with
+    ``u``'s leading axes.
     """
-    drops = _drops(dropout)
     cache = []
-    i = 0
-    while f"relu{i}.w" in layers:
-        z = layers[f"relu{i}.w"] @ u + layers[f"relu{i}.b"]
+    for i in range(_relu_count(layers)):
+        z = u @ layers[f"relu{i}.w"].T + layers[f"relu{i}.b"]
         y = np.maximum(z, 0.0)
-        mask = _draw_mask(y.shape, dropout, rng) if drops else None
+        mask = None if masks is None else masks[..., i, :]
         cache.append((u, z, mask))
         u = y if mask is None else y * mask
-        i += 1
-    return u, cache, layers["out.w"] @ u + layers["out.b"], layers["var.w"] @ u + layers["var.b"]
+    return u, cache, u @ layers["out.w"].T + layers["out.b"], u @ layers["var.w"].T + layers["var.b"]
 
 
 def _softplus_backward(x: Array, dy: Array) -> Array:
@@ -428,19 +540,20 @@ def backward(
     head). The loss is ``ce_weight`` times the cross-entropy against the
     one-hot ``target`` plus ``aleatoric_weight`` times ``sampled_xent`` over
     ``samples`` noise rows. Random numbers come in forward_branch's order,
-    the LSTM mask block and then each ReLU mask, followed by the noise
-    block. Returns (cross-entropy, sampled loss, gradients by layer name).
-    At all-zero variance ``sampled_xent`` is the plain cross-entropy, so
+    the mask block of ``branch_masks`` (each LSTM step's mask, then each
+    ReLU mask), followed by the noise block. Returns (cross-entropy,
+    sampled loss, gradients by layer name). At all-zero variance ``sampled_xent`` is the plain cross-entropy, so
     the variance layers get no gradient entry.
     """
     wx, wh, b = layers["lstm.wx"], layers["lstm.wh"], layers["lstm.b"]
-    # Inference draws the LSTM's whole mask block, so training does too, but
-    # only the last emitted state reaches the heads: only its row is used.
-    lstm_mask = _draw_mask((vectors.shape[0], wh.shape[1]), dropout, rng)[-1] if _drops(dropout) else None
+    # Inference draws every LSTM step's mask, so training does too, but only
+    # the last emitted state reaches the heads: only its mask is kept.
+    masks = branch_masks((vectors.shape[0],), wh.shape[1], _relu_count(layers), dropout, rng)
+    lstm_mask, relu_masks = (None, None) if masks is None else (masks[0, 0], masks[0, 1:])
     states = _lstm_recurrence(wx, wh, b, vectors)
     h_last = states.hiddens[-1]
     u, relu_cache, logits, var_pre = head_forward(
-        layers, h_last if lstm_mask is None else h_last * lstm_mask, dropout, rng
+        layers, h_last if lstm_mask is None else h_last * lstm_mask, relu_masks
     )
     w_out, w_var = layers["out.w"], layers["var.w"]
     sqrt_sig = np.sqrt(softplus(var_pre))

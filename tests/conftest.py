@@ -1,11 +1,14 @@
-"""Shared test helpers: finite differences and record factories."""
+"""Shared test helpers: finite differences, record factories and random trees."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from veritas import UncertaintyBundle, make_record
+from veritas import ConversationTree, Tweet, UncertaintyBundle, make_record
+
+WORDS = ("sun", "rain", "fog", "bright", "cold", "maybe", "http://x.y", "@who", "denied", "confirmed")
 
 
 def numeric_grad(f, arrays: dict[str, np.ndarray], name: str, step: float = 1e-4) -> np.ndarray:
@@ -62,3 +65,18 @@ def record_with(tree_id: str, gold: str = "true", pred: str = "true", fold: int 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@st.composite
+def conversation_trees(draw, tree_id: str = "t", label: str = "true", max_tweets: int = 12):
+    """A tree of 1 to ``max_tweets`` tweets; each reply's parent is a random earlier tweet.
+
+    Timestamps follow the tweet order, so every parent precedes its replies.
+    """
+    n = draw(st.integers(1, max_tweets))
+    tweets = []
+    for i in range(n):
+        parent = None if i == 0 else f"{tree_id}.{draw(st.integers(0, i - 1))}"
+        text = " ".join(draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4)))
+        tweets.append(Tweet(id=f"{tree_id}.{i}", parent_id=parent, timestamp=i, text=text))
+    return ConversationTree(tree_id=tree_id, event="e", label=label, tweets=tuple(tweets))

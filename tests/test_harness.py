@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import bundle_with, record_with
+from conftest import bundle_with, conversation_trees, record_with
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -462,3 +462,69 @@ class TestTimelineCsv:
     def test_empty_series_rejected(self):
         with pytest.raises(ConfigError):
             timeline_to_csv(TimelineSeries(tree_id="t", steps=()))
+
+
+# ---------------------------------------------------------------------------
+# one path, one answer
+
+
+@st.composite
+def small_corpora(draw):
+    labels = ("true", "false", "unverified")
+    return [draw(conversation_trees(tree_id=f"c{i}", label=labels[i % 3], max_tweets=6)) for i in range(6)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_corpora(), st.integers(0, 2**16), st.booleans())
+def test_records_row_timeline_and_bundle_agree(trees, seed, branch_level):
+    """The records row, the last timeline step and a library ``bundle`` call of a tree are equal."""
+    folds = make_folds(trees, "k_fold", k=3, seed=seed, dev_fold=0)
+    cfg = TrainingConfig(
+        hidden_size=4, num_relu_layers=1, dropout_rate_train=0.2, learning_rate=0.05,
+        epochs=1, aleatoric_samples=2, seed=seed,
+    )
+    uq = UncertaintyConfig(n_samples=3, dropout_rate=0.3, seed=seed, branch_level=branch_level)
+    emb = HashingEmbedder(dimension=8, seed=seed % 4)
+    res = cross_validate(trees, folds, cfg, uq, emb)
+    by_id = {t.tree_id: t for t in trees}
+    rows = res.records + [r for dev in res.dev_records.values() for r in dev]
+    assert len(rows) == len(trees) + 2  # the two dev trees are scored by both test folds' models
+    for record in rows:
+        params, tree = res.models[record.fold], by_id[record.tree_id]
+        library = bundle(params, tree, emb, uq.n_samples, uq.dropout_rate, seed=uq.seed, branch_level=branch_level)
+        assert library == record.bundle, record.tree_id
+        assert timeline_report(params, tree, emb, uq).steps[-1].bundle == record.bundle, record.tree_id
+
+
+@pytest.fixture(scope="module")
+def order_run(tmp_path_factory):
+    spec = SyntheticSpec(trees_per_class=3, tokens_per_tweet=(3, 6), branching_prob=0.5, seed=23)
+    trees = generate_synthetic(spec)
+    folds = make_folds(trees, "k_fold", k=3, seed=5, dev_fold=0)
+    cfg = TrainingConfig(
+        hidden_size=4, num_relu_layers=1, dropout_rate_train=0.2, learning_rate=0.05,
+        epochs=1, aleatoric_samples=2, seed=3,
+    )
+    uq = UncertaintyConfig(n_samples=3, dropout_rate=0.3, seed=9)
+    emb = HashingEmbedder(dimension=8, seed=1)
+    res = cross_validate(trees, folds, cfg, uq, emb)
+    return trees, (folds, cfg, uq, emb), res, _csv_bytes(res, tmp_path_factory)
+
+
+def _csv_bytes(res, tmp_path_factory):
+    out = tmp_path_factory.mktemp("records")
+    write_records_csv(res.records, out / "records.csv")
+    for fold, dev in res.dev_records.items():
+        write_records_csv(dev, out / f"dev{fold}.csv")
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_cross_validate_does_not_depend_on_input_order(order_run, tmp_path_factory, random):
+    trees, setup, expected, expected_csv = order_run
+    shuffled = random.sample(trees, len(trees))
+    res = cross_validate(shuffled, *setup)
+    assert res.records == expected.records
+    assert res.dev_records == expected.dev_records
+    assert _csv_bytes(res, tmp_path_factory) == expected_csv

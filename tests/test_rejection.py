@@ -345,6 +345,15 @@ class TestTrainMeta:
         with pytest.raises(InvalidInput, match=r"linear_hinge fit diverged.*learning_rate \(got 1e\+100\)"):
             train_meta(dev, backend="linear_hinge", hyperparams={"learning_rate": 1e100})
 
+    @pytest.mark.parametrize("backend", ["linear_hinge", "random_forest"])
+    @pytest.mark.parametrize("feature, value", [("aleatoric", math.inf), ("variance", math.nan)])
+    def test_non_finite_feature_names_the_tree_and_feature(self, rng, backend, feature, value):
+        dev = meta_training_records(10, rng)
+        dev[3:3] = [record_with("bad", pred="false", **{feature: value}), record_with("later", aleatoric=-math.inf)]
+        with pytest.raises(InvalidInput) as exc:
+            train_meta(dev, backend=backend)
+        assert str(exc.value) == f"dev record of tree bad: meta feature {feature} is {value!r}, not a finite number"
+
     def test_deterministic_in_seed(self, rng):
         dev = meta_training_records(60, rng)
         a = train_meta(dev, backend="random_forest", seed=5)
