@@ -92,8 +92,6 @@ def _confidences(
             u = (u - stats.lo) / (stats.hi - stats.lo)
     elif spec.confidence_map == "entropy":
         ceilings = np.array([math.log(b.n_classes) for b in bundles])
-        if (ceilings == 0.0).any():
-            raise InvalidInput(f"{measure} confidence needs bundles of at least two classes")
         with np.errstate(all="ignore"):
             u = u / ceilings
     return _clip01(1.0 - u)
@@ -115,13 +113,11 @@ def confidence_records(
 def bin_index(confidence: float, n_bins: int) -> int:
     """1-based bin of a confidence under right-inclusive equal-width bins.
 
-    Bin m covers ((m-1)/M, m/M]; confidence 0 lands in bin 1.
+    Bin m covers ((m-1)/M, m/M]; confidence 0 lands in bin 1. A
+    confidence below 0 is in bin 1 and one above 1 in bin M; a non-finite
+    one is an InvalidInput.
     """
-    if n_bins < 1:
-        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
-    if confidence <= 0.0:
-        return 1
-    return min(n_bins, math.ceil(confidence * n_bins))
+    return int(_bin_numbers(np.array([confidence], dtype=np.float64), n_bins)[0])
 
 
 def ece(records: Sequence[ConfidenceRecord], n_bins: int = 10) -> float:
@@ -155,14 +151,16 @@ def _columns(records: Sequence[ConfidenceRecord]) -> tuple[np.ndarray, np.ndarra
 
 
 def _bin_numbers(conf: np.ndarray, n_bins: int) -> np.ndarray:
-    """``bin_index`` of each confidence in [0, 1]: ``ceil(conf * n_bins)``, with 0 in bin 1."""
-    return np.clip(np.ceil(conf * n_bins), 1, n_bins).astype(np.intp)
+    """The one binning rule: ``bin_index`` of each confidence, ``ceil(conf * n_bins)`` within [1, n_bins]."""
+    if n_bins < 1:
+        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+    if not np.isfinite(conf).all():
+        raise InvalidInput(f"confidence must be a finite number, got {float(conf[~np.isfinite(conf)][0])!r}")
+    return np.maximum(np.ceil(np.clip(conf, 0.0, 1.0) * n_bins), 1).astype(np.intp)
 
 
 def _bin_stats(conf: np.ndarray, correct: np.ndarray, n_bins: int) -> tuple[BinStats, ...]:
     """``reliability_bins`` of confidences in [0, 1] and their correct flags."""
-    if n_bins < 1:
-        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
     bins = _bin_numbers(conf, n_bins)
     out = []
     for m in range(1, n_bins + 1):
@@ -220,17 +218,15 @@ def _fit(conf: np.ndarray, correct: np.ndarray, n_bins: int) -> CalibrationMap:
 
 
 def apply_calibration(cal_map: CalibrationMap, confidence) -> float | list[float]:
-    """Calibrated confidence(s); accepts a scalar or an iterable."""
-    if np.ndim(confidence) == 0:
-        return cal_map.calibrated[bin_index(float(confidence), cal_map.n_bins) - 1]
-    return [cal_map.calibrated[bin_index(float(c), cal_map.n_bins) - 1] for c in confidence]
+    """Calibrated confidence(s) of a scalar or a sequence, binned as ``bin_index`` bins them."""
+    conf = np.asarray(confidence, dtype=np.float64)
+    calibrated = np.array(cal_map.calibrated)[_bin_numbers(conf.reshape(-1), cal_map.n_bins) - 1]
+    return float(calibrated[0]) if conf.ndim == 0 else calibrated.tolist()
 
 
 def calibrate_records(cal_map: CalibrationMap, records: Sequence[ConfidenceRecord]) -> list[ConfidenceRecord]:
-    return [
-        ConfidenceRecord(confidence=apply_calibration(cal_map, r.confidence), correct=r.correct)
-        for r in records
-    ]
+    calibrated = apply_calibration(cal_map, _columns(records)[0])
+    return [ConfidenceRecord(confidence=c, correct=r.correct) for c, r in zip(calibrated, records)]
 
 
 @dataclass(frozen=True)

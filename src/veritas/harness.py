@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import ConversationTree, FoldSpec, HashingEmbedder, infer_classes, timeline_prefixes
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InvalidInput
 from .model import EpochStats, ModelParams, TrainingConfig, train
 from .rejection import PredictionRecord, make_record
 from .uncertainty import MEASURE_TABLE, UncertaintyBundle, UncertaintyConfig, bundle, uncertainty_value
@@ -32,6 +32,11 @@ class CrossValResult:
     classes: tuple[str, ...]
 
 
+def _bundle(params: ModelParams, tree: ConversationTree, embedder, uq: UncertaintyConfig) -> UncertaintyBundle:
+    """The tree's bundle under ``uq``: every scoring path of the harness runs this call."""
+    return bundle(params, tree, embedder, uq.n_samples, uq.dropout_rate, seed=uq.seed, branch_level=uq.branch_level)
+
+
 def _score_trees(
     params: ModelParams,
     trees: Sequence[ConversationTree],
@@ -42,15 +47,7 @@ def _score_trees(
 ) -> list[PredictionRecord]:
     records = []
     for tree in sorted(trees, key=lambda t: t.tree_id):
-        b = bundle(
-            params,
-            tree,
-            embedder,
-            uq.n_samples,
-            uq.dropout_rate,
-            seed=uq.seed,
-            branch_level=uq.branch_level,
-        )
+        b = _bundle(params, tree, embedder, uq)
         records.append(
             make_record(tree.tree_id, tree.label, classes[b.predicted_class], b, fold)
         )
@@ -123,18 +120,9 @@ def _bundle_columns(n_classes: int) -> list[str]:
     return [m.column for m in MEASURE_TABLE] + [f"p_{i}" for i in range(n_classes)]
 
 
-def _bundle_cells(b: UncertaintyBundle, where: str) -> list[str]:
-    """Cells for _bundle_columns; repr keeps every float exact.
-
-    A non-finite value raises DataError naming ``where`` and the column,
-    because read_records_csv would refuse the file it ends up in.
-    """
-    values = [float(getattr(b, m.field)) for m in MEASURE_TABLE] + [float(p) for p in b.mean_probs]
-    if not all(map(math.isfinite, values)):
-        bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
-        column = _bundle_columns(len(b.mean_probs))[bad]
-        raise DataError(f"{where}: column {column}: {values[bad]!r} is not finite")
-    return list(map(repr, values))
+def _bundle_cells(b: UncertaintyBundle) -> list[str]:
+    """Cells for _bundle_columns; repr keeps every float exact, and a bundle holds only finite ones."""
+    return [repr(float(getattr(b, m.field))) for m in MEASURE_TABLE] + [repr(float(p)) for p in b.mean_probs]
 
 
 def records_header(n_classes: int) -> list[str]:
@@ -151,7 +139,7 @@ def write_records_csv(records: Sequence[PredictionRecord], path) -> None:
     for r in records:
         if r.bundle.n_classes != n_classes:
             raise DataError(f"record {r.tree_id}: inconsistent class count")
-        cells = _bundle_cells(r.bundle, f"record of tree {r.tree_id}")
+        cells = _bundle_cells(r.bundle)
         writer.writerow([r.tree_id, r.gold, r.pred] + cells + [r.fold])
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
@@ -167,7 +155,7 @@ def _finite(path, lineno: int, column: str, cell: str) -> float:
 
 
 def read_records_csv(path) -> list[PredictionRecord]:
-    """Load a records CSV, rejecting non-finite values and non-probability rows."""
+    """Load a records CSV; a cell that is no finite number or a row that is no valid bundle is a DataError."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -181,6 +169,10 @@ def read_records_csv(path) -> list[PredictionRecord]:
         raise DataError(f"records file {path} has unexpected columns {header}")
     n_measures = len(MEASURE_TABLE)
     value_columns = header[3:-1]
+    # UncertaintyBundle's InvalidInput starts with the field it refuses; name that field's column(s)
+    columns = {m.field: f"column {m.column}" for m in MEASURE_TABLE}
+    columns.update({f"mean_probs[{k}]": f"column p_{k}" for k in range(n_classes)})
+    columns["mean_probs"] = f"columns p_0..p_{n_classes - 1}"
     records = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
@@ -189,24 +181,19 @@ def read_records_csv(path) -> list[PredictionRecord]:
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         values = [_finite(path, lineno, c, v) for c, v in zip(value_columns, row[3:-1])]
         probs = tuple(values[n_measures:])
-        for column, p in zip(value_columns[n_measures:], probs):
-            if p < 0.0:
-                raise DataError(f"{path}:{lineno}: column {column}: negative probability {p!r}")
-        total = sum(probs)
-        if abs(total - 1.0) > 1e-6:
-            raise DataError(
-                f"{path}:{lineno}: columns p_0..p_{n_classes - 1}: "
-                f"probabilities sum to {total!r}, not 1"
+        try:
+            b = UncertaintyBundle(
+                **{m.field: v for m, v in zip(MEASURE_TABLE, values)},
+                mean_probs=probs,
+                predicted_class=int(np.argmax(probs)),
             )
+        except InvalidInput as exc:
+            field, problem = str(exc).split(": ", 1)
+            raise DataError(f"{path}:{lineno}: {columns[field]}: {problem}") from exc
         try:
             fold = int(row[-1])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: column fold: {exc}") from exc
-        b = UncertaintyBundle(
-            **{m.field: v for m, v in zip(MEASURE_TABLE, values)},
-            mean_probs=probs,
-            predicted_class=int(np.argmax(probs)),
-        )
         records.append(make_record(row[0], row[1], row[2], b, fold))
     return records
 
@@ -255,15 +242,7 @@ def timeline_report(
         uq = UncertaintyConfig()
     steps = []
     for prefix in timeline_prefixes(tree):
-        b = bundle(
-            params,
-            prefix,
-            embedder,
-            uq.n_samples,
-            uq.dropout_rate,
-            seed=uq.seed,
-            branch_level=uq.branch_level,
-        )
+        b = _bundle(params, prefix, embedder, uq)
         steps.append(
             TimelineStep(
                 n_tweets=prefix.size,
@@ -297,6 +276,6 @@ def timeline_to_csv(series: TimelineSeries) -> str:
     writer.writerow(["step", "n_tweets", "pred"] + _bundle_columns(n_classes) + ["added_stance"])
     for i, step in enumerate(series.steps):
         stance = step.added_stance if step.added_stance is not None else ""
-        cells = _bundle_cells(step.bundle, f"timeline of tree {series.tree_id}, step {i}")
+        cells = _bundle_cells(step.bundle)
         writer.writerow([i, step.n_tweets, step.predicted_class] + cells + [stance])
     return buf.getvalue()

@@ -10,11 +10,11 @@ draws: per branch, ``nn.backward`` computes the loss and its gradients and
 ``nn.sgd_step`` applies them in place.
 
 Inference scores a tree in passes, and a pass (``tree_branch_outputs``)
-runs all of the tree's branches as one batch: one lockstep
-``nn.lstm_forward`` call with the branch ``lengths``, then
-``nn.head_forward`` on the block of last outputs, with the masks a
-branch-at-a-time pass would draw (``nn.branch_masks``) and one finiteness
-check for the whole block. ``forward_branch`` is that pass over one branch.
+runs all of the tree's branches as one batch: their tweets embedded into
+one block, one lockstep ``nn.lstm_forward`` call with the branch
+``lengths``, then ``nn.head_forward`` on the block of last outputs, with
+the masks a branch-at-a-time pass would draw (``nn.branch_masks``) and
+one finiteness check for the whole block. ``forward_branch`` is that pass over one branch.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .data import ConversationTree, HashingEmbedder, branch_matrix, decompose_branches, infer_classes
+from .data import ConversationTree, HashingEmbedder, branch_matrix, decompose_branches, embed_tweet, infer_classes
 from .errors import ConfigError, DataError, InvalidInput
 
 Array = np.ndarray
@@ -167,17 +167,17 @@ class BranchOutput:
         return float(np.mean(self.variance))
 
 
-def _branch_heads(params: ModelParams, matrices: Sequence[Array], dropout: float, rng) -> tuple[Array, Array]:
+def _branch_heads(params: ModelParams, X: Array, lengths: list[int], dropout: float, rng) -> tuple[Array, Array]:
     """One pass over embedded branches as one batch: logits and variance pre-activations, a row per branch.
 
-    Every branch runs through one lockstep ``nn.lstm_forward`` call, and
-    the ReLU stack and both heads run once on the block of their last
-    outputs. The masks are those of a branch-at-a-time pass, drawn in its
-    order by ``nn.branch_masks``.
+    The branches of ``lengths`` rows sit back to back in ``X``. They run
+    through one lockstep ``nn.lstm_forward`` call, and the ReLU stack and
+    both heads run once on the block of their last outputs. The masks are
+    those of a branch-at-a-time pass, drawn in its order by
+    ``nn.branch_masks``.
     """
     p = params.layers
-    lengths = [len(m) for m in matrices]
-    outputs = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], np.concatenate(matrices), lengths=lengths)
+    outputs = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], X, lengths)
     u = outputs[np.cumsum(lengths) - 1]
     masks = nn.branch_masks(lengths, params.hidden_size, params.num_relu_layers, dropout, rng)
     if masks is not None:
@@ -198,7 +198,7 @@ def forward_branch(
     positive dropout rate masks apply to each LSTM output step and after
     every ReLU layer, drawn in the order ``nn.backward`` draws them in training.
     """
-    logits, var_pre = _branch_heads(params, [vectors], dropout, rng)
+    logits, var_pre = _branch_heads(params, vectors, [len(vectors)], dropout, rng)
     return BranchOutput(logits=logits[0], variance=nn.softplus(var_pre[0]), probs=nn.softmax(logits[0]))
 
 
@@ -364,14 +364,16 @@ def tree_branch_outputs(
 ) -> list[BranchOutput]:
     """One pass over the tree: every branch through the network as one batch.
 
-    The masks and their random numbers are those of a branch-at-a-time
-    pass, in branch order. The logits and variance pre-activations of all
-    branches are checked once; a non-finite one raises the InvalidInput
-    that the first branch holding one would raise alone, naming the tree
-    and that branch's leaf tweet.
+    The branches' tweets are embedded straight into one block, branch
+    after branch in branch order. The masks and their random numbers are
+    those of a branch-at-a-time pass, in branch order. The logits and
+    variance pre-activations of all branches are checked once; a
+    non-finite one raises the InvalidInput that the first branch holding
+    one would raise alone, naming the tree and that branch's leaf tweet.
     """
     branches = decompose_branches(tree)
-    logits, var_pre = _branch_heads(params, [branch_matrix(b, embedder) for b in branches], dropout, rng)
+    X = np.stack([embed_tweet(tw.text, embedder) for b in branches for tw in b.tweets])
+    logits, var_pre = _branch_heads(params, X, [len(b.tweets) for b in branches], dropout, rng)
     try:
         variance, probs = nn.softplus(var_pre), nn.softmax_rows(logits)
     except InvalidInput as exc:

@@ -327,8 +327,6 @@ def lstm_forward(
     weights_h: Array,
     bias: Array,
     inputs: Array,
-    dropout: float = 0.0,
-    rng=None,
     lengths=None,
 ) -> Array:
     """Single-layer LSTM over the rows of ``inputs``; returns one hidden row per input row.
@@ -337,10 +335,8 @@ def lstm_forward(
     the state resets to zero at the start of each one, and they run in
     lockstep (see ``_lstm_recurrence``). Without it the rows are one
     sequence. Gate layout along the 4H axis is input, forget, candidate,
-    output. At a positive dropout rate an inverted-dropout mask (one per
-    row, drawn from rng as one block) is applied to each emitted hidden
-    state; the recurrent path itself stays undropped. Fixed rng seed and
-    inputs give identical outputs.
+    output. No dropout is applied: a pass masks the outputs it keeps with
+    ``branch_masks``.
     """
     Wx, Wh, b = _as_f64(weights_x), _as_f64(weights_h), _as_f64(bias)
     X = _as_f64(inputs)
@@ -358,12 +354,7 @@ def lstm_forward(
         lengths = [operator.index(n) for n in lengths]
         if min(lengths, default=0) < 1 or sum(lengths) != len(X):
             raise ShapeError(f"lstm: lengths must be positive and sum to the {len(X)} input rows, got {lengths}")
-    drops = _drops(dropout)
-    if drops and rng is None:
-        raise ConfigError("lstm: a positive dropout rate needs an rng")
-
-    outputs = _lstm_recurrence(Wx, Wh, b, X, lengths).outputs
-    return outputs * _draw_mask(outputs.shape, dropout, rng) if drops else outputs
+    return _lstm_recurrence(Wx, Wh, b, X, lengths).outputs
 
 
 def layer_shapes(input_dim: int, hidden: int, n_relu: int, n_classes: int, variance_dim: int) -> dict:

@@ -638,10 +638,10 @@ def train_meta(
     """Fit a correct-vs-incorrect meta-classifier on dev-set records.
 
     A hyperparameter outside its range is a ConfigError naming the backend
-    and the key. A non-finite meta feature is an InvalidInput naming the
-    first such record's tree and the feature. A single-class dev set
-    degenerates to a constant predictor, with a warning. A hinge fit that
-    diverges to non-finite weights is an InvalidInput.
+    and the key. The meta features are finite, because a bundle is. A
+    single-class dev set degenerates to a constant predictor, with a
+    warning. A hinge fit that diverges to non-finite weights is an
+    InvalidInput.
     """
     if backend not in ("linear_hinge", "random_forest"):
         raise ConfigError(f"unknown meta backend {backend!r}")
@@ -659,15 +659,6 @@ def train_meta(
             raise ConfigError(f"{backend} hyperparameter {key!r} must be {rule}, got {value!r}")
         hp[key] = value
     X = _feature_matrix(dev_records)
-    if not np.isfinite(X).all():
-        # Only these columns can be non-finite; the one-hot prediction columns follow them.
-        row, col = np.argwhere(~np.isfinite(X))[0]
-        names = ["aleatoric", "variance", "entropy", "variation_ratio"]
-        names += [f"p_{k}" for k in range(dev_records[0].bundle.n_classes)]
-        raise InvalidInput(
-            f"dev record of tree {dev_records[row].tree_id}: meta feature {names[col]} "
-            f"is {float(X[row, col])!r}, not a finite number"
-        )
     y01 = np.asarray([1.0 if r.correct else 0.0 for r in dev_records])
     if len(set(y01.tolist())) == 1:
         warnings.warn(

@@ -9,6 +9,7 @@ scores are computed from the single deterministic prediction.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -221,6 +222,35 @@ class UncertaintyBundle:
     mean_probs: tuple[float, ...]
     predicted_class: int
 
+    def __post_init__(self) -> None:
+        """Refuse an invalid bundle; the InvalidInput's message starts with the field.
+
+        Every measure is finite; ``mean_probs`` holds at least two finite,
+        nonnegative entries that sum to 1 within 1e-6 (entry k is the field
+        ``mean_probs[k]``); ``predicted_class`` is their argmax, lowest index
+        on ties; ``variation_ratio`` is in [0, 1].
+        """
+        for m in MEASURE_TABLE:
+            value = getattr(self, m.field)
+            if not math.isfinite(value):
+                raise InvalidInput(f"{m.field}: {value!r} is not a finite number")
+        probs = self.mean_probs
+        if len(probs) < 2:
+            raise InvalidInput(f"mean_probs: needs at least two classes, got {len(probs)}")
+        for k, p in enumerate(probs):
+            if not math.isfinite(p):
+                raise InvalidInput(f"mean_probs[{k}]: {p!r} is not a finite number")
+            if p < 0.0:
+                raise InvalidInput(f"mean_probs[{k}]: negative probability {p!r}")
+        total = sum(probs)
+        if abs(total - 1.0) > 1e-6:
+            raise InvalidInput(f"mean_probs: probabilities sum to {total!r}, not 1")
+        argmax = max(range(len(probs)), key=probs.__getitem__)
+        if self.predicted_class != argmax:
+            raise InvalidInput(f"predicted_class: {self.predicted_class!r} is not the argmax {argmax} of mean_probs")
+        if not 0.0 <= self.variation_ratio <= 1.0:
+            raise InvalidInput(f"variation_ratio: {self.variation_ratio!r} is not in [0, 1]")
+
     @property
     def n_classes(self) -> int:
         return len(self.mean_probs)
@@ -235,10 +265,13 @@ def bundle(
     seed: int = 0,
     branch_level: bool = False,
 ) -> UncertaintyBundle:
-    """One deterministic pass plus one MC-dropout pass, all measures filled.
+    """Every measure of one tree from S+2 passes: two dropout-free, S with MC dropout.
+
+    ``predict_tree`` and ``aleatoric_score`` each run the dropout-free
+    pass, and ``mc_sample`` runs one pass per sample.
 
     ``branch_level`` switches the epistemic measures to per-branch sampling
-    with the per-branch values averaged.
+    (S passes over each branch) with the per-branch values averaged.
     """
     det_probs, det_class = predict_tree(params, tree, embedder)
     if branch_level:

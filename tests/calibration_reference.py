@@ -1,10 +1,11 @@
 """The calibration report as it was before it mapped and binned arrays.
 
 ``to_confidence`` maps one bundle with Python floats, ``confidence_records``
-maps record by record, and ``reliability_bins``, ``ece`` and
-``fit_histogram_binning`` bin one record at a time with ``bin_index``:
-the per-record loops the library replaced. The library must give the same
-bits, so the property tests compare the ``repr`` of every float.
+maps record by record, and ``reliability_bins``, ``ece``,
+``fit_histogram_binning`` and ``calibrate_records`` bin one record at a
+time with the scalar ``bin_index``: the per-record loops the library
+replaced. The library must give the same bits, so the property tests
+compare the ``repr`` of every float.
 """
 
 from __future__ import annotations
@@ -18,11 +19,17 @@ from veritas.calibration import (
     CalibrationReport,
     ConfidenceRecord,
     aleatoric_stats,
-    bin_index,
-    calibrate_records,
 )
 from veritas.errors import ConfigError, DataWarning
 from veritas.uncertainty import measure_spec, uncertainty_value
+
+
+def bin_index(confidence, n_bins):
+    if n_bins < 1:
+        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+    if confidence <= 0.0:
+        return 1
+    return min(n_bins, math.ceil(confidence * n_bins))
 
 
 def to_confidence(bundle, measure, stats=None):
@@ -87,6 +94,13 @@ def fit_histogram_binning(dev_records, n_bins=10):
         else:
             calibrated.append(stats.accuracy)
     return CalibrationMap(n_bins=n_bins, calibrated=tuple(calibrated), dev_counts=tuple(b.count for b in bins))
+
+
+def calibrate_records(cal_map, records):
+    return [
+        ConfidenceRecord(confidence=cal_map.calibrated[bin_index(r.confidence, cal_map.n_bins) - 1], correct=r.correct)
+        for r in records
+    ]
 
 
 def calibration_report(dev_records, test_records, measure, n_bins=10):

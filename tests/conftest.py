@@ -41,7 +41,12 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-4) -> f
 
 
 def bundle_with(**overrides) -> UncertaintyBundle:
-    """An UncertaintyBundle with benign defaults, selected fields overridden."""
+    """An UncertaintyBundle with benign defaults, selected fields overridden.
+
+    The two prediction fields are derived from each other when only one is
+    given: ``mean_probs`` is one-hot on ``predicted_class`` over three
+    classes, and ``predicted_class`` is the argmax of ``mean_probs``.
+    """
     fields = dict(
         variation_ratio=0.0,
         entropy=0.0,
@@ -51,10 +56,12 @@ def bundle_with(**overrides) -> UncertaintyBundle:
         softmax_margin=1.0,
         softmax_ratio=0.0,
         softmax_entropy=0.0,
-        mean_probs=(1.0, 0.0, 0.0),
-        predicted_class=0,
     )
     fields.update(overrides)
+    if "mean_probs" not in fields:
+        fields["mean_probs"] = tuple(float(k == fields.get("predicted_class", 0)) for k in range(3))
+    if "predicted_class" not in fields:
+        fields["predicted_class"] = int(np.argmax(fields["mean_probs"]))
     return UncertaintyBundle(**fields)
 
 

@@ -54,7 +54,10 @@ def dropout_forward(x, rate, rng=None):
 def forward_branch(params, vectors, dropout=0.0, rng=None):
     """(hidden, logits, variance, probs) of one branch through the dense-op chain."""
     p = params.layers
-    u = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], vectors, dropout, rng)[-1]
+    outputs = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], vectors)
+    if nn._drops(dropout):
+        outputs = outputs * nn._draw_mask(outputs.shape, dropout, rng)
+    u = outputs[-1]
     for i in range(params.num_relu_layers):
         u = nn.dense_forward(p[f"relu{i}.w"], p[f"relu{i}.b"], u, "relu")
         u = dropout_forward(u, dropout, rng)

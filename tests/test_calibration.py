@@ -127,6 +127,17 @@ class TestBinIndex:
         with pytest.raises(ConfigError):
             bin_index(0.5, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_confidence_is_invalid_input(self, bad):
+        cal = CalibrationMap(n_bins=2, calibrated=(0.25, 0.75), dev_counts=(1, 1))
+        for call in (
+            lambda: bin_index(bad, 10),
+            lambda: apply_calibration(cal, bad),
+            lambda: apply_calibration(cal, [0.5, bad]),
+        ):
+            with pytest.raises(InvalidInput, match=rf"confidence must be a finite number, got {bad!r}"):
+                call()
+
 
 # ---------------------------------------------------------------------------
 # ece

@@ -1,5 +1,6 @@
 """Cross-validation, record CSVs and timeline reports."""
 
+import re
 import warnings
 
 import numpy as np
@@ -33,7 +34,7 @@ from veritas import (
 from veritas.data import CANONICAL_LABELS, timeline_prefixes
 from veritas.harness import _score_trees, records_header
 from veritas.uncertainty import MEASURE_TABLE, UncertaintyBundle, UncertaintyConfig
-from veritas.errors import ConfigError, DataError, DataWarning
+from veritas.errors import ConfigError, DataError, DataWarning, InvalidInput
 
 CLASSES = ("true", "false", "unverified")
 
@@ -219,8 +220,9 @@ class TestRecordsCsv:
             ({"p_1": "inf"}, "column p_1"),
             ({"p_0": "-0.1", "p_1": "0.8", "p_2": "0.3"}, "column p_0"),
             ({"p_0": "0.8", "p_1": "0.3", "p_2": "0.1"}, "columns p_0..p_2"),
+            ({"vr": "1.5"}, "column vr"),
         ],
-        ids=["nan_measure", "inf_probability", "negative_probability", "sum_not_one"],
+        ids=["nan_measure", "inf_probability", "negative_probability", "sum_not_one", "vr_above_one"],
     )
     def test_bad_value_names_file_line_and_column(self, tmp_path, cells, column):
         path = tmp_path / "records.csv"
@@ -234,39 +236,32 @@ class TestRecordsCsv:
 
 
 @pytest.mark.parametrize(
-    "overrides, column",
+    "overrides, field",
     [
-        ({"variation_ratio": float("nan")}, "vr"),
+        ({"variation_ratio": float("nan")}, "variation_ratio"),
         ({"aleatoric": float("inf")}, "aleatoric"),
-        ({"mean_probs": (0.5, float("nan"), 0.5)}, "p_1"),
+        ({"mean_probs": (0.5, float("nan"), 0.5)}, "mean_probs[1]"),
     ],
     ids=["nan_measure", "inf_measure", "nan_probability"],
 )
-def test_writers_refuse_non_finite_cells(tmp_path, overrides, column):
-    path = tmp_path / "records.csv"
-    records = [record_with("a"), record_with("b", **overrides)]
-    with pytest.raises(DataError, match=f"tree b: column {column}: "):
-        write_records_csv(records, path)
-    assert not path.exists()
-    steps = tuple(
-        TimelineStep(n_tweets=i + 1, predicted_class=0, bundle=r.bundle, added_stance=None)
-        for i, r in enumerate(records)
-    )
-    with pytest.raises(DataError, match=f"tree t, step 1: column {column}: "):
-        timeline_to_csv(TimelineSeries(tree_id="t", steps=steps))
+def test_writers_refuse_non_finite_cells(overrides, field):
+    # The bundle refuses the value, so no record or timeline step can carry it to a writer.
+    with pytest.raises(InvalidInput, match=rf"^{re.escape(field)}: "):
+        record_with("b", **overrides)
 
 
-def _finite_bundles(n_classes: int):
+def _valid_bundles(n_classes: int):
     finite = st.floats(allow_nan=False, allow_infinity=False)
     weights = st.lists(st.floats(0.0, 1.0), min_size=n_classes, max_size=n_classes)
 
-    def build(values, raw):
+    def build(values, vr, raw):
         probs = tuple(float(w) for w in np.asarray(raw) / sum(raw))
         fields = {m.field: v for m, v in zip(MEASURE_TABLE, values)}
+        fields["variation_ratio"] = vr
         return UncertaintyBundle(**fields, mean_probs=probs, predicted_class=int(np.argmax(probs)))
 
     values = st.lists(finite, min_size=len(MEASURE_TABLE), max_size=len(MEASURE_TABLE))
-    return st.builds(build, values, weights.filter(lambda w: sum(w) > 0.0))
+    return st.builds(build, values, st.floats(0.0, 1.0), weights.filter(lambda w: sum(w) > 0.0))
 
 
 @st.composite
@@ -277,7 +272,7 @@ def _record_lists(draw):
     for i in range(draw(st.integers(1, 4))):
         records.append(
             make_record(
-                f"t{i}", draw(labels), draw(labels), draw(_finite_bundles(n_classes)), draw(st.integers(0, 9))
+                f"t{i}", draw(labels), draw(labels), draw(_valid_bundles(n_classes)), draw(st.integers(0, 9))
             )
         )
     return records

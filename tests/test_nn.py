@@ -156,15 +156,6 @@ class TestLstm:
         )
         np.testing.assert_array_equal(out, np.zeros((5, hidden)))
 
-    def test_dropout_deterministic_per_seed(self, rng):
-        Wx = rng.normal(size=(8, 3))
-        Wh = rng.normal(size=(8, 2))
-        b = rng.normal(size=8)
-        X = rng.normal(size=(4, 3))
-        a = nn.lstm_forward(Wx, Wh, b, X, 0.5, nn.make_rng(9))
-        b_ = nn.lstm_forward(Wx, Wh, b, X, 0.5, nn.make_rng(9))
-        np.testing.assert_array_equal(a, b_)
-
     def test_matches_scalar_loop_oracle(self, rng):
         hidden, dim, steps = 4, 3, 3
         Wx = rng.normal(size=(4 * hidden, dim))
@@ -180,11 +171,6 @@ class TestLstm:
             nn.lstm_forward(np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(7), np.zeros((3, 2)))
         with pytest.raises(ShapeError):
             nn.lstm_forward(np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(8), np.zeros((0, 2)))
-        with pytest.raises(ConfigError):
-            nn.lstm_forward(
-                np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(8), np.zeros((3, 2)),
-                0.5, rng=None,
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +204,6 @@ class TestDropout:
         p = params.layers
         for rate in (1.0, -0.1):
             calls = (
-                lambda: nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], vectors, rate, nn.make_rng(0)),
                 lambda: nn.backward(p, vectors, target, rate, nn.make_rng(0), 2, 1.0, 0.2),
                 lambda: forward_branch(params, vectors, rate, nn.make_rng(0)),
                 lambda: mc_sample(params, tree, emb, 2, rate),

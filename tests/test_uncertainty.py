@@ -1,9 +1,11 @@
 """MC-dropout sampling, reductions, softmax scores and bundles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from conftest import bundle_with
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_model import chain_tree, separable_corpus
@@ -30,7 +32,7 @@ from veritas import (
 from veritas.data import branch_matrix, decompose_branches
 from veritas.errors import ConfigError, InvalidInput
 from veritas.nn import child_rng
-from veritas.uncertainty import MEASURES, aleatoric_score
+from veritas.uncertainty import MEASURE_TABLE, MEASURES, aleatoric_score
 
 
 def sample_set(rows):
@@ -344,14 +346,46 @@ class TestBundle:
             assert b.predicted_class == int(np.argmax(b.mean_probs))
 
 
+# Each case is a value no bundle may hold and the field its InvalidInput
+# names. variation_ratio=nan is the record that once reached the rejection
+# ranking: of four records with variation ratios 0.0, NaN, 0.2 and 0.3, a cut
+# at retain 0.5 removed the NaN one and the most certain one.
+INVALID_BUNDLES = [({m.field: v}, m.field) for m in MEASURE_TABLE for v in (math.nan, math.inf, -math.inf)] + [
+    ({"variation_ratio": 1.5}, "variation_ratio"),
+    ({"variation_ratio": -0.25}, "variation_ratio"),
+    ({"mean_probs": (0.5, math.nan, 0.5)}, "mean_probs[1]"),
+    ({"mean_probs": (math.inf, 0.0)}, "mean_probs[0]"),
+    ({"mean_probs": (1.25, -0.25)}, "mean_probs[1]"),
+    ({"mean_probs": (0.75, 0.5)}, "mean_probs"),
+    ({"mean_probs": (1.0,)}, "mean_probs"),
+    ({"mean_probs": (), "predicted_class": 0}, "mean_probs"),
+    ({"mean_probs": (1.0, 0.0, 0.0), "predicted_class": 1}, "predicted_class"),
+    ({"mean_probs": (0.25, 0.375, 0.375), "predicted_class": 2}, "predicted_class"),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    INVALID_BUNDLES,
+    ids=["-".join(f"{k}={v}" for k, v in o.items()) for o, _ in INVALID_BUNDLES],
+)
+def test_invalid_bundle_raises_naming_the_field(overrides, field):
+    with pytest.raises(InvalidInput, match=rf"^{re.escape(field)}: "):
+        bundle_with(**overrides)
+
+
+def test_bundle_accepts_the_edges_of_each_rule():
+    bundle_with(variation_ratio=0.0, mean_probs=(0.5, 0.5), predicted_class=0)
+    bundle_with(variation_ratio=1.0, mean_probs=(0.0, 1.0 + 1e-7), predicted_class=1)
+    bundle_with(mean_probs=(-0.0, 1.0 - 1e-7, 0.0), aleatoric=-1e300, entropy=1e300)
+
+
 # ---------------------------------------------------------------------------
 # measure ranking values
 
 
 class TestUncertaintyValue:
     def _bundle(self, **kw):
-        from conftest import bundle_with
-
         return bundle_with(**kw)
 
     def test_uncertainty_measures_pass_through(self):
