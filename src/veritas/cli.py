@@ -69,6 +69,12 @@ def _build(cls, raw: dict, what: str):
         return cls(**raw)
     except TypeError as exc:
         raise ConfigError(f"invalid {what} options: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+# The top-level keys of a ``train --config`` document.
+TRAIN_CONFIG_KEYS = ("model", "uncertainty", "embedder", "classes")
 
 
 def _classes_for(n_classes: int) -> tuple[str, ...]:
@@ -92,6 +98,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     trees = load_dataset(args.data)
     folds = FoldSpec.load(args.folds)
     raw = _load_json_arg(args.config, "config")
+    unknown = sorted(set(raw) - set(TRAIN_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; the known keys are {list(TRAIN_CONFIG_KEYS)}")
     config = _build(TrainingConfig, raw.get("model", {}), "model")
     uq = _build(UncertaintyConfig, raw.get("uncertainty", {}), "uncertainty")
     emb_raw = raw.get("embedder", {})
@@ -159,6 +168,8 @@ def _print_cut(measure: str, records, fraction: float, retained, classes) -> Non
 
 
 def _cmd_reject(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     records = read_records_csv(args.records)
     if not records:
         raise DataError(f"no records in {args.records}")

@@ -2,8 +2,9 @@
 prefixes, cross-validation folds, tokenisation and tweet embedding.
 
 A dataset file is JSON Lines with one conversation tree per line. Trees are
-immutable once loaded; every derived view (branches, prefixes) is a fresh
-object.
+immutable once loaded, so a tree computes its branch decomposition once and
+keeps it; every derived view a caller gets (a branch list, prefixes) is a
+fresh object.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +59,22 @@ class ConversationTree:
     @property
     def size(self) -> int:
         return len(self.tweets)
+
+    @cached_property
+    def _branches(self) -> tuple[Branch, ...]:
+        """The branch decomposition, computed on first use and kept with the tree."""
+        by_id = {tw.id: tw for tw in self.tweets}
+        parents = {tw.parent_id for tw in self.tweets}
+        leaves = sorted((tw for tw in self.tweets if tw.id not in parents), key=lambda t: (t.timestamp, t.id))
+        branches = []
+        for leaf in leaves:
+            path = [leaf]
+            node = leaf
+            while node.parent_id is not None:
+                node = by_id[node.parent_id]
+                path.append(node)
+            branches.append(Branch(tree_id=self.tree_id, tweets=tuple(reversed(path))))
+        return tuple(branches)
 
 
 def validate_tree(tree: ConversationTree) -> None:
@@ -197,20 +215,12 @@ class Branch:
 
 
 def decompose_branches(tree: ConversationTree) -> list[Branch]:
-    """One root-to-leaf branch per leaf, ordered by (leaf timestamp, leaf id)."""
-    by_id = {tw.id: tw for tw in tree.tweets}
-    parents = {tw.parent_id for tw in tree.tweets}
-    leaves = [tw for tw in tree.tweets if tw.id not in parents]
-    leaves.sort(key=lambda t: (t.timestamp, t.id))
-    branches = []
-    for leaf in leaves:
-        path = [leaf]
-        node = leaf
-        while node.parent_id is not None:
-            node = by_id[node.parent_id]
-            path.append(node)
-        branches.append(Branch(tree_id=tree.tree_id, tweets=tuple(reversed(path))))
-    return branches
+    """One root-to-leaf branch per leaf, ordered by (leaf timestamp, leaf id).
+
+    The tree works the branches out on the first call and keeps them; every
+    call returns a fresh list of the same frozen ``Branch`` objects.
+    """
+    return list(tree._branches)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +320,10 @@ def make_folds(trees, scheme: str, k: int | None = None, seed: int = 0, dev_fold
 
     ``leave_one_event_out`` gives one fold per event (fold index by sorted
     event name); ``k_fold`` shuffles tree ids with the seed and deals them
-    round-robin.
+    round-robin. A negative seed is a ConfigError.
     """
+    if seed < 0:
+        raise ConfigError(f"fold seed must be >= 0, got {seed}")
     if scheme == "leave_one_event_out":
         events = sorted({t.event for t in trees})
         if len(events) < 2:
@@ -387,6 +399,8 @@ class HashingEmbedder:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ConfigError(f"embedder dimension must be >= 1, got {self.dimension}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError(f"embedder seed must be in [0, 2**64), got {self.seed}")
         object.__setattr__(self, "_vectors", {})
         object.__setattr__(self, "_texts", {})
 

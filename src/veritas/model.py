@@ -14,11 +14,18 @@ runs all of the tree's branches as one batch: their tweets embedded into
 one block, one lockstep ``nn.lstm_forward`` call with the branch
 ``lengths``, then ``nn.head_forward`` on the block of last outputs, with
 the masks a branch-at-a-time pass would draw (``nn.branch_masks``) and
-one finiteness check for the whole block. ``forward_branch`` is that pass over one branch.
+one finiteness check for the logits and variance pre-activations together
+(``nn.head_distributions``). ``forward_branch`` is that pass over one branch.
+
+A bundle's passes differ only in their masks: the branches are decomposed
+once per tree (the tree keeps them) and planned once per shape (``nn`` and
+``_last_rows``), while every pass embeds each branch row, runs the LSTM and
+the heads and draws its whole mask block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -164,10 +171,11 @@ class BranchOutput:
 
     @property
     def variance_value(self) -> float:
-        return float(np.mean(self.variance))
+        # np.mean's own sum and division, without its dispatch cost.
+        return float(np.add.reduce(self.variance)) / self.variance.size
 
 
-def _branch_heads(params: ModelParams, X: Array, lengths: list[int], dropout: float, rng) -> tuple[Array, Array]:
+def _branch_heads(params: ModelParams, X: Array, lengths: tuple[int, ...], dropout: float, rng) -> tuple[Array, Array]:
     """One pass over embedded branches as one batch: logits and variance pre-activations, a row per branch.
 
     The branches of ``lengths`` rows sit back to back in ``X``. They run
@@ -178,12 +186,38 @@ def _branch_heads(params: ModelParams, X: Array, lengths: list[int], dropout: fl
     """
     p = params.layers
     outputs = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], X, lengths)
-    u = outputs[np.cumsum(lengths) - 1]
+    u = outputs[_last_rows(lengths)]
     masks = nn.branch_masks(lengths, params.hidden_size, params.num_relu_layers, dropout, rng)
     if masks is not None:
         u *= masks[:, 0]
     _, _, logits, var_pre = nn.head_forward(p, u, None if masks is None else masks[:, 1:])
     return logits, var_pre
+
+
+@functools.lru_cache(maxsize=nn._SHAPE_CACHE)
+def _last_rows(lengths: tuple[int, ...]) -> Array:
+    """The read-only input row of each branch's last tweet, worked out once per shape."""
+    rows = np.cumsum(lengths) - 1
+    rows.flags.writeable = False
+    return rows
+
+
+def _branch_outputs(logits: Array, var_pre: Array, where) -> list[BranchOutput]:
+    """One ``BranchOutput`` per row of the heads' blocks, checked once for finiteness.
+
+    A non-finite row raises the InvalidInput that its branch would raise
+    alone (its variance is checked before its logits), for the first such
+    row j, prefixed with ``where(j)``.
+    """
+    distributions = nn.head_distributions(logits, var_pre)
+    if distributions is None:
+        first = int(np.argmin(np.isfinite(var_pre).all(axis=1) & np.isfinite(logits).all(axis=1)))
+        try:
+            nn.softplus(var_pre[first])
+            nn.softmax(logits[first])
+        except InvalidInput as exc:
+            raise InvalidInput(f"{where(first)}{exc}") from exc
+    return [BranchOutput(*row) for row in zip(logits, *distributions)]
 
 
 def forward_branch(
@@ -198,8 +232,8 @@ def forward_branch(
     positive dropout rate masks apply to each LSTM output step and after
     every ReLU layer, drawn in the order ``nn.backward`` draws them in training.
     """
-    logits, var_pre = _branch_heads(params, vectors, [len(vectors)], dropout, rng)
-    return BranchOutput(logits=logits[0], variance=nn.softplus(var_pre[0]), probs=nn.softmax(logits[0]))
+    logits, var_pre = _branch_heads(params, vectors, (len(vectors),), dropout, rng)
+    return _branch_outputs(logits, var_pre, lambda j: "")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +270,8 @@ class TrainingConfig:
             raise ConfigError("loss weights must be nonnegative")
         if self.ce_weight == 0 and self.aleatoric_weight == 0:
             raise ConfigError("at least one loss weight must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -372,20 +408,11 @@ def tree_branch_outputs(
     one would raise alone, naming the tree and that branch's leaf tweet.
     """
     branches = decompose_branches(tree)
-    X = np.stack([embed_tweet(tw.text, embedder) for b in branches for tw in b.tweets])
-    logits, var_pre = _branch_heads(params, X, [len(b.tweets) for b in branches], dropout, rng)
-    try:
-        variance, probs = nn.softplus(var_pre), nn.softmax_rows(logits)
-    except InvalidInput as exc:
-        first = int(np.argmin(np.isfinite(var_pre).all(axis=1) & np.isfinite(logits).all(axis=1)))
-        try:  # the error of that branch on its own: its variance is checked before its logits
-            nn.softplus(var_pre[first])
-            nn.softmax(logits[first])
-        except InvalidInput as branch_error:
-            exc = branch_error
-        leaf = branches[first].tweets[-1].id
-        raise InvalidInput(f"tree {tree.tree_id}, branch ending at tweet {leaf}: {exc}") from exc
-    return [BranchOutput(*row) for row in zip(logits, variance, probs)]
+    X = np.array([embed_tweet(tw.text, embedder) for b in branches for tw in b.tweets])
+    logits, var_pre = _branch_heads(params, X, tuple(len(b.tweets) for b in branches), dropout, rng)
+    return _branch_outputs(
+        logits, var_pre, lambda j: f"tree {tree.tree_id}, branch ending at tweet {branches[j].tweets[-1].id}: "
+    )
 
 
 def tree_probs(
@@ -397,7 +424,8 @@ def tree_probs(
 ) -> Array:
     """Mean of the branch softmax vectors."""
     outputs = tree_branch_outputs(params, tree, embedder, dropout, rng)
-    return np.mean([out.probs for out in outputs], axis=0)
+    # np.mean's own reduction and division, without its dispatch cost.
+    return np.add.reduce(np.array([out.probs for out in outputs]), axis=0) / len(outputs)
 
 
 def predict_tree(params: ModelParams, tree: ConversationTree, embedder) -> tuple[Array, int]:

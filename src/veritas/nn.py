@@ -23,6 +23,11 @@ A one-row product rounds as the matrix-vector product does, so a single
 branch, and so training, gets the bits of a branch-at-a-time loop; a
 block of several rows rounds as a matrix product.
 
+The lockstep plan (``_lockstep_plan``) and the mask rows that reach the
+heads (``_mask_rows``) depend only on the branch lengths, so they are
+worked out once per shape, in bounded caches of read-only arrays. A pass
+still draws its whole mask block but compares and scales only those rows.
+
 A training step is well over a hundred numpy calls on arrays of 3 to 128
 values, so Python dispatch outweighs the arithmetic. ``backward`` therefore
 builds no ``(steps, H)`` hidden-state gradient and no masked copy of one:
@@ -36,11 +41,12 @@ onto +0.0, which clears a zero's sign.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, InvalidInput, ShapeError
@@ -56,16 +62,34 @@ LOG_FLOOR = 1e-12
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(int(seed))
+    """The generator ``np.random.default_rng(seed)`` gives; a negative seed is a ConfigError."""
+    seed = int(seed)
+    if seed < 0:
+        raise ConfigError(f"random seeds must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def child_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Independent generator for (seed, stream...).
+    """Independent generator for (seed, stream...), the one ``np.random.default_rng([seed, *stream])`` gives.
 
     Derived streams do not depend on draw order elsewhere, so per-sample or
-    per-fold work stays deterministic under any scheduling.
+    per-fold work stays deterministic under any scheduling. ``_seed_words``
+    keeps each key int's uint32 words, so a tree's seed is split once for all
+    of its samples. A negative int in the key is a ConfigError.
     """
-    return np.random.default_rng([int(seed), *(int(s) for s in stream)])
+    words = [w for n in (seed, *stream) for w in _seed_words(int(n))]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
+
+
+@functools.lru_cache(maxsize=1024)
+def _seed_words(n: int) -> tuple[int, ...]:
+    """The uint32 words numpy's ``SeedSequence`` makes of a nonnegative int: least significant first, (0,) for 0."""
+    if n < 0:
+        raise ConfigError(f"random seeds must be nonnegative, got {n}")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return tuple(words)
 
 
 # ---------------------------------------------------------------------------
@@ -81,20 +105,16 @@ def sigmoid(x: Array) -> Array:
 
 def softmax(logits: Array) -> Array:
     """Softmax of a nonempty vector."""
-    return _softmax(logits, 1)
-
-
-def softmax_rows(logits: Array) -> Array:
-    """Softmax of each row of a nonempty 2-D block, checked once for the whole block."""
-    return _softmax(logits, 2)
-
-
-def _softmax(logits: Array, ndim: int) -> Array:
     v = np.asarray(logits, dtype=np.float64)
-    if v.ndim != ndim or v.size == 0:
-        raise ShapeError(f"softmax expects a nonempty {('vector', '2-D block')[ndim - 1]}, got shape {v.shape}")
+    if v.ndim != 1 or v.size == 0:
+        raise ShapeError(f"softmax expects a nonempty vector, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise InvalidInput("softmax: logits must be finite")
+    return _softmax_kernel(v)
+
+
+def _softmax_kernel(v: Array) -> Array:
+    """Softmax along the last axis, unchecked."""
     e = np.exp(v - v.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -104,11 +124,27 @@ def softplus(x):
     arr = np.asarray(x, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise InvalidInput("softplus: input must be finite")
+    out = _softplus_kernel(arr)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _softplus_kernel(arr: Array) -> Array:
     # log1p(exp(x)) for x <= 0, x + log1p(exp(-x)) for x > 0; both share
     # log1p(exp(-|x|)) so the exp argument never overflows.
     tail = np.log1p(np.exp(-np.abs(arr)))
-    out = np.where(arr > 0, arr + tail, tail)
-    return float(out) if arr.ndim == 0 else out
+    return np.where(arr > 0, arr + tail, tail)
+
+
+def head_distributions(logits: Array, var_pre: Array) -> tuple[Array, Array] | None:
+    """``softplus`` of the variance pre-activations and ``softmax`` of each logits row, a row per branch.
+
+    One finiteness check covers both blocks. None when any entry is not
+    finite: the caller then finds the branch, and ``softplus`` and
+    ``softmax`` on its rows give the error.
+    """
+    if not (np.isfinite(logits).all() and np.isfinite(var_pre).all()):
+        return None
+    return _softplus_kernel(var_pre), _softmax_kernel(logits)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +158,12 @@ def _drops(rate: float) -> bool:
     return rate > 0.0
 
 
-def _draw_mask(shape, rate: float, rng) -> Array:
+def _draw_mask(shape, rate: float, rng, rows=slice(None)) -> Array:
+    """An inverted-dropout mask from one ``rng.random(shape)`` block, made only of its ``rows``."""
     # Inverted dropout: survivors are scaled by 1/(1-rate) so the expected
     # activation is unchanged and no rescaling is needed at test time.
     keep = 1.0 - rate
-    return (rng.random(shape) >= rate) / keep
+    return (rng.random(shape)[rows] >= rate) / keep
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +193,7 @@ def dense_forward(weights: Array, bias: Array, x: Array, activation: str = "line
     return np.maximum(z, 0.0) if activation == "relu" else z
 
 
-@dataclass(frozen=True)
-class _LSTMStates:
+class _LSTMStates(NamedTuple):
     """What the LSTM backward needs from the forward recurrence.
 
     The rows are step-major: step 0 of every sequence, then step 1 of the
@@ -211,57 +247,71 @@ def _lstm_step(a: Array, c_prev: Array, s: Array, c: Array, tc: Array, h: Array)
     np.multiply(s[..., 3 * hidden :], tc, out=h)
 
 
-def _lockstep_plan(lengths: list[int]) -> tuple[int, Array, list[int]]:
-    """Sequence count, step-major row order and step bounds of back-to-back sequences.
+# Most shapes (branch-length tuples) whose lockstep plan, and whose mask
+# rows, are kept. A bundle's passes share one shape, so even a few entries
+# serve all but its first pass.
+_SHAPE_CACHE = 1024
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _lockstep_plan(lengths: tuple[int, ...]) -> tuple[int, Array | None, tuple]:
+    """Sequence count, step-major row order and per-step rows of back-to-back sequences.
 
     Sequences are taken longest first (ties in input order), so the ones
     still running at every step are a prefix of those running at the step
-    before. Step t covers step rows ``bounds[t]:bounds[t + 1]``, and
-    ``order`` gives each step row's input row.
+    before. ``order`` gives each step row's input row, read-only, or is None
+    for one sequence, whose rows are in step order already. Each step holds
+    the index of its step rows, of the state rows entering it and of those
+    leaving it: slices, or ints when one sequence runs, whose vector ops
+    cost less than blocks'. The state arrays hold each sequence's zero state,
+    then the states leaving each step.
     """
-    by_length = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    k = len(lengths)
+    by_length = sorted(range(k), key=lengths.__getitem__, reverse=True)
     starts = list(itertools.accumulate(lengths, initial=0))
-    order, bounds = [], [0]
+    order, steps, entering = [], [], 0
     for t in range(lengths[by_length[0]]):
+        lo = len(order)
         order += [starts[j] + t for j in by_length if lengths[j] > t]
-        bounds.append(len(order))
-    return len(lengths), np.array(order), bounds
+        hi = len(order)
+        if hi - lo == 1:
+            steps.append((lo, entering, k + lo))
+        else:
+            steps.append((slice(lo, hi), slice(entering, entering + hi - lo), slice(k + lo, k + hi)))
+        entering = k + lo
+    if k == 1:
+        return 1, None, tuple(steps)
+    order = np.array(order)
+    order.flags.writeable = False
+    return k, order, tuple(steps)
 
 
-def _lstm_recurrence(Wx: Array, Wh: Array, b: Array, X: Array, lengths: list[int] | None = None) -> _LSTMStates:
+def _lstm_recurrence(Wx: Array, Wh: Array, b: Array, X: Array, lengths: tuple[int, ...] | None = None) -> _LSTMStates:
     """Run the LSTM recurrence over the rows of X (shapes already checked).
 
     ``lengths`` splits X into sequences that sit back to back, each
     starting from the zero state; None is one sequence. The sequences run
-    in lockstep: each step is one ``rows @ Wx.T`` and one ``h @ Wh.T``
-    over the sequences still running, then ``_lstm_step`` on all of them,
-    writing in place into the preallocated state arrays. A one-row product
-    rounds as the matrix-vector product ``Wx @ x`` does, so one sequence
-    gets the bits of a plain per-step loop; a block of rows is a matrix
-    product, which rounds differently.
+    in lockstep by ``_lockstep_plan``: each step is one ``rows @ Wx.T`` and
+    one ``h @ Wh.T`` over the sequences still running, then ``_lstm_step``
+    on all of them, writing in place into the preallocated state arrays. A
+    one-row product rounds as the matrix-vector product ``Wx @ x`` does, so
+    one sequence gets the bits of a plain per-step loop; a block of rows is
+    a matrix product, which rounds differently.
     """
-    steps, hidden = X.shape[0], Wh.shape[1]
-    if lengths is None:
-        k, order, bounds = 1, None, range(steps + 1)
-    else:
-        k, order, bounds = _lockstep_plan(lengths)
+    rows, hidden = X.shape[0], Wh.shape[1]
+    k, order, steps = _lockstep_plan((rows,) if lengths is None else lengths)
+    if order is not None:
         X = X[order]
-    acts = np.empty((steps, 4 * hidden))
-    cells = np.zeros((k + steps, hidden))
-    hiddens = np.zeros((k + steps, hidden))
-    tanh_cells = np.empty((steps, hidden))
+    acts = np.empty((rows, 4 * hidden))
+    cells = np.zeros((k + rows, hidden))
+    hiddens = np.zeros((k + rows, hidden))
+    tanh_cells = np.empty((rows, hidden))
     wx_t, wh_t = Wx.T, Wh.T
-    prev = 0  # first state row entering the step
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi - lo == 1:  # one sequence running: its rows as vectors, whose ops cost less than blocks'
-            rows, entering, leaving = lo, prev, k + lo
-        else:
-            rows, entering, leaving = slice(lo, hi), slice(prev, prev + hi - lo), slice(k + lo, k + hi)
-        a = X[rows] @ wx_t
+    for step_rows, entering, leaving in steps:
+        a = X[step_rows] @ wx_t
         a += hiddens[entering] @ wh_t
         a += b
-        _lstm_step(a, cells[entering], acts[rows], cells[leaving], tanh_cells[rows], hiddens[leaving])
-        prev = k + lo
+        _lstm_step(a, cells[entering], acts[step_rows], cells[leaving], tanh_cells[step_rows], hiddens[leaving])
     return _LSTMStates(acts, cells, hiddens, tanh_cells, order)
 
 
@@ -351,7 +401,7 @@ def lstm_forward(
     if Wh.shape != (four_h, hidden):
         raise ShapeError(f"lstm: recurrent weights {Wh.shape} do not match hidden size {hidden}")
     if lengths is not None:
-        lengths = [operator.index(n) for n in lengths]
+        lengths = tuple(map(operator.index, lengths))
         if min(lengths, default=0) < 1 or sum(lengths) != len(X):
             raise ShapeError(f"lstm: lengths must be positive and sum to the {len(X)} input rows, got {lengths}")
     return _lstm_recurrence(Wx, Wh, b, X, lengths).outputs
@@ -382,17 +432,29 @@ def branch_masks(lengths, hidden: int, n_relu: int, rate: float, rng) -> Array |
     one for each ReLU layer's output, all from one ``rng.random`` block in
     that order. Only the masks that reach the heads are returned: entry
     ``[j, 0]`` masks branch j's last LSTM output and ``[j, 1 + i]`` the
-    output of its ReLU layer i.
+    output of its ReLU layer i. The whole block is drawn, so the stream
+    moves on as before, but only those rows become masks; which rows they
+    are is worked out once per shape (``_mask_rows``).
     """
     if not _drops(rate):
         return None
     if rng is None:
         raise ConfigError("dropout: a positive dropout rate needs an rng")
+    lengths = tuple(lengths)
+    rows, end = _mask_rows(lengths, n_relu)
+    return _draw_mask((end, hidden), rate, rng, rows).reshape(len(lengths), n_relu + 1, hidden)
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _mask_rows(lengths: tuple[int, ...], n_relu: int) -> tuple[Array, int]:
+    """The read-only rows of a pass's mask block that reach the heads, and the block's row count."""
     rows, end = [], 0
     for steps in lengths:
         end += steps + n_relu
         rows += range(end - n_relu - 1, end)
-    return _draw_mask((end, hidden), rate, rng)[rows].reshape(len(lengths), n_relu + 1, hidden)
+    rows = np.array(rows, dtype=np.intp)
+    rows.flags.writeable = False
+    return rows, end
 
 
 def head_forward(layers: dict[str, Array], u: Array, masks: Array | None):

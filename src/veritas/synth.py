@@ -55,6 +55,8 @@ class SyntheticSpec:
             raise ConfigError("vocabulary sizes must be positive (shared may be zero)")
         if self.n_events < 1:
             raise ConfigError(f"n_events must be >= 1, got {self.n_events}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def class_vocabulary(spec: SyntheticSpec, class_index: int) -> list[str]:

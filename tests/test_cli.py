@@ -498,3 +498,62 @@ class TestBadInputExits2:
         err = capfd.readouterr().err
         assert "linear_hinge" in err and "learning_rate" in err
         assert not saved.exists()
+
+
+class TestSeedsAndConfigKeys:
+    """A negative seed and an unknown train config key exit 2 naming the field or key."""
+
+    def test_negative_synth_seed_exits_2(self, tmp_path, capfd):
+        rc = main(["synth", "--spec", '{"trees_per_class": 3, "seed": -1}', "--out", str(tmp_path / "x.jsonl")])
+        assert rc == 2
+        assert "spec: seed must be >= 0, got -1" in capfd.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("section", ["model", "uncertainty", "embedder"])
+    def test_negative_train_config_seed_exits_2(self, workspace, capfd, section):
+        config = {**CONFIG, section: {**CONFIG[section], "seed": -1}}
+        out = workspace["root"] / f"negative_{section}_seed"
+        rc = main(
+            [
+                "train",
+                "--data", str(workspace["data"]),
+                "--folds", str(workspace["folds"]),
+                "--config", json.dumps(config),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert f"{section}: " in err and "seed must be" in err and "-1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["random", "sup"])
+    def test_negative_reject_seed_exits_2(self, workspace, capfd, mode):
+        meta = json.dumps({"dev_records": str(workspace["out"] / "dev_records.csv")})
+        rc = main(
+            [
+                "reject",
+                "--records", str(workspace["out"] / "records.csv"),
+                "--mode", mode,
+                "--retain", "0.5",
+                "--meta", meta,
+                "--seed", "-3",
+            ]
+        )
+        assert rc == 2
+        assert "--seed must be >= 0, got -3" in capfd.readouterr().err
+
+    def test_unknown_train_config_key_exits_2(self, workspace, capfd):
+        out = workspace["root"] / "misspelt"
+        rc = main(
+            [
+                "train",
+                "--data", str(workspace["data"]),
+                "--folds", str(workspace["folds"]),
+                "--config", json.dumps({"modle": {"epochs": 1}, "uncertainty": CONFIG["uncertainty"]}),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "unknown config keys ['modle']" in capfd.readouterr().err
+        assert not out.exists()

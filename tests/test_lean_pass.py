@@ -1,0 +1,148 @@
+"""A tree pass does once per tree or once per shape what every pass used to repeat.
+
+``pass_reference`` keeps the pass that worked everything out again on every
+call. The library must give equal bundles, build the same generators, and
+keep its per-tree and per-shape results where no caller can change them.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from conftest import conversation_trees
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pass_reference as ref
+from veritas import ConversationTree, HashingEmbedder, Tweet, bundle, nn
+from veritas import model as model_module
+from veritas.data import decompose_branches
+from veritas.errors import ConfigError
+from veritas.model import ModelParams, init_params, tree_branch_outputs
+
+
+@st.composite
+def bundle_cases(draw):
+    tree = draw(conversation_trees())
+    n_classes = draw(st.integers(2, 4))
+    dim = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    params = init_params(
+        dim,
+        draw(st.integers(1, 8)),
+        draw(st.integers(0, 2)),
+        n_classes,
+        seed=seed,
+        variance_dim=draw(st.sampled_from([1, n_classes])),
+    )
+    noise = np.random.default_rng(seed)
+    params = ModelParams({k: v + 0.5 * noise.standard_normal(v.shape) for k, v in params.layers.items()})
+    embedder = HashingEmbedder(dimension=dim, seed=draw(st.integers(0, 3)))
+    options = dict(
+        n_samples=draw(st.integers(1, 4)),
+        dropout_rate=draw(st.sampled_from([0.0, 0.2, 0.5])),
+        seed=draw(st.integers(0, 2**20)),
+        branch_level=draw(st.booleans()),
+    )
+    return params, tree, embedder, options
+
+
+@settings(max_examples=200, deadline=None)
+@given(bundle_cases())
+def test_bundle_equals_the_pass_that_repeats_everything(case):
+    params, tree, embedder, options = case
+    want = ref.bundle(params, tree, embedder, **options)
+    assert bundle(params, tree, embedder, **options) == want
+    # Again on the same tree object, whose decomposition is now kept.
+    assert bundle(params, tree, embedder, **options) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64), stream=st.lists(st.integers(0, 2**64), min_size=1, max_size=3))
+def test_child_rng_is_default_rng_of_the_key(seed, stream):
+    got = nn.child_rng(seed, *stream)
+    want = np.random.default_rng([seed, *stream])
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.random(3).tobytes() == want.random(3).tobytes()
+
+
+@pytest.mark.parametrize("key", [(-1,), (5, -1), (2**40, 3, -7)])
+def test_child_rng_refuses_negative_words(key):
+    with pytest.raises(ConfigError, match="nonnegative"):
+        nn.child_rng(*key)
+
+
+def _tree():
+    """Five tweets, three branches of lengths 3, 3 and 2."""
+    parents = [None, 0, 0, 1, 1]
+    tweets = tuple(
+        Tweet(id=f"t.{i}", parent_id=None if p is None else f"t.{p}", timestamp=i, text=text)
+        for i, (text, p) in enumerate(zip(["r", "a", "b", "c", "d"], parents))
+    )
+    return ConversationTree(tree_id="t", event="e", label="true", tweets=tweets)
+
+
+def test_branch_list_is_a_fresh_copy_of_frozen_branches():
+    tree = _tree()
+    first = decompose_branches(tree)
+    assert first == ref.decompose_branches(tree)
+    first.append(first[0])
+    first.reverse()
+    assert decompose_branches(tree) == ref.decompose_branches(tree)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        decompose_branches(tree)[0].tweets = ()
+    # The tree keeps one decomposition: every call hands out the same branches.
+    assert all(a is b for a, b in zip(decompose_branches(tree), decompose_branches(tree)))
+
+
+def test_kept_decomposition_does_not_change_tree_equality_or_hash():
+    tree, twin = _tree(), _tree()
+    decompose_branches(tree)
+    assert tree == twin and hash(tree) == hash(twin)
+    assert dataclasses.replace(tree).tweets == tree.tweets
+
+
+def test_shape_caches_hand_out_read_only_arrays():
+    plan = nn._lockstep_plan((3, 1, 2))
+    _, order, steps = plan
+    rows, end = nn._mask_rows((3, 1, 2), 1)
+    for array in (order, rows, model_module._last_rows((3, 1, 2))):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 99
+    assert isinstance(plan, tuple) and isinstance(steps, tuple)
+    assert nn._lockstep_plan((3, 1, 2)) is plan
+    # One sequence runs in input order: no row order to keep.
+    assert nn._lockstep_plan((4,))[1] is None
+    assert end == 3 + 1 + 2 + 3 * 1
+
+
+def test_writing_into_a_pass_result_does_not_change_the_next_pass():
+    params = init_params(6, 4, 1, 3, seed=2)
+    tree, embedder = _tree(), HashingEmbedder(dimension=6, seed=1)
+    first = tree_branch_outputs(params, tree, embedder, 0.3, nn.make_rng(4))
+    expected = [out.probs.copy() for out in first]
+    for out in first:
+        out.probs[:] = -1.0
+        out.logits[:] = np.nan
+    masks = nn.branch_masks((3, 3, 2), 4, 1, 0.3, nn.make_rng(4))
+    masks[:] = 7.0
+    again = tree_branch_outputs(params, tree, embedder, 0.3, nn.make_rng(4))
+    assert [out.probs.tobytes() for out in again] == [p.tobytes() for p in expected]
+    assert not (nn.branch_masks((3, 3, 2), 4, 1, 0.3, nn.make_rng(4)) == 7.0).any()
+
+
+@pytest.mark.parametrize(
+    "cached, args",
+    [
+        (nn._lockstep_plan, lambda i: (((i % 7) + 1, i + 1),)),
+        (nn._mask_rows, lambda i: ((i + 1,), 2)),
+        (model_module._last_rows, lambda i: ((i + 1, 2),)),
+        (nn._seed_words, lambda i: (2**40 + i,)),
+    ],
+)
+def test_caches_stay_bounded(cached, args):
+    limit = cached.cache_info().maxsize
+    assert limit is not None
+    for i in range(limit + 50):
+        cached(*args(i))
+    assert cached.cache_info().currsize <= limit
