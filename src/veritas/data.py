@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, DataWarning
-from .nn import make_rng
+from .nn import make_rng, seed_int
 
 CANONICAL_LABELS = ("true", "false", "unverified", "nonrumour")
 STANCES = ("support", "deny", "query", "comment")
@@ -366,7 +366,7 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 def fnv1a_64(token: str, seed: int = 0) -> int:
     """64-bit FNV-1a over the seed bytes then the token's UTF-8 bytes."""
     h = _FNV_OFFSET
-    for b in int(seed).to_bytes(8, "little", signed=False) + token.encode("utf-8"):
+    for b in seed_int(seed).to_bytes(8, "little", signed=False) + token.encode("utf-8"):
         h = ((h ^ b) * _FNV_PRIME) & _U64
     return h
 
@@ -399,7 +399,7 @@ class HashingEmbedder:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ConfigError(f"embedder dimension must be >= 1, got {self.dimension}")
-        if not 0 <= self.seed < 1 << 64:
+        if not 0 <= seed_int(self.seed) < 1 << 64:
             raise ConfigError(f"embedder seed must be in [0, 2**64), got {self.seed}")
         object.__setattr__(self, "_vectors", {})
         object.__setattr__(self, "_texts", {})

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .data import ConversationTree, FoldSpec, HashingEmbedder, infer_classes, timeline_prefixes
 from .errors import ConfigError, DataError, InvalidInput
 from .model import EpochStats, ModelParams, TrainingConfig, train
@@ -179,13 +177,20 @@ def read_records_csv(path) -> list[PredictionRecord]:
             continue
         if len(row) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        values = [_finite(path, lineno, c, v) for c, v in zip(value_columns, row[3:-1])]
+        cells = row[3:-1]
+        try:
+            values = list(map(float, cells))
+            finite = all(map(math.isfinite, values))
+        except ValueError:
+            finite = False
+        if not finite:  # the per-cell check names the first bad cell
+            values = [_finite(path, lineno, c, v) for c, v in zip(value_columns, cells)]
         probs = tuple(values[n_measures:])
         try:
             b = UncertaintyBundle(
                 **{m.field: v for m, v in zip(MEASURE_TABLE, values)},
                 mean_probs=probs,
-                predicted_class=int(np.argmax(probs)),
+                predicted_class=max(range(n_classes), key=probs.__getitem__),
             )
         except InvalidInput as exc:
             field, problem = str(exc).split(": ", 1)

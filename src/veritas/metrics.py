@@ -33,48 +33,62 @@ def _gold_pred_pairs(records_or_pairs):
             yield gold, pred
 
 
+def _class_index(classes: tuple[str, ...]) -> dict[str, int]:
+    """Each class's index, the last one for a repeated class; an empty class set is a ConfigError."""
+    if not classes:
+        raise ConfigError("evaluate needs a nonempty class set")
+    return {cls: i for i, cls in enumerate(classes)}
+
+
+def _cells(pairs, index: dict[str, int], classes: tuple[str, ...]) -> dict:
+    """The flat confusion cell (gold index * k + pred index) of each distinct pair, checked in the order given."""
+    cells = {}
+    for gold, pred in pairs:
+        if gold not in index:
+            raise DataError(f"gold label {gold!r} not in class set {classes}")
+        if pred not in index:
+            raise DataError(f"predicted label {pred!r} not in class set {classes}")
+        cells[gold, pred] = index[gold] * len(classes) + index[pred]
+    return cells
+
+
+def _report(confusion: list[int], classes: tuple[str, ...]) -> MetricsReport:
+    """Accuracy and macro-F of a nonempty confusion count laid out as ``_cells``; 0/0 := 0 in precision, recall, F1."""
+    k = len(classes)
+    index = _class_index(classes)
+    per_class = {}
+    for cls in classes:
+        i = index[cls]
+        tp = confusion[i * k + i]
+        fp = sum(confusion[i::k]) - tp
+        fn = sum(confusion[i * k : i * k + k]) - tp
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        per_class[cls] = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    n = sum(confusion)
+    return MetricsReport(
+        accuracy=sum(confusion[:: k + 1]) / n,
+        macro_f=sum(per_class.values()) / k,
+        per_class_f1=per_class,
+        n_instances=n,
+    )
+
+
 def evaluate(records_or_pairs, classes: tuple[str, ...]) -> MetricsReport:
     """Accuracy and macro-F over (gold, pred) pairs or prediction records.
 
     Any label outside ``classes`` is an error; precision/recall/F1 all
     define 0/0 as 0.
     """
-    if not classes:
-        raise ConfigError("evaluate needs a nonempty class set")
+    index = _class_index(classes)
     counts = Counter(_gold_pred_pairs(records_or_pairs))
     if not counts:
         raise ConfigError("evaluate needs at least one instance")
-    class_set = set(classes)
-    # Distinct pairs in order of first appearance, so the first bad pair
-    # reported is the first bad one in the input.
-    for gold, pred in counts:
-        if gold not in class_set:
-            raise DataError(f"gold label {gold!r} not in class set {classes}")
-        if pred not in class_set:
-            raise DataError(f"predicted label {pred!r} not in class set {classes}")
-    gold_n: Counter = Counter()
-    pred_n: Counter = Counter()
-    hits: Counter = Counter()
-    for (gold, pred), count in counts.items():
-        gold_n[gold] += count
-        pred_n[pred] += count
-        if gold == pred:
-            hits[gold] += count
-    per_class = {}
-    for cls in classes:
-        tp = hits[cls]
-        fp = pred_n[cls] - tp
-        fn = gold_n[cls] - tp
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        per_class[cls] = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    n = counts.total()
-    return MetricsReport(
-        accuracy=sum(hits.values()) / n,
-        macro_f=sum(per_class.values()) / len(classes),
-        per_class_f1=per_class,
-        n_instances=n,
-    )
+    confusion = [0] * len(classes) ** 2
+    # distinct pairs in order of first appearance: the first bad one is the input's first
+    for pair, cell in _cells(counts, index, classes).items():
+        confusion[cell] += counts[pair]
+    return _report(confusion, classes)
 
 
 def group_uncertainty_by(

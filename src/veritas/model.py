@@ -270,7 +270,7 @@ class TrainingConfig:
             raise ConfigError("loss weights must be nonnegative")
         if self.ce_weight == 0 and self.aleatoric_weight == 0:
             raise ConfigError("at least one loss weight must be positive")
-        if self.seed < 0:
+        if nn.seed_int(self.seed) < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 

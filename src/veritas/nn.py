@@ -61,9 +61,19 @@ LOG_FLOOR = 1e-12
 # random streams
 
 
+def seed_int(seed) -> int:
+    """``operator.index(seed)``, so numpy integers pass; a bool or a non-integer is a ConfigError."""
+    try:
+        if not isinstance(seed, (bool, np.bool_)):
+            return operator.index(seed)
+    except TypeError:
+        pass
+    raise ConfigError(f"random seeds must be integers, got {seed!r}")
+
+
 def make_rng(seed: int) -> np.random.Generator:
-    """The generator ``np.random.default_rng(seed)`` gives; a negative seed is a ConfigError."""
-    seed = int(seed)
+    """The generator ``np.random.default_rng(seed)`` gives; a negative or non-integer seed is a ConfigError."""
+    seed = seed_int(seed)
     if seed < 0:
         raise ConfigError(f"random seeds must be nonnegative, got {seed}")
     return np.random.default_rng(seed)
@@ -75,9 +85,9 @@ def child_rng(seed: int, *stream: int) -> np.random.Generator:
     Derived streams do not depend on draw order elsewhere, so per-sample or
     per-fold work stays deterministic under any scheduling. ``_seed_words``
     keeps each key int's uint32 words, so a tree's seed is split once for all
-    of its samples. A negative int in the key is a ConfigError.
+    of its samples. A negative or non-integer key is a ConfigError.
     """
-    words = [w for n in (seed, *stream) for w in _seed_words(int(n))]
+    words = [w for n in (seed, *stream) for w in _seed_words(seed_int(n))]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 

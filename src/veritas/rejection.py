@@ -15,7 +15,9 @@ Gini-best split in one batch of array operations. Each generator makes
 its draws in the same order as when one tree is grown at a time, and the
 batched search computes each node's Gini values with the same elementwise
 formula and breaks ties the same way. So the saved forest is byte for
-byte the one a tree-at-a-time fit gives.
+byte the one a tree-at-a-time fit gives. Scoring walks flat node arrays.
+A rejection curve is one cumulative confusion count along one ranking. The
+hinge fit's loop of dependent updates is the stage's sequential floor.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DataWarning, InvalidInput
-from .metrics import evaluate
+from .metrics import _cells, _class_index, _report, evaluate
 from .nn import child_rng, make_rng, sigmoid
 from .uncertainty import UncertaintyBundle, measure_spec
 
@@ -88,8 +90,13 @@ def _ranking(records: Sequence[PredictionRecord], measure: str, per_fold: bool) 
     return [list(group) for _, group in itertools.groupby(order, key=lambda i: keys[i][0])]
 
 
+def _cut(n: int, retain_fraction: float) -> int:
+    """How many of a group's n ranked positions a cut at the fraction removes."""
+    return math.ceil((1.0 - retain_fraction) * n)
+
+
 def _removed_positions(groups: list[list[int]], retain_fraction: float) -> list[list[int]]:
-    return [g[: math.ceil((1.0 - retain_fraction) * len(g))] for g in groups]
+    return [g[: _cut(len(g), retain_fraction)] for g in groups]
 
 
 def _split(
@@ -193,7 +200,12 @@ def rejection_curve(
     """Metrics over retained records at each retention fraction.
 
     Fractions must start at 1.0 and strictly decrease. An empty retained
-    set yields a point flagged undefined rather than an error.
+    set yields a point flagged undefined rather than an error. The records
+    are ranked once and each one's (gold, pred) confusion cell counted at
+    the first fraction whose cut removes it; what a cut retains is the
+    total less the counts up to its fraction, which ``evaluate``'s report
+    turns into metrics. A label outside ``classes`` is the DataError that
+    ``evaluate`` raises on all the records.
     """
     if not fractions or abs(fractions[0] - 1.0) > 1e-12:
         raise ConfigError("fractions must start at 1.0")
@@ -202,10 +214,28 @@ def rejection_curve(
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ConfigError("fractions must lie in (0, 1]")
     groups = _ranking(records, measure, per_fold)
-    points = tuple(
-        curve_point(f, _split(records, _removed_positions(groups, f))[0], classes) for f in fractions
-    )
-    return RejectionCurve(measure=measure, points=points)
+    if not records:
+        return RejectionCurve(measure, tuple(curve_point(f, [], classes) for f in fractions))
+    n_cells = len(classes) ** 2
+    pairs = [(r.gold, r.pred) for r in records]
+    cell = _cells(dict.fromkeys(pairs), _class_index(classes), classes)
+    codes = np.array([cell[pair] for pair in pairs])
+    # the index of the first fraction whose cut reaches each record's rank
+    leaves = np.empty(len(records), dtype=np.int64)
+    for g in groups:
+        leaves[g] = np.searchsorted([_cut(len(g), f) for f in fractions], np.arange(len(g)), side="right")
+    # row j: the confusion counts of the records that the cuts up to fraction j remove
+    counts = np.bincount(leaves * n_cells + codes, minlength=(len(fractions) + 1) * n_cells)
+    removed = counts.reshape(-1, n_cells).cumsum(axis=0)
+    points = []
+    for f, confusion in zip(fractions, (removed[-1] - removed[:-1]).tolist()):
+        n = sum(confusion)
+        if not n:
+            points.append(curve_point(f, [], classes))
+            continue
+        report = _report(confusion, classes)
+        points.append(CurvePoint(f, n, report.accuracy, report.macro_f, True))
+    return RejectionCurve(measure=measure, points=tuple(points))
 
 
 def curve_to_csv(curve: RejectionCurve) -> str:
@@ -236,7 +266,21 @@ def meta_features(record: PredictionRecord) -> np.ndarray:
 
 
 def _feature_matrix(records: Sequence[PredictionRecord]) -> np.ndarray:
-    return np.stack([meta_features(r) for r in records])
+    """meta_features of each of a nonempty list of records, one row each, filled by columns.
+
+    A record whose class count differs from the first record's is a ConfigError.
+    """
+    bundles, k = [r.bundle for r in records], records[0].bundle.n_classes
+    for r in records:
+        if r.bundle.n_classes != k:
+            raise ConfigError(
+                f"record {r.tree_id} has {r.bundle.n_classes} classes but record {records[0].tree_id} has {k}"
+            )
+    X = np.zeros((len(bundles), 4 + 2 * k))
+    X[:, :4] = [(b.aleatoric, b.variance, b.entropy, b.variation_ratio) for b in bundles]
+    X[:, 4 : 4 + k] = [b.mean_probs for b in bundles]
+    X[np.arange(len(bundles)), [4 + k + b.predicted_class for b in bundles]] = 1.0
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +357,7 @@ def _linear_scores(state: dict, X: Array) -> Array:
 
 # Node rows searched in one batched split step. A larger node is searched
 # alone. The cap bounds the step's working arrays, never the result.
-_SPLIT_ROWS = 2048
+_SPLIT_ROWS = 4096
 
 
 def _column_ranks(X: Array) -> Array:
@@ -453,7 +497,8 @@ def _grow_trees(X: Array, y01: Array, jobs: Iterable, max_depth: int, n_sub: int
                 if depth >= max_depth or len(rows) < 2 or pos in (0, len(rows)):
                     parent[key] = {"p": pos / len(rows)}
                     continue
-                features = np.sort(rng.choice(X.shape[1], size=n_sub, replace=False))
+                features = rng.choice(X.shape[1], size=n_sub, replace=False)
+                features.sort()
                 step.append((rows, pos, depth, parent, key, stack, features))
                 break
         if not step:
@@ -470,16 +515,6 @@ def _grow_trees(X: Array, y01: Array, jobs: Iterable, max_depth: int, n_sub: int
                 stack.append((left, left_pos, depth + 1, node, "l"))
 
 
-def _fill_tree_probs(node: dict, X: Array, rows: Array, out: Array) -> None:
-    """Write the leaf probability of each of X[rows] into out[rows]."""
-    if "f" not in node:
-        out[rows] = node["p"]
-        return
-    left = X[rows, node["f"]] <= node["t"]
-    _fill_tree_probs(node["l"], X, rows[left], out)
-    _fill_tree_probs(node["r"], X, rows[~left], out)
-
-
 def _fit_forest(X: Array, y01: Array, hp: dict, seed: int) -> dict:
     """Bootstrap trees with Gini splits on raw (unscaled) features."""
     n = len(y01)
@@ -491,17 +526,44 @@ def _fit_forest(X: Array, y01: Array, hp: dict, seed: int) -> dict:
     return {"trees": _grow_trees(X, y01, jobs, int(hp["max_depth"]), n_sub)}
 
 
+def _node_arrays(tree: dict) -> tuple[Array, Array, Array, Array, Array, int]:
+    """A tree's nodes in breadth-first order: feature, threshold, left, right, leaf value, and the tree's depth.
+
+    Node i sends x to left[i] when x[feature[i]] <= threshold[i], else to
+    right[i]. A leaf is both of its own children, so a walk that reaches it
+    stays there.
+    """
+    nodes, table = [tree], []
+    depth, level_end = 0, 1  # level_end: the index of the next level's first node
+    for i, node in enumerate(nodes):
+        if i == level_end:
+            depth, level_end = depth + 1, len(nodes)
+        if "f" in node:
+            table.append((node["f"], node["t"], len(nodes), len(nodes) + 1, 0.0))
+            nodes += (node["l"], node["r"])
+        else:
+            table.append((0, 0.0, i, i, node["p"]))
+    feature, threshold, left, right, value = zip(*table)
+    arrays = np.array(feature), np.array(threshold, dtype=float), np.array(left), np.array(right)
+    return *arrays, np.array(value, dtype=float), depth
+
+
 def _forest_scores(state: dict, X: Array) -> Array:
     """Mean leaf probability over the trees, one row of trees per record.
 
-    Each row is contiguous, so its mean is the same pairwise sum that
+    Each tree moves all rows one level down per step. Each row of the
+    probabilities is contiguous, so its mean is the same pairwise sum that
     np.mean takes over one record's list of tree probabilities.
     """
     trees = state["trees"]
     probs = np.empty((len(X), len(trees)))
-    rows = np.arange(len(X))
+    values, row_start = np.ascontiguousarray(X).ravel(), np.arange(len(X)) * X.shape[1]
     for t, tree in enumerate(trees):
-        _fill_tree_probs(tree, X, rows, probs[:, t])
+        feature, threshold, left, right, value, depth = _node_arrays(tree)
+        node = np.zeros(len(X), dtype=np.intp)
+        for _ in range(depth):
+            node = np.where(values[row_start + feature[node]] <= threshold[node], left[node], right[node])
+        probs[:, t] = value[node]
     return probs.mean(axis=1)
 
 

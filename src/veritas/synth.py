@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .data import CANONICAL_LABELS, ConversationTree, Tweet
 from .errors import ConfigError
-from .nn import make_rng
+from .nn import make_rng, seed_int
 
 _BASE_TIMESTAMP = 1_500_000_000_000
 
@@ -55,7 +55,7 @@ class SyntheticSpec:
             raise ConfigError("vocabulary sizes must be positive (shared may be zero)")
         if self.n_events < 1:
             raise ConfigError(f"n_events must be >= 1, got {self.n_events}")
-        if self.seed < 0:
+        if seed_int(self.seed) < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .data import ConversationTree, branch_matrix, decompose_branches
 from .errors import ConfigError, InvalidInput
 from .model import ModelParams, forward_branch, predict_tree, tree_branch_outputs, tree_probs
-from .nn import child_rng
+from .nn import child_rng, seed_int
 
 Array = np.ndarray
 
@@ -106,7 +106,7 @@ def _mean(values: list[float]) -> float:
 
 def _tree_seed(base_seed: int, tree_id: str) -> int:
     """Stable per-tree stream id; independent of processing order."""
-    return (int(base_seed) << 32) + zlib.crc32(tree_id.encode("utf-8"))
+    return (seed_int(base_seed) << 32) + zlib.crc32(tree_id.encode("utf-8"))
 
 
 def mc_sample(
@@ -321,5 +321,5 @@ class UncertaintyConfig:
             raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.seed < 0:
+        if seed_int(self.seed) < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")

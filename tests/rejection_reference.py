@@ -4,22 +4,25 @@ Each function here is the straightforward loop that the library replaced:
 a fresh sort of every record for each cut, one Python walk per (record,
 tree) pair when scoring a forest, one tree grown at a time with one Gini
 search per (node, feature) pair, three passes over the pairs per class in
-``evaluate``, and the hinge loop that indexes numpy arrays on every step.
+``evaluate``, the hinge loop that indexes numpy arrays on every step, and a
+records CSV reader that checks every cell on its own.
 The library versions must give exactly the same results, so the property
 tests compare them with ``==`` or byte equality, never a tolerance.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 
-from veritas.errors import ConfigError, DataError
+from veritas.errors import ConfigError, DataError, InvalidInput
+from veritas.harness import _finite, records_header
 from veritas.metrics import MetricsReport
 from veritas.nn import child_rng, make_rng
-from veritas.rejection import CurvePoint, RejectionCurve
-from veritas.uncertainty import measure_spec, uncertainty_value
+from veritas.rejection import CurvePoint, RejectionCurve, make_record
+from veritas.uncertainty import MEASURE_TABLE, UncertaintyBundle, measure_spec, uncertainty_value
 
 
 def _check_cut(measure, retain_fraction):
@@ -215,3 +218,46 @@ def fit_forest(X, y01, hp, seed):
         idx = rng.integers(0, n, size=n_boot)
         trees.append(grow_tree(X[idx], y01[idx], rng, 0, int(hp["max_depth"]), n_sub))
     return {"trees": trees}
+
+
+def read_records_csv(path):
+    """One finiteness check per cell, then np.argmax of the probabilities."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise DataError(f"cannot read records file {path}: {exc}") from exc
+    if not rows:
+        raise DataError(f"records file {path} is empty")
+    header = rows[0]
+    n_classes = sum(1 for col in header if col.startswith("p_"))
+    if n_classes < 2 or header != records_header(n_classes):
+        raise DataError(f"records file {path} has unexpected columns {header}")
+    n_measures = len(MEASURE_TABLE)
+    value_columns = header[3:-1]
+    columns = {m.field: f"column {m.column}" for m in MEASURE_TABLE}
+    columns.update({f"mean_probs[{k}]": f"column p_{k}" for k in range(n_classes)})
+    columns["mean_probs"] = f"columns p_0..p_{n_classes - 1}"
+    records = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        values = [_finite(path, lineno, c, v) for c, v in zip(value_columns, row[3:-1])]
+        probs = tuple(values[n_measures:])
+        try:
+            b = UncertaintyBundle(
+                **{m.field: v for m, v in zip(MEASURE_TABLE, values)},
+                mean_probs=probs,
+                predicted_class=int(np.argmax(probs)),
+            )
+        except InvalidInput as exc:
+            field, problem = str(exc).split(": ", 1)
+            raise DataError(f"{path}:{lineno}: {columns[field]}: {problem}") from exc
+        try:
+            fold = int(row[-1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: column fold: {exc}") from exc
+        records.append(make_record(row[0], row[1], row[2], b, fold))
+    return records

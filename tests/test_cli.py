@@ -501,7 +501,7 @@ class TestBadInputExits2:
 
 
 class TestSeedsAndConfigKeys:
-    """A negative seed and an unknown train config key exit 2 naming the field or key."""
+    """A negative or non-integer seed and an unknown train config key exit 2 naming the field or key."""
 
     def test_negative_synth_seed_exits_2(self, tmp_path, capfd):
         rc = main(["synth", "--spec", '{"trees_per_class": 3, "seed": -1}', "--out", str(tmp_path / "x.jsonl")])
@@ -525,6 +525,24 @@ class TestSeedsAndConfigKeys:
         assert rc == 2
         err = capfd.readouterr().err
         assert f"{section}: " in err and "seed must be" in err and "-1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    @pytest.mark.parametrize("section", ["model", "uncertainty", "embedder"])
+    def test_non_integer_train_config_seed_exits_2(self, workspace, capfd, section, seed):
+        config = {**CONFIG, section: {**CONFIG[section], "seed": seed}}
+        out = workspace["root"] / f"non_integer_{section}_seed"
+        rc = main(
+            [
+                "train",
+                "--data", str(workspace["data"]),
+                "--folds", str(workspace["folds"]),
+                "--config", json.dumps(config),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert f"{section}: random seeds must be integers, got {seed!r}" in capfd.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["random", "sup"])

@@ -444,6 +444,17 @@ class TestSupervisedReject:
         with pytest.raises(ConfigError, match="features"):
             meta.scores(four_class)
 
+    @pytest.mark.parametrize("backend", ["linear_hinge", "random_forest"])
+    def test_mixed_class_counts_name_the_first_odd_record(self, rng, backend):
+        recs = meta_training_records(20, rng)
+        mixed = recs[:3] + [record_with("odd", mean_probs=(0.4, 0.3, 0.2, 0.1), predicted_class=0)] + recs[3:]
+        message = "record odd has 4 classes but record m0000 has 3"
+        with pytest.raises(ConfigError, match=message):
+            train_meta(mixed, backend=backend)
+        meta = train_meta(recs, backend=backend)
+        with pytest.raises(ConfigError, match=message):
+            meta.scores(mixed)
+
 
 def test_meta_feature_order():
     b = bundle_with(

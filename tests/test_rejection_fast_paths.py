@@ -2,28 +2,32 @@
 
 ``rejection_reference`` keeps the slow versions. Every property here asks
 for exact agreement: the same records in the same order, the same error
-message, float-for-float equal reports, byte-equal forests and byte-equal
-forest scores.
+message, float-for-float equal reports, byte-equal forests, byte-equal
+forest scores and feature matrices, and equal records read from a CSV.
 """
 
+import csv
+import io
 import json
 from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import bundle_with
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rejection_reference as ref
-from veritas import make_record
+from veritas import make_record, read_records_csv, write_records_csv
 from veritas.errors import ConfigError, DataError
 from veritas.metrics import evaluate
 from veritas import rejection
 from veritas.rejection import (
+    _feature_matrix,
     _fit_forest,
     _fit_linear_hinge,
     _forest_scores,
+    meta_features,
     per_fold_reject,
     random_reject,
     rejection_curve,
@@ -57,7 +61,9 @@ def record_lists(draw, max_size=30):
 
 @st.composite
 def decreasing_fractions(draw):
-    rest = draw(st.lists(st.floats(0.001, 0.999), max_size=8, unique=True))
+    # a fraction near 0 removes every record of every group
+    fraction = st.one_of(st.floats(0.001, 0.999), st.sampled_from([1e-9, 0.999999]))
+    rest = draw(st.lists(fraction, max_size=8, unique=True))
     return (1.0, *sorted(rest, reverse=True))
 
 
@@ -69,13 +75,26 @@ def curve_cells(curve):
     return [(p.retain_fraction, p.n_remaining, repr(p.accuracy), repr(p.macro_f), p.defined) for p in curve.points]
 
 
-@settings(max_examples=300, deadline=None)
-@given(record_lists(), st.sampled_from(MEASURES), decreasing_fractions(), st.booleans())
-def test_curve_matches_per_fraction_resort(records, measure, fractions, per_fold):
-    fast = rejection_curve(records, measure, CLASSES, fractions, per_fold=per_fold)
-    slow = ref.rejection_curve(records, measure, CLASSES, fractions, per_fold=per_fold)
-    assert fast.measure == slow.measure
-    assert curve_cells(fast) == curve_cells(slow)
+def curve_outcome(curve_fn, *args, **kwargs):
+    try:
+        curve = curve_fn(*args, **kwargs)
+    except (ConfigError, DataError) as exc:
+        return type(exc), str(exc)
+    return curve.measure, curve_cells(curve)
+
+
+# Every class, then sets that miss a label the records use, hold a class
+# no record uses, or are empty.
+CURVE_CLASSES = st.sampled_from([CLASSES, CLASSES[:2], CLASSES + ("rumour",), ()])
+
+
+@settings(max_examples=400, deadline=None)
+@given(record_lists(), st.sampled_from(MEASURES), decreasing_fractions(), st.booleans(), CURVE_CLASSES)
+@example([], "entropy", (1.0, 0.5), True, CLASSES)
+@example([], "entropy", (1.0, 0.5), False, ())
+def test_curve_matches_per_fraction_resort(records, measure, fractions, per_fold, classes):
+    fast = curve_outcome(rejection_curve, records, measure, classes, fractions, per_fold=per_fold)
+    assert fast == curve_outcome(ref.rejection_curve, records, measure, classes, fractions, per_fold=per_fold)
 
 
 @settings(max_examples=300, deadline=None)
@@ -119,8 +138,11 @@ def evaluate_inputs(draw):
             items.append((gold, pred))
         else:
             items.append(make_record("t", gold, pred, bundle_with(), 0))
-    classes = draw(st.sampled_from([CLASSES, CLASSES[:2], ("false",), CLASSES + ("rumour",)]))
-    return items, classes
+    # a repeated class counts once but still divides macro-F
+    class_sets = [CLASSES, CLASSES[:2], ("false",), CLASSES + ("rumour",), ("true", "false", "true"), ()]
+    classes = draw(st.sampled_from(class_sets))
+    # evaluate takes any iterable, so one that can be read only once too
+    return items, classes, draw(st.booleans())
 
 
 def outcome(fn, items, classes):
@@ -133,8 +155,8 @@ def outcome(fn, items, classes):
 @settings(max_examples=500, deadline=None)
 @given(evaluate_inputs())
 def test_evaluate_matches_three_pass_reference(case):
-    items, classes = case
-    assert outcome(evaluate, items, classes) == outcome(ref.evaluate, items, classes)
+    items, classes, once = case
+    assert outcome(evaluate, iter(items) if once else items, classes) == outcome(ref.evaluate, items, classes)
 
 
 def test_evaluate_reports_first_bad_label_in_input_order():
@@ -148,10 +170,12 @@ def forest_cases(draw):
     n, d = draw(st.integers(2, 60)), draw(st.integers(1, 6))
     # values on a coarse grid, so that ties and x == threshold both occur
     X = rng.integers(0, 5, size=(n, d)) / 4.0
-    y01 = (rng.random(n) < 0.5).astype(float)
-    hp = {"n_trees": draw(st.integers(1, 20)), "max_depth": draw(st.integers(1, 6)), "bootstrap_fraction": 1.0}
-    X_test = np.concatenate([X, rng.integers(0, 9, size=(draw(st.integers(1, 30)), d)) / 8.0])
-    return X, y01, hp, draw(st.integers(0, 100)), X_test
+    # one class only, or max_depth 0, gives single-leaf trees
+    y01 = (rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))).astype(float)
+    hp = {"n_trees": draw(st.integers(1, 20)), "max_depth": draw(st.integers(0, 6)), "bootstrap_fraction": 1.0}
+    unseen = rng.integers(0, 9, size=(draw(st.integers(1, 30)), d)) / 8.0
+    special = SPECIAL[rng.integers(0, len(SPECIAL), size=(draw(st.integers(0, 10)), d))]
+    return X, y01, hp, draw(st.integers(0, 100)), np.concatenate([X, unseen, special])
 
 
 @settings(max_examples=100, deadline=None)
@@ -252,3 +276,73 @@ def hinge_cases(draw):
 def test_hinge_state_equals_reference(case):
     X, y01, hp, seed = case
     assert _fit_linear_hinge(X, y01, hp, seed) == ref.fit_linear_hinge(X, y01, hp, seed)
+
+
+@st.composite
+def bundles(draw, k):
+    """A valid bundle over k classes; values include -0.0, subnormals and huge numbers."""
+    value = st.sampled_from([0.0, -0.0, 0.25, 1.0, 5e-324, 1e-300, 1e300, -2.5, 0.1 + 0.2])
+    fields = {m.field: draw(value) for m in MEASURE_TABLE}
+    fields["variation_ratio"] = draw(st.sampled_from([0.0, 0.1 + 0.2, 1.0]))
+    if draw(st.booleans()):
+        probs = tuple([1.0 / k] * k)  # a tie: the lowest index is the argmax
+    else:
+        weights = [draw(st.integers(1, 9)) for _ in range(k)]
+        probs = tuple(w / sum(weights) for w in weights)
+    fields["mean_probs"] = probs
+    fields["predicted_class"] = max(range(k), key=probs.__getitem__)
+    return bundle_with(**fields)
+
+
+TEXT = st.sampled_from(["t", "true", "a,b", 'say "x"', "ü", " pad "])
+
+
+@st.composite
+def same_class_records(draw):
+    k = draw(st.integers(2, 4))
+    return [
+        make_record(draw(TEXT), draw(TEXT), draw(TEXT), draw(bundles(k)), draw(st.integers(-3, 10)))
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_class_records())
+def test_feature_matrix_byte_equal_to_stacked_rows(records):
+    fast = _feature_matrix(records)
+    slow = np.stack([meta_features(r) for r in records])
+    assert fast.dtype == slow.dtype and fast.shape == slow.shape
+    assert fast.tobytes() == slow.tobytes()
+
+
+# cells that are no finite number, or that the bundle refuses
+BAD_CELLS = st.sampled_from(["x", "", "inf", "-inf", "nan", "1e999", "0x1", "-0.5", "2.0"])
+
+
+def read_outcome(reader, path):
+    try:
+        return reader(path)
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_class_records(), st.booleans(), BAD_CELLS, st.data())
+def test_records_reader_matches_per_cell_reader(tmp_path_factory, records, corrupt, bad, data):
+    path = tmp_path_factory.mktemp("records") / "records.csv"
+    write_records_csv(records, path)
+    if corrupt:
+        rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
+        # a second bad cell, when drawn, checks that the first one is named
+        for _ in range(data.draw(st.integers(1, 2))):
+            row = data.draw(st.integers(1, len(rows) - 1))
+            rows[row][data.draw(st.integers(3, len(rows[0]) - 2))] = bad
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        path.write_text(buf.getvalue(), encoding="utf-8")
+    fast = read_outcome(read_records_csv, path)
+    assert fast == read_outcome(ref.read_records_csv, path)
+    if not corrupt:
+        assert fast == records
+    elif bad not in ("-0.5", "2.0"):
+        assert "is not a finite number" in fast
