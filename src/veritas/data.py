@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, DataWarning
-from .nn import make_rng, seed_int
+from .nn import check_fields, make_rng, seed_int
 
 CANONICAL_LABELS = ("true", "false", "unverified", "nonrumour")
 STANCES = ("support", "deny", "query", "comment")
@@ -397,9 +397,10 @@ class HashingEmbedder:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.dimension < 1:
             raise ConfigError(f"embedder dimension must be >= 1, got {self.dimension}")
-        if not 0 <= seed_int(self.seed) < 1 << 64:
+        if not 0 <= self.seed < 1 << 64:
             raise ConfigError(f"embedder seed must be in [0, 2**64), got {self.seed}")
         object.__setattr__(self, "_vectors", {})
         object.__setattr__(self, "_texts", {})
@@ -436,6 +437,7 @@ class TableEmbedder:
     dimension: int = 32
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.dimension < 1:
             raise ConfigError(f"embedder dimension must be >= 1, got {self.dimension}")
         for token, vec in self.table.items():

@@ -254,24 +254,16 @@ class TrainingConfig:
     variance_per_logit: bool = False
 
     def __post_init__(self) -> None:
-        if self.hidden_size < 1:
-            raise ConfigError(f"hidden_size must be >= 1, got {self.hidden_size}")
-        if self.num_relu_layers < 0:
-            raise ConfigError(f"num_relu_layers must be >= 0, got {self.num_relu_layers}")
-        if not 0.0 <= self.dropout_rate_train < 1.0:
-            raise ConfigError(f"dropout_rate_train must be in [0, 1), got {self.dropout_rate_train}")
+        nn.check_fields(
+            self, hidden_size=(1, None), num_relu_layers=(0, None), dropout_rate_train=(0, 1),
+            epochs=(0, None), aleatoric_samples=(1, None), seed=(0, None),
+        )
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.aleatoric_samples < 1:
-            raise ConfigError(f"aleatoric_samples must be >= 1, got {self.aleatoric_samples}")
         if self.ce_weight < 0 or self.aleatoric_weight < 0:
             raise ConfigError("loss weights must be nonnegative")
         if self.ce_weight == 0 and self.aleatoric_weight == 0:
             raise ConfigError("at least one loss weight must be positive")
-        if nn.seed_int(self.seed) < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

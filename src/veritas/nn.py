@@ -41,9 +41,12 @@ onto +0.0, which clears a zero's sign.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
+import math
+import numbers
 import operator
 from pathlib import Path
 from typing import NamedTuple
@@ -58,17 +61,51 @@ LOG_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# random streams
+# config values and random streams
+
+
+def is_integer(value) -> bool:
+    """Whether ``operator.index`` takes the value, as it does numpy integers, and it is no bool."""
+    try:
+        return not isinstance(value, (bool, np.bool_)) and operator.index(value) is not None
+    except TypeError:
+        return False
+
+
+def finite_number(value) -> bool:
+    """Whether the value is a real number, no bool, that is finite as a float."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def seed_int(seed) -> int:
-    """``operator.index(seed)``, so numpy integers pass; a bool or a non-integer is a ConfigError."""
-    try:
-        if not isinstance(seed, (bool, np.bool_)):
-            return operator.index(seed)
-    except TypeError:
-        pass
-    raise ConfigError(f"random seeds must be integers, got {seed!r}")
+    """``operator.index(seed)``; a bool or a non-integer is a ConfigError."""
+    if not is_integer(seed):
+        raise ConfigError(f"random seeds must be integers, got {seed!r}")
+    return operator.index(seed)
+
+
+def check_fields(config, **bounds: tuple) -> None:
+    """A ConfigError naming the first field of a config dataclass off its annotated type or its bound.
+
+    A seed is checked by ``seed_int``; a bound (lo, hi) is lo <= value < hi, or lo <= value when hi is None.
+    """
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if field.name == "seed":
+            seed_int(value)
+        elif field.type == "int" and not is_integer(value):
+            raise ConfigError(f"{field.name} must be an integer, got {value!r}")
+        elif field.type == "float" and not finite_number(value):
+            raise ConfigError(f"{field.name} must be a finite number, got {value!r}")
+        elif field.type == "bool" and not isinstance(value, bool):
+            raise ConfigError(f"{field.name} must be a bool, got {value!r}")
+    for name, (lo, hi) in bounds.items():
+        value = getattr(config, name)
+        if not (lo <= value and (hi is None or value < hi)):
+            raise ConfigError(f"{name} must be {f'>= {lo}' if hi is None else f'in [{lo}, {hi})'}, got {value}")
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .data import CANONICAL_LABELS, ConversationTree, Tweet
 from .errors import ConfigError
-from .nn import make_rng, seed_int
+from .nn import check_fields, is_integer, make_rng
 
 _BASE_TIMESTAMP = 1_500_000_000_000
 
@@ -36,27 +36,25 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.trees_per_class < 0:
-            raise ConfigError(f"trees_per_class must be >= 0, got {self.trees_per_class}")
+        check_fields(
+            self, trees_per_class=(0, None), noise_rate=(0, 0.5), branching_prob=(0, 1), n_events=(1, None),
+            seed=(0, None),
+        )
         if len(self.classes) < 2 or len(set(self.classes)) != len(self.classes):
             raise ConfigError("classes must be at least two distinct labels")
-        if not 0.0 <= self.noise_rate < 0.5:
-            raise ConfigError(f"noise_rate must be in [0, 0.5), got {self.noise_rate}")
-        if not 0.0 <= self.branching_prob < 1.0:
-            raise ConfigError(f"branching_prob must be in [0, 1), got {self.branching_prob}")
+        unknown = [c for c in self.classes if c not in CANONICAL_LABELS]
+        if unknown:
+            raise ConfigError(f"classes must be among {list(CANONICAL_LABELS)}, got {unknown[0]!r}")
         if not 0.0 <= self.ambiguity_max <= 1.0:
             raise ConfigError(f"ambiguity_max must be in [0, 1], got {self.ambiguity_max}")
         if self.depth_cap < 0 or self.max_children < 1:
             raise ConfigError("depth_cap must be >= 0 and max_children >= 1")
-        lo, hi = self.tokens_per_tweet
-        if lo < 1 or hi < lo:
-            raise ConfigError(f"tokens_per_tweet must be 1 <= lo <= hi, got {self.tokens_per_tweet}")
+        tokens = self.tokens_per_tweet
+        pair = isinstance(tokens, (tuple, list)) and len(tokens) == 2 and all(map(is_integer, tokens))
+        if not (pair and 1 <= tokens[0] <= tokens[1]):
+            raise ConfigError(f"tokens_per_tweet must be integers 1 <= lo <= hi, got {tokens!r}")
         if self.vocab_size_per_class < 1 or self.shared_vocab_size < 0:
             raise ConfigError("vocabulary sizes must be positive (shared may be zero)")
-        if self.n_events < 1:
-            raise ConfigError(f"n_events must be >= 1, got {self.n_events}")
-        if seed_int(self.seed) < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def class_vocabulary(spec: SyntheticSpec, class_index: int) -> list[str]:

@@ -18,7 +18,7 @@ import numpy as np
 from .data import ConversationTree, branch_matrix, decompose_branches
 from .errors import ConfigError, InvalidInput
 from .model import ModelParams, forward_branch, predict_tree, tree_branch_outputs, tree_probs
-from .nn import child_rng, seed_int
+from .nn import check_fields, child_rng, seed_int
 
 Array = np.ndarray
 
@@ -317,9 +317,4 @@ class UncertaintyConfig:
     branch_level: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if seed_int(self.seed) < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_fields(self, n_samples=(1, None), dropout_rate=(0, 1), seed=(0, None))

@@ -575,3 +575,55 @@ class TestSeedsAndConfigKeys:
         assert rc == 2
         assert "unknown config keys ['modle']" in capfd.readouterr().err
         assert not out.exists()
+
+
+class TestConfigFieldTypes:
+    """A config field of the wrong type exits 2 with an error naming the section and the field."""
+
+    @pytest.mark.parametrize(
+        "section, key, value, rule",
+        [
+            ("uncertainty", "branch_level", "no", "a bool"),
+            ("model", "variance_per_logit", "yes", "a bool"),
+            ("model", "epochs", 1.5, "an integer"),
+            ("model", "hidden_size", 4.0, "an integer"),
+            ("uncertainty", "n_samples", 2.5, "an integer"),
+            ("uncertainty", "n_samples", True, "an integer"),
+            ("embedder", "dimension", 16.0, "an integer"),
+            ("model", "learning_rate", True, "a finite number"),
+            ("model", "dropout_rate_train", float("nan"), "a finite number"),
+            ("uncertainty", "dropout_rate", float("inf"), "a finite number"),
+        ],
+    )
+    def test_train_config_field_of_wrong_type_exits_2(self, workspace, capfd, section, key, value, rule):
+        config = {**CONFIG, section: {**CONFIG[section], key: value}}
+        out = workspace["root"] / f"wrong_type_{section}_{key}"
+        rc = main(
+            [
+                "train",
+                "--data", str(workspace["data"]),
+                "--folds", str(workspace["folds"]),
+                "--config", json.dumps(config),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert f"{section}: {key} must be {rule}, got {value!r}" in capfd.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"trees_per_class": 2.5}, "trees_per_class must be an integer, got 2.5"),
+            ({"depth_cap": 1.5}, "depth_cap must be an integer, got 1.5"),
+            ({"noise_rate": True}, "noise_rate must be a finite number, got True"),
+            ({"tokens_per_tweet": [2.5, 4]}, "tokens_per_tweet must be integers 1 <= lo <= hi, got (2.5, 4)"),
+            ({"classes": ["a", "b"]}, "classes must be among ['true', 'false', 'unverified', 'nonrumour'], got 'a'"),
+        ],
+    )
+    def test_synth_spec_field_of_wrong_type_exits_2(self, tmp_path, capfd, extra, message):
+        out = tmp_path / "x.jsonl"
+        rc = main(["synth", "--spec", json.dumps({"trees_per_class": 2, **extra}), "--out", str(out)])
+        assert rc == 2
+        assert f"spec: {message}" in capfd.readouterr().err
+        assert not out.exists()

@@ -305,7 +305,7 @@ class TestTrainMeta:
             train_meta(dev, backend="svm")
         with pytest.raises(ConfigError, match="hyperparameter"):
             train_meta(dev, backend="linear_hinge", hyperparams={"kernel": "rbf"})
-        for bad in ("many", None, float("nan"), True):
+        for bad in ("many", None, float("nan"), True, 10**400):
             with pytest.raises(ConfigError, match="'epochs' must be a finite number"):
                 train_meta(dev, backend="linear_hinge", hyperparams={"epochs": bad})
         train_meta(dev, backend="linear_hinge", hyperparams={"epochs": np.int64(3), "l2": np.float32(0.01)})
