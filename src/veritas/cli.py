@@ -33,6 +33,7 @@ from .harness import (
 )
 from .metrics import evaluate
 from .model import ModelParams, TrainingConfig
+from .nn import check_value
 from .rejection import (
     RejectionCurve,
     curve_point,
@@ -78,10 +79,7 @@ TRAIN_CONFIG_KEYS = ("model", "uncertainty", "embedder", "classes")
 
 
 def _classes_for(n_classes: int) -> tuple[str, ...]:
-    if not 2 <= n_classes <= len(CANONICAL_LABELS):
-        raise ConfigError(
-            f"class count must be between 2 and {len(CANONICAL_LABELS)}, got {n_classes}"
-        )
+    check_value("class count", n_classes, "int", f"[2, {len(CANONICAL_LABELS)}]")
     return CANONICAL_LABELS[:n_classes]
 
 
@@ -168,8 +166,7 @@ def _print_cut(measure: str, records, fraction: float, retained, classes) -> Non
 
 
 def _cmd_reject(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    check_value("--seed", args.seed, "int", "[0, inf)")
     records = read_records_csv(args.records)
     if not records:
         raise DataError(f"no records in {args.records}")

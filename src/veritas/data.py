@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, DataWarning
-from .nn import check_fields, make_rng, seed_int
+from .nn import check_fields, check_value, make_rng, seed_int
 
 CANONICAL_LABELS = ("true", "false", "unverified", "nonrumour")
 STANCES = ("support", "deny", "query", "comment")
@@ -320,10 +320,9 @@ def make_folds(trees, scheme: str, k: int | None = None, seed: int = 0, dev_fold
 
     ``leave_one_event_out`` gives one fold per event (fold index by sorted
     event name); ``k_fold`` shuffles tree ids with the seed and deals them
-    round-robin. A negative seed is a ConfigError.
+    round-robin. A seed or k that breaks its rule is a ConfigError.
     """
-    if seed < 0:
-        raise ConfigError(f"fold seed must be >= 0, got {seed}")
+    check_value("fold seed", seed, "seed", "[0, inf)")
     if scheme == "leave_one_event_out":
         events = sorted({t.event for t in trees})
         if len(events) < 2:
@@ -331,8 +330,7 @@ def make_folds(trees, scheme: str, k: int | None = None, seed: int = 0, dev_fold
         index = {e: i for i, e in enumerate(events)}
         assignments = {t.tree_id: index[t.event] for t in trees}
     elif scheme == "k_fold":
-        if k is None or k < 2:
-            raise ConfigError(f"k_fold needs k >= 2, got {k}")
+        check_value("k", k, "int", "[2, inf)")
         ids = sorted(t.tree_id for t in trees)
         perm = make_rng(seed).permutation(len(ids))
         assignments = {ids[int(p)]: i % k for i, p in enumerate(perm)}
@@ -397,11 +395,7 @@ class HashingEmbedder:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_fields(self)
-        if self.dimension < 1:
-            raise ConfigError(f"embedder dimension must be >= 1, got {self.dimension}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ConfigError(f"embedder seed must be in [0, 2**64), got {self.seed}")
+        check_fields(self, dimension="[1, inf)", seed="[0, 2**64)")
         object.__setattr__(self, "_vectors", {})
         object.__setattr__(self, "_texts", {})
 
@@ -437,9 +431,9 @@ class TableEmbedder:
     dimension: int = 32
 
     def __post_init__(self) -> None:
-        check_fields(self)
-        if self.dimension < 1:
-            raise ConfigError(f"embedder dimension must be >= 1, got {self.dimension}")
+        check_fields(self, dimension="[1, inf)")
+        if not isinstance(self.table, dict):
+            raise ConfigError(f"table must be a dict of token vectors, got {self.table!r}")
         for token, vec in self.table.items():
             if np.shape(vec) != (self.dimension,):
                 raise ConfigError(f"table vector for {token!r} has shape {np.shape(vec)}")

@@ -148,10 +148,10 @@ def init_params(
     variance whatever the embedding magnitude. At s=1 this is the classic
     bound.
     """
-    if min(input_dim, hidden_size, n_classes) < 1 or num_relu_layers < 0:
-        raise ConfigError("init_params: dimensions must be positive")
-    if not (input_scale > 0.0 and math.isfinite(input_scale)):
-        raise ConfigError(f"init_params: input_scale must be positive, got {input_scale}")
+    for name, value in (("input_dim", input_dim), ("hidden_size", hidden_size), ("n_classes", n_classes)):
+        nn.check_value(name, value, "int", "[1, inf)")
+    nn.check_value("num_relu_layers", num_relu_layers, "int", "[0, inf)")
+    nn.check_value("input_scale", input_scale, "float", "(0, inf)")
     rng = nn.make_rng(seed)
     layers = {}
     for name, shape in nn.layer_shapes(input_dim, hidden_size, num_relu_layers, n_classes, variance_dim).items():
@@ -255,13 +255,10 @@ class TrainingConfig:
 
     def __post_init__(self) -> None:
         nn.check_fields(
-            self, hidden_size=(1, None), num_relu_layers=(0, None), dropout_rate_train=(0, 1),
-            epochs=(0, None), aleatoric_samples=(1, None), seed=(0, None),
+            self, hidden_size="[1, inf)", num_relu_layers="[0, inf)", dropout_rate_train="[0, 1)",
+            learning_rate="(0, inf)", epochs="[0, inf)", aleatoric_samples="[1, inf)", ce_weight="[0, inf)",
+            aleatoric_weight="[0, inf)", seed="[0, inf)",
         )
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.ce_weight < 0 or self.aleatoric_weight < 0:
-            raise ConfigError("loss weights must be nonnegative")
         if self.ce_weight == 0 and self.aleatoric_weight == 0:
             raise ConfigError("at least one loss weight must be positive")
 

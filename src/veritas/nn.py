@@ -87,25 +87,34 @@ def seed_int(seed) -> int:
     return operator.index(seed)
 
 
-def check_fields(config, **bounds: tuple) -> None:
-    """A ConfigError naming the first field of a config dataclass off its annotated type or its bound.
+def check_value(name: str, value, kind: str, bound: str | None = None) -> None:
+    """A ConfigError naming the value unless it is of its kind and within its bound.
 
-    A seed is checked by ``seed_int``; a bound (lo, hi) is lo <= value < hi, or lo <= value when hi is None.
+    An "int" or a "seed" is an ``is_integer``, a "float" a real number and no bool, and a "bool" a bool;
+    an "int" or a "float" is also finite as a float. A bound is an interval such as "[0, 1)", "(0, inf)"
+    or "[0, 2**64)": each end is closed, open or absent, and a float holds it exactly.
     """
+    if kind in ("int", "seed") and not is_integer(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if kind in ("int", "float") and not finite_number(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if kind == "bool" and not isinstance(value, bool):
+        raise ConfigError(f"{name} must be a bool, got {value!r}")
+    if bound is not None:
+        ends = bound[1:-1].split(", ")
+        lo, hi = (float(base) ** float(power or 1) for base, _, power in (end.partition("**") for end in ends))
+        x = operator.index(value) if kind in ("int", "seed") else value  # exact, a numpy uint64 too
+        closed_lo, closed_hi = bound[0] == "[", bound[-1] == "]"
+        if not ((lo <= x if closed_lo else lo < x) and (x <= hi if closed_hi else x < hi)):
+            rule = f"{'>=' if closed_lo else '>'} {ends[0]}" if hi == math.inf else f"in {bound}"
+            raise ConfigError(f"{name} must be {rule}, got {value}")
+
+
+def check_fields(config, **bounds: str) -> None:
+    """``check_value`` on each field of a config dataclass in order, of its annotated type or, named seed, a seed."""
     for field in dataclasses.fields(config):
-        value = getattr(config, field.name)
-        if field.name == "seed":
-            seed_int(value)
-        elif field.type == "int" and not is_integer(value):
-            raise ConfigError(f"{field.name} must be an integer, got {value!r}")
-        elif field.type == "float" and not finite_number(value):
-            raise ConfigError(f"{field.name} must be a finite number, got {value!r}")
-        elif field.type == "bool" and not isinstance(value, bool):
-            raise ConfigError(f"{field.name} must be a bool, got {value!r}")
-    for name, (lo, hi) in bounds.items():
-        value = getattr(config, name)
-        if not (lo <= value and (hi is None or value < hi)):
-            raise ConfigError(f"{name} must be {f'>= {lo}' if hi is None else f'in [{lo}, {hi})'}, got {value}")
+        kind = "seed" if field.name == "seed" else field.type
+        check_value(field.name, getattr(config, field.name), kind, bounds.get(field.name))
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DataWarning, InvalidInput
 from .metrics import _cells, _class_index, _report, evaluate
-from .nn import child_rng, finite_number, make_rng, sigmoid
+from .nn import check_fields, check_value, child_rng, finite_number, is_integer, make_rng, sigmoid
 from .uncertainty import UncertaintyBundle, measure_spec
 
 Array = np.ndarray
@@ -285,22 +285,21 @@ def _feature_matrix(records: Sequence[PredictionRecord]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # linear hinge backend
 
-LINEAR_DEFAULTS = {"l2": 1e-3, "epochs": 200, "learning_rate": 0.05}
+@dataclass(frozen=True)
+class HingeHyperparams:
+    l2: float = 1e-3
+    epochs: int = 200
+    learning_rate: float = 0.05
+
+    def __post_init__(self) -> None:
+        check_fields(self, l2="[0, inf)", epochs="[0, inf)", learning_rate="(0, inf)")
+
+
 # records per subgradient step of the hinge fit: a constant, not a hyperparameter
 _HINGE_BLOCK = 64
-FOREST_DEFAULTS = {"n_trees": 100, "max_depth": 8, "bootstrap_fraction": 1.0}
-# the values each hyperparameter takes; an integral float such as 100.0 is an integer
-_HYPERPARAM_RANGES = {
-    "l2": ("a number >= 0", lambda v: v >= 0),
-    "epochs": ("an integer >= 0", lambda v: v == int(v) and v >= 0),
-    "learning_rate": ("a number > 0", lambda v: v > 0),
-    "n_trees": ("an integer >= 1", lambda v: v == int(v) and v >= 1),
-    "max_depth": ("an integer >= 0", lambda v: v == int(v) and v >= 0),
-    "bootstrap_fraction": ("a number > 0", lambda v: v > 0),
-}
 
 
-def _fit_linear_hinge(X: Array, y01: Array, hp: dict, seed: int) -> dict:
+def _fit_linear_hinge(X: Array, y01: Array, hp: HingeHyperparams, seed: int) -> dict:
     """Subgradient descent on hinge loss with an L2 penalty, one step per block of records.
 
     Features are z-scored with training-set statistics first. Each epoch
@@ -313,17 +312,17 @@ def _fit_linear_hinge(X: Array, y01: Array, hp: dict, seed: int) -> dict:
     std = np.where(std > 0, std, 1.0)
     Z = (X - mean) / std
     y = np.where(y01 > 0, 1.0, -1.0)
-    lr = float(hp["learning_rate"])
+    lr = float(hp.learning_rate)
     # A record's row [y z, y] times [w, b] is its margin y (w.z + b). A
     # block's violator rows sum to both sums of its step, row after row, as
     # every row has at least two values. The bias has no L2 penalty.
     rows = y[:, None] * np.hstack([Z, np.ones((len(y), 1))])
-    penalty = np.append(np.full(Z.shape[1], 2.0 * float(hp["l2"])), 0.0)
+    penalty = np.append(np.full(Z.shape[1], 2.0 * float(hp.l2)), 0.0)
     wb = np.zeros(Z.shape[1] + 1)
     rng = make_rng(seed)
     # a learning rate too large overflows; train_meta reports the result
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(int(hp["epochs"])):
+        for _ in range(int(hp.epochs)):
             shuffled = rows[rng.permutation(len(y))]
             for start in range(0, len(y), _HINGE_BLOCK):
                 block = shuffled[start : start + _HINGE_BLOCK]
@@ -508,15 +507,25 @@ def _grow_trees(X: Array, y01: Array, jobs: Iterable, max_depth: int, n_sub: int
                 stack.append((left, left_pos, depth + 1, node, "l"))
 
 
-def _fit_forest(X: Array, y01: Array, hp: dict, seed: int) -> dict:
+@dataclass(frozen=True)
+class ForestHyperparams:
+    n_trees: int = 100
+    max_depth: int = 8
+    bootstrap_fraction: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_fields(self, n_trees="[1, inf)", max_depth="[0, inf)", bootstrap_fraction="(0, inf)")
+
+
+def _fit_forest(X: Array, y01: Array, hp: ForestHyperparams, seed: int) -> dict:
     """Bootstrap trees with Gini splits on raw (unscaled) features."""
     n = len(y01)
-    n_boot = max(1, int(round(float(hp["bootstrap_fraction"]) * n)))
+    n_boot = max(1, int(round(float(hp.bootstrap_fraction) * n)))
     n_sub = max(1, int(round(math.sqrt(X.shape[1]))))
-    rngs = [child_rng(seed, i) for i in range(int(hp["n_trees"]))]
+    rngs = [child_rng(seed, i) for i in range(int(hp.n_trees))]
     # int32 rows halve the pending nodes' memory, which lockstep holds for every tree
     jobs = ((rng.integers(0, n, size=n_boot).astype(np.int32), rng) for rng in rngs)
-    return {"trees": _grow_trees(X, y01, jobs, int(hp["max_depth"]), n_sub)}
+    return {"trees": _grow_trees(X, y01, jobs, int(hp.max_depth), n_sub)}
 
 
 def _node_arrays(tree: dict) -> tuple[Array, Array, Array, Array, Array, int]:
@@ -633,7 +642,7 @@ def _node_problem(root, n_features: int) -> str | None:
                 return f"leaf value {node['p']!r} is not a number in [0, 1]"
         elif keys == {"f", "t", "l", "r"}:
             f = node["f"]
-            if not (isinstance(f, int) and not isinstance(f, bool) and 0 <= f < n_features):
+            if not (is_integer(f) and 0 <= f < n_features):
                 return f"feature {f!r} is not an integer in [0, {n_features})"
             if not finite_number(node["t"]):
                 return f"threshold {node['t']!r} is not a finite number"
@@ -688,27 +697,24 @@ def train_meta(
 ) -> MetaClassifier:
     """Fit a correct-vs-incorrect meta-classifier on dev-set records.
 
-    A hyperparameter outside its range is a ConfigError naming the backend
-    and the key. The meta features are finite, because a bundle is. A
-    single-class dev set degenerates to a constant predictor, with a
-    warning. A hinge fit that diverges to non-finite weights is an
-    InvalidInput.
+    A hyperparameter that is unknown or breaks its ``HingeHyperparams`` or
+    ``ForestHyperparams`` rule is a ConfigError naming the backend and the
+    key. The meta features are finite, because a bundle is. A single-class
+    dev set degenerates to a constant predictor, with a warning. A hinge fit
+    that diverges to non-finite weights is an InvalidInput.
     """
     if backend not in ("linear_hinge", "random_forest"):
         raise ConfigError(f"unknown meta backend {backend!r}")
     if not dev_records:
         raise ConfigError("train_meta needs at least one dev record")
-    defaults = LINEAR_DEFAULTS if backend == "linear_hinge" else FOREST_DEFAULTS
-    hp = dict(defaults)
-    for key, value in (hyperparams or {}).items():
-        if key not in defaults:
+    kind = HingeHyperparams if backend == "linear_hinge" else ForestHyperparams
+    for key in hyperparams or {}:
+        if key not in {f.name for f in fields(kind)}:
             raise ConfigError(f"unknown {backend} hyperparameter {key!r}")
-        if not finite_number(value):
-            raise ConfigError(f"{backend} hyperparameter {key!r} must be a finite number, got {value!r}")
-        rule, holds = _HYPERPARAM_RANGES[key]
-        if not holds(value):
-            raise ConfigError(f"{backend} hyperparameter {key!r} must be {rule}, got {value!r}")
-        hp[key] = value
+    try:
+        hp = kind(**(hyperparams or {}))
+    except ConfigError as exc:
+        raise ConfigError(f"{backend} hyperparameter {exc}") from exc
     X = _feature_matrix(dev_records)
     y01 = np.asarray([1.0 if r.correct else 0.0 for r in dev_records])
     if len(set(y01.tolist())) == 1:
@@ -723,7 +729,7 @@ def train_meta(
         if not (all(map(finite_number, state["weights"])) and finite_number(state["bias"])):
             raise InvalidInput(
                 "linear_hinge fit diverged: its weights or bias are not finite; "
-                f"lower learning_rate (got {hp['learning_rate']!r})"
+                f"lower learning_rate (got {hp.learning_rate!r})"
             )
     else:
         state = _fit_forest(X, y01, hp, seed)
@@ -736,7 +742,6 @@ def supervised_reject(
     meta: MetaClassifier, records: Sequence[PredictionRecord], threshold: float = 0.5
 ) -> tuple[list[PredictionRecord], list[PredictionRecord], int]:
     """Drop records the meta-classifier scores below the threshold."""
-    if not (finite_number(threshold) and 0.0 <= threshold <= 1.0):
-        raise ConfigError(f"threshold must be a number in [0, 1], got {threshold!r}")
+    check_value("threshold", threshold, "float", "[0, 1]")
     retained, removed = _partition(records, (meta.scores(records) >= threshold).tolist())
     return retained, removed, len(removed)

@@ -9,12 +9,12 @@ dependency and no iterative special functions.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInput
+from .nn import is_integer
 
 
 def chi2_sf(x: float, df: int) -> float:
@@ -24,7 +24,7 @@ def chi2_sf(x: float, df: int) -> float:
     over j = (df mod 2)/2, ..., df/2 - 1; each term is taken in log space
     so that none overflows or underflows before the others.
     """
-    if not isinstance(df, numbers.Integral) or df < 1:
+    if not is_integer(df) or df < 1:
         raise ConfigError(f"chi2_sf needs an integer df >= 1, got {df!r}")
     if not math.isfinite(x):
         raise InvalidInput(f"chi2_sf needs a finite x, got {x}")

@@ -37,24 +37,19 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         check_fields(
-            self, trees_per_class=(0, None), noise_rate=(0, 0.5), branching_prob=(0, 1), n_events=(1, None),
-            seed=(0, None),
+            self, trees_per_class="[0, inf)", vocab_size_per_class="[1, inf)", shared_vocab_size="[0, inf)",
+            ambiguity_max="[0, 1]", branching_prob="[0, 1)", depth_cap="[0, inf)", max_children="[1, inf)",
+            noise_rate="[0, 0.5)", n_events="[1, inf)", seed="[0, inf)",
         )
-        if len(self.classes) < 2 or len(set(self.classes)) != len(self.classes):
+        if not (isinstance(self.classes, (tuple, list)) and len(set(self.classes)) == len(self.classes) >= 2):
             raise ConfigError("classes must be at least two distinct labels")
         unknown = [c for c in self.classes if c not in CANONICAL_LABELS]
         if unknown:
             raise ConfigError(f"classes must be among {list(CANONICAL_LABELS)}, got {unknown[0]!r}")
-        if not 0.0 <= self.ambiguity_max <= 1.0:
-            raise ConfigError(f"ambiguity_max must be in [0, 1], got {self.ambiguity_max}")
-        if self.depth_cap < 0 or self.max_children < 1:
-            raise ConfigError("depth_cap must be >= 0 and max_children >= 1")
         tokens = self.tokens_per_tweet
         pair = isinstance(tokens, (tuple, list)) and len(tokens) == 2 and all(map(is_integer, tokens))
         if not (pair and 1 <= tokens[0] <= tokens[1]):
             raise ConfigError(f"tokens_per_tweet must be integers 1 <= lo <= hi, got {tokens!r}")
-        if self.vocab_size_per_class < 1 or self.shared_vocab_size < 0:
-            raise ConfigError("vocabulary sizes must be positive (shared may be zero)")
 
 
 def class_vocabulary(spec: SyntheticSpec, class_index: int) -> list[str]:

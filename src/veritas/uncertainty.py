@@ -18,7 +18,7 @@ import numpy as np
 from .data import ConversationTree, branch_matrix, decompose_branches
 from .errors import ConfigError, InvalidInput
 from .model import ModelParams, forward_branch, predict_tree, tree_branch_outputs, tree_probs
-from .nn import check_fields, child_rng, seed_int
+from .nn import check_fields, check_value, child_rng, seed_int
 
 Array = np.ndarray
 
@@ -109,6 +109,10 @@ def _tree_seed(base_seed: int, tree_id: str) -> int:
     return (seed_int(base_seed) << 32) + zlib.crc32(tree_id.encode("utf-8"))
 
 
+def _check_sample_count(n_samples) -> None:  # UncertaintyConfig.n_samples's rule, for a bare count
+    check_value("n_samples", n_samples, "int", "[1, inf)")
+
+
 def mc_sample(
     params: ModelParams,
     tree: ConversationTree,
@@ -123,8 +127,7 @@ def mc_sample(
     results depend on neither evaluation order nor the path that scores the
     tree: a timeline prefix keeps its tree's id and so its streams.
     """
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
+    _check_sample_count(n_samples)
     tree_seed = _tree_seed(seed, tree.tree_id)
     rows = [
         tree_probs(params, tree, embedder, dropout_rate, child_rng(tree_seed, i))
@@ -142,8 +145,7 @@ def mc_sample_branches(
     seed: int = 0,
 ) -> list[SampleSet]:
     """Per-branch sample sets (ablation mode); stream (seed, tree_id, branch, sample)."""
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
+    _check_sample_count(n_samples)
     tree_seed = _tree_seed(seed, tree.tree_id)
     sets = []
     for b, branch in enumerate(decompose_branches(tree)):
@@ -317,4 +319,4 @@ class UncertaintyConfig:
     branch_level: bool = False
 
     def __post_init__(self) -> None:
-        check_fields(self, n_samples=(1, None), dropout_rate=(0, 1), seed=(0, None))
+        check_fields(self, n_samples="[1, inf)", dropout_rate="[0, 1)", seed="[0, inf)")

@@ -430,14 +430,14 @@ class TestBadInputExits2:
         assert "'classes'" in capfd.readouterr().err
 
     @pytest.mark.parametrize(
-        "extra, key",
+        "extra, message",
         [
-            ({"threshold": "0.5"}, "threshold"),
-            ({"backend": "linear_hinge", "epochs": "many"}, "'epochs'"),
-            ({"n_trees": None}, "'n_trees'"),
+            ({"threshold": "0.5"}, "threshold must be a finite number, got '0.5'"),
+            ({"backend": "linear_hinge", "epochs": "many"}, "linear_hinge hyperparameter epochs must be an integer, got 'many'"),
+            ({"n_trees": None}, "random_forest hyperparameter n_trees must be an integer, got None"),
         ],
     )
-    def test_bad_meta_value(self, workspace, capfd, extra, key):
+    def test_bad_meta_value(self, workspace, capfd, extra, message):
         spec = {"dev_records": str(workspace["out"] / "dev_records.csv"), **extra}
         rc = main(
             [
@@ -448,7 +448,7 @@ class TestBadInputExits2:
             ]
         )
         assert rc == 2
-        assert key in capfd.readouterr().err
+        assert f"error: {message}\n" in capfd.readouterr().err
 
     @pytest.mark.parametrize(
         "backend, key, bad",
@@ -475,7 +475,7 @@ class TestBadInputExits2:
         )
         assert rc == 2
         err = capfd.readouterr().err
-        assert backend in err and repr(key) in err
+        assert f"error: {backend} hyperparameter {key} must be " in err
         assert not saved.exists()
 
     def test_diverged_hinge_exits_2_and_saves_nothing(self, workspace, tmp_path, capfd):
@@ -542,7 +542,7 @@ class TestSeedsAndConfigKeys:
             ]
         )
         assert rc == 2
-        assert f"{section}: random seeds must be integers, got {seed!r}" in capfd.readouterr().err
+        assert f"{section}: seed must be an integer, got {seed!r}" in capfd.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["random", "sup"])
@@ -626,4 +626,30 @@ class TestConfigFieldTypes:
         rc = main(["synth", "--spec", json.dumps({"trees_per_class": 2, **extra}), "--out", str(out)])
         assert rc == 2
         assert f"spec: {message}" in capfd.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("model", "learning_rate", 0, "model: learning_rate must be > 0, got 0"),
+            ("uncertainty", "dropout_rate", 1.0, "uncertainty: dropout_rate must be in [0, 1), got 1.0"),
+            ("embedder", "seed", 2**64, f"embedder: seed must be in [0, 2**64), got {2**64}"),
+            ("spec", "ambiguity_max", 1.5, "spec: ambiguity_max must be in [0, 1], got 1.5"),
+            ("meta", "n_trees", 3.0, "random_forest hyperparameter n_trees must be an integer, got 3.0"),
+        ],
+    )
+    def test_each_section_names_itself_and_the_field(self, workspace, tmp_path, capfd, section, key, value, message):
+        """One field per section: the error names the section (the backend for --meta), then the field."""
+        out = tmp_path / "out"
+        if section == "spec":
+            argv = ["synth", "--spec", json.dumps({"trees_per_class": 2, key: value}), "--out", str(out)]
+        elif section == "meta":
+            meta = {"dev_records": str(workspace["out"] / "dev_records.csv"), key: value, "save": str(out)}
+            argv = ["reject", "--records", str(workspace["out"] / "records.csv"), "--mode", "sup", "--meta", json.dumps(meta)]
+        else:
+            config = {**CONFIG, section: {**CONFIG[section], key: value}}
+            argv = ["train", "--data", str(workspace["data"]), "--folds", str(workspace["folds"]),
+                    "--config", json.dumps(config), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"error: {message}\n" in capfd.readouterr().err
         assert not out.exists()

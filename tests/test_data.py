@@ -310,6 +310,32 @@ class TestFolds:
         with pytest.raises(ConfigError):
             FoldSpec(scheme="k_fold", assignments={"t": 0}, dev_fold=5)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "3", None], ids=repr)
+    def test_k_must_be_an_integer(self, k):
+        """A float k once gave fold ids such as 0.5, which a fold file truncates into another partition."""
+        with pytest.raises(ConfigError) as info:
+            make_folds(self._trees(5), "k_fold", k=k)
+        assert str(info.value) == f"k must be an integer, got {k!r}"
+
+    def test_k_below_two(self):
+        with pytest.raises(ConfigError, match=r"^k must be >= 2, got 1$"):
+            make_folds(self._trees(4), "k_fold", k=1)
+
+    @pytest.mark.parametrize("scheme", ["k_fold", "leave_one_event_out"])
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, None], ids=repr)
+    def test_fold_seed_must_be_an_integer(self, scheme, seed):
+        trees = self._trees(6, events=("e1", "e2"))
+        with pytest.raises(ConfigError) as info:
+            make_folds(trees, scheme, k=2, seed=seed)
+        assert str(info.value) == f"fold seed must be an integer, got {seed!r}"
+
+    def test_numpy_integer_k_keeps_the_partition(self, tmp_path):
+        trees = self._trees(7)
+        folds = make_folds(trees, "k_fold", k=np.int64(3), seed=2)
+        assert folds.assignments == make_folds(trees, "k_fold", k=3, seed=2).assignments
+        folds.save(tmp_path / "folds.json")
+        assert FoldSpec.load(tmp_path / "folds.json").assignments == folds.assignments
+
     def test_save_load_round_trip(self, tmp_path):
         folds = make_folds(self._trees(10), "k_fold", k=5, seed=0, dev_fold=2)
         path = tmp_path / "folds.json"

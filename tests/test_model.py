@@ -140,6 +140,31 @@ class TestInitParams:
         with pytest.raises(ConfigError):
             init_params(input_dim=0, hidden_size=4, num_relu_layers=0, n_classes=3)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"hidden_size": 2.5}, "hidden_size must be an integer, got 2.5"),
+            ({"hidden_size": 4.0}, "hidden_size must be an integer, got 4.0"),
+            ({"num_relu_layers": 1.5}, "num_relu_layers must be an integer, got 1.5"),
+            ({"input_dim": True}, "input_dim must be an integer, got True"),
+            ({"n_classes": 0}, "n_classes must be >= 1, got 0"),
+            ({"num_relu_layers": -1}, "num_relu_layers must be >= 0, got -1"),
+            ({"input_scale": True}, "input_scale must be a finite number, got True"),
+            ({"input_scale": math.nan}, "input_scale must be a finite number, got nan"),
+            ({"input_scale": 0.0}, "input_scale must be > 0, got 0.0"),
+        ],
+    )
+    def test_dimensions_and_scale_follow_the_config_rules(self, kwargs, message):
+        args = {"input_dim": 32, "hidden_size": 4, "num_relu_layers": 1, "n_classes": 3, **kwargs}
+        with pytest.raises(ConfigError) as info:
+            init_params(**args)
+        assert str(info.value) == message
+
+    def test_numpy_dimensions_give_the_same_params(self):
+        a = init_params(np.int64(4), np.int64(3), np.int64(1), np.int64(3), seed=2, input_scale=np.float64(0.5))
+        b = init_params(4, 3, 1, 3, seed=2, input_scale=0.5)
+        assert all(np.array_equal(a[k], b[k]) for k in b.layers)
+
 
 # ---------------------------------------------------------------------------
 # losses: the nn ops train() combines
@@ -242,6 +267,7 @@ class TestTrainingConfig:
             {"epochs": -1},
             {"aleatoric_samples": 0},
             {"ce_weight": -1.0},
+            {"aleatoric_weight": -0.5},
             {"ce_weight": 0.0, "aleatoric_weight": 0.0},
         ],
     )

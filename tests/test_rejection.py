@@ -20,7 +20,7 @@ from veritas import (
 )
 from veritas.errors import ConfigError, DataError, DataWarning, InvalidInput
 from veritas.nn import make_rng
-from veritas.rejection import _fit_forest, _forest_scores, _grow_trees, curve_to_csv
+from veritas.rejection import ForestHyperparams, _fit_forest, _forest_scores, _grow_trees, curve_to_csv
 from veritas.uncertainty import uncertainty_value
 
 
@@ -306,8 +306,10 @@ class TestTrainMeta:
         with pytest.raises(ConfigError, match="hyperparameter"):
             train_meta(dev, backend="linear_hinge", hyperparams={"kernel": "rbf"})
         for bad in ("many", None, float("nan"), True, 10**400):
-            with pytest.raises(ConfigError, match="'epochs' must be a finite number"):
+            with pytest.raises(ConfigError) as exc:
                 train_meta(dev, backend="linear_hinge", hyperparams={"epochs": bad})
+            rule = "a finite number" if bad == 10**400 else "an integer"
+            assert str(exc.value) == f"linear_hinge hyperparameter epochs must be {rule}, got {bad!r}"
         train_meta(dev, backend="linear_hinge", hyperparams={"epochs": np.int64(3), "l2": np.float32(0.01)})
         with pytest.raises(ConfigError):
             train_meta([], backend="linear_hinge")
@@ -315,29 +317,34 @@ class TestTrainMeta:
     @pytest.mark.parametrize(
         "backend, key, bad, rule",
         [
-            ("random_forest", "n_trees", 0, "an integer >= 1"),
-            ("random_forest", "n_trees", 2.7, "an integer >= 1"),
-            ("random_forest", "max_depth", -1, "an integer >= 0"),
-            ("random_forest", "max_depth", 1.5, "an integer >= 0"),
-            ("random_forest", "bootstrap_fraction", 0.0, "a number > 0"),
-            ("linear_hinge", "epochs", -1, "an integer >= 0"),
-            ("linear_hinge", "epochs", 0.5, "an integer >= 0"),
-            ("linear_hinge", "learning_rate", 0.0, "a number > 0"),
-            ("linear_hinge", "l2", -1, "a number >= 0"),
+            ("random_forest", "n_trees", 0, ">= 1"),
+            ("random_forest", "n_trees", 2.7, "an integer"),
+            ("random_forest", "max_depth", -1, ">= 0"),
+            ("random_forest", "max_depth", 1.5, "an integer"),
+            ("random_forest", "bootstrap_fraction", 0.0, "> 0"),
+            ("linear_hinge", "epochs", -1, ">= 0"),
+            ("linear_hinge", "epochs", 0.5, "an integer"),
+            ("linear_hinge", "learning_rate", 0.0, "> 0"),
+            ("linear_hinge", "l2", -1, ">= 0"),
         ],
     )
     def test_hyperparameter_out_of_range(self, rng, backend, key, bad, rule):
         dev = meta_training_records(10, rng)
         with pytest.raises(ConfigError) as exc:
             train_meta(dev, backend=backend, hyperparams={key: bad})
-        assert str(exc.value) == f"{backend} hyperparameter {key!r} must be {rule}, got {bad!r}"
+        assert str(exc.value) == f"{backend} hyperparameter {key} must be {rule}, got {bad!r}"
 
     def test_hyperparameter_range_edges_and_integral_floats(self, rng):
+        """The edges of each range are accepted; an integral float is refused, as in every config."""
         dev = meta_training_records(10, rng)
-        forest = train_meta(dev, backend="random_forest", hyperparams={"n_trees": 3.0, "max_depth": 0.0, "bootstrap_fraction": 1e-9})
-        assert forest.state["trees"] == train_meta(dev, backend="random_forest", hyperparams={"n_trees": 3, "max_depth": 0, "bootstrap_fraction": 1e-9}).state["trees"]
-        assert len(forest.state["trees"]) == 3
-        hinge = train_meta(dev, backend="linear_hinge", hyperparams={"epochs": 0.0, "l2": 0, "learning_rate": 1e-12})
+        for backend, key in (("random_forest", "n_trees"), ("random_forest", "max_depth"), ("linear_hinge", "epochs")):
+            with pytest.raises(ConfigError) as exc:
+                train_meta(dev, backend=backend, hyperparams={key: 3.0})
+            assert str(exc.value) == f"{backend} hyperparameter {key} must be an integer, got 3.0"
+        forest = train_meta(dev, backend="random_forest", hyperparams={"n_trees": 3, "max_depth": 0, "bootstrap_fraction": 1e-9})
+        # the forest that n_trees 3.0 and 3 both gave before 3.0 was refused
+        assert forest.state["trees"] == [{"p": 1.0}, {"p": 0.0}, {"p": 0.0}]
+        hinge = train_meta(dev, backend="linear_hinge", hyperparams={"epochs": 0, "l2": 0, "learning_rate": 1e-12})
         assert hinge.state["weights"] == [0.0] * hinge.n_features
 
     def test_diverged_hinge_fit_is_an_error(self, rng):
@@ -482,7 +489,7 @@ class TestForestSplit:
 
     def test_adjacent_doubles_leave_finite_leaves_and_scores(self):
         _, X, y = self.adjacent_case()
-        state = _fit_forest(X, y, {"n_trees": 10, "max_depth": 8, "bootstrap_fraction": 1.0}, 3)
+        state = _fit_forest(X, y, ForestHyperparams(n_trees=10, max_depth=8, bootstrap_fraction=1.0), 3)
 
         def leaves(node):
             return [node["p"]] if "f" not in node else leaves(node["l"]) + leaves(node["r"])

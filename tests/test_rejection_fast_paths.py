@@ -23,6 +23,8 @@ from veritas.errors import ConfigError, DataError
 from veritas.metrics import evaluate
 from veritas import rejection
 from veritas.rejection import (
+    ForestHyperparams,
+    HingeHyperparams,
     _feature_matrix,
     _fit_forest,
     _fit_linear_hinge,
@@ -182,7 +184,7 @@ def forest_cases(draw):
 @given(forest_cases())
 def test_forest_scores_byte_equal_to_per_record_walk(case):
     X, y01, hp, seed, X_test = case
-    state = _fit_forest(X, y01, hp, seed)
+    state = _fit_forest(X, y01, ForestHyperparams(**hp), seed)
     assert _forest_scores(state, X_test).tobytes() == ref.forest_scores(state, X_test).tobytes()
 
 
@@ -228,7 +230,7 @@ def grow_cases(draw):
 def test_lockstep_forest_byte_equal_to_one_tree_at_a_time(case):
     X, y01, hp, seed, cap = case
     with mock.patch.object(rejection, "_SPLIT_ROWS", cap):
-        fast = _fit_forest(X, y01, hp, seed)
+        fast = _fit_forest(X, y01, ForestHyperparams(**hp), seed)
     assert json.dumps(fast) == json.dumps(ref.fit_forest(X, y01, hp, seed))
 
 
@@ -252,7 +254,7 @@ def test_lockstep_forest_byte_equal_across_the_row_cap(case):
     X, y01, hp, seed = case
     n_boot = round(hp["bootstrap_fraction"] * len(y01))
     assert hp["n_trees"] * n_boot > rejection._SPLIT_ROWS
-    assert json.dumps(_fit_forest(X, y01, hp, seed)) == json.dumps(ref.fit_forest(X, y01, hp, seed))
+    assert json.dumps(_fit_forest(X, y01, ForestHyperparams(**hp), seed)) == json.dumps(ref.fit_forest(X, y01, hp, seed))
 
 
 @st.composite
@@ -293,7 +295,8 @@ DIVERGING_HINGE = (
 def test_hinge_state_equals_reference(case):
     X, y01, hp, seed = case
     # json, so that a fit that diverges to NaN compares equal
-    assert json.dumps(_fit_linear_hinge(X, y01, hp, seed)) == json.dumps(ref.fit_linear_hinge(X, y01, hp, seed))
+    fast = _fit_linear_hinge(X, y01, HingeHyperparams(**hp), seed)
+    assert json.dumps(fast) == json.dumps(ref.fit_linear_hinge(X, y01, hp, seed))
 
 
 @st.composite

@@ -40,6 +40,12 @@ class TestChiSquareTail:
         with pytest.raises(ConfigError):
             chi2_sf(1.0, df)
 
+    @pytest.mark.parametrize("df", [True, np.True_], ids=repr)
+    def test_bool_df_rejected(self, df):
+        """A bool is no integer here, as in every config field."""
+        with pytest.raises(ConfigError, match="chi2_sf needs an integer df >= 1"):
+            chi2_sf(1.0, df)
+
     def test_numpy_integer_df_accepted(self):
         assert chi2_sf(3.0, np.int64(2)) == chi2_sf(3.0, 2)
 

@@ -95,6 +95,34 @@ class TestMcSample:
         with pytest.raises(ConfigError):
             mc_sample(params, trees[0], emb, 0, 0.3)
 
+    @pytest.mark.parametrize("branch_level", [False, True])
+    @pytest.mark.parametrize(
+        "n_samples, message",
+        [
+            (2.5, "n_samples must be an integer, got 2.5"),
+            (True, "n_samples must be an integer, got True"),
+            ("3", "n_samples must be an integer, got '3'"),
+            (0, "n_samples must be >= 1, got 0"),
+        ],
+        ids=repr,
+    )
+    def test_every_sampling_call_checks_the_count(self, toy_model, branch_level, n_samples, message):
+        """bundle, mc_sample and mc_sample_branches share one rule, UncertaintyConfig's."""
+        params, trees, emb = toy_model
+        calls = [
+            lambda: bundle(params, trees[0], emb, n_samples, 0.3, branch_level=branch_level),
+            lambda: (mc_sample_branches if branch_level else mc_sample)(params, trees[0], emb, n_samples, 0.3),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_numpy_count_gives_the_same_samples(self, toy_model):
+        params, trees, emb = toy_model
+        a = mc_sample(params, trees[0], emb, np.int64(3), 0.3, seed=4)
+        np.testing.assert_array_equal(a.samples, mc_sample(params, trees[0], emb, 3, 0.3, seed=4).samples)
+
     def test_branch_mode_shapes(self, toy_model):
         params, trees, emb = toy_model
         sets = mc_sample_branches(params, trees[0], emb, 4, 0.3, seed=2)
