@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataWarning, InvalidInput
+from .nn import check_value
 from .rejection import PredictionRecord
 from .uncertainty import UncertaintyBundle, measure_spec
 
@@ -152,8 +153,7 @@ def _columns(records: Sequence[ConfidenceRecord]) -> tuple[np.ndarray, np.ndarra
 
 def _bin_numbers(conf: np.ndarray, n_bins: int) -> np.ndarray:
     """The one binning rule: ``bin_index`` of each confidence, ``ceil(conf * n_bins)`` within [1, n_bins]."""
-    if n_bins < 1:
-        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+    check_value("n_bins", n_bins, "int", "[1, inf)")
     if not np.isfinite(conf).all():
         raise InvalidInput(f"confidence must be a finite number, got {float(conf[~np.isfinite(conf)][0])!r}")
     return np.maximum(np.ceil(np.clip(conf, 0.0, 1.0) * n_bins), 1).astype(np.intp)

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .nn import check_value
 from .uncertainty import uncertainty_value
 
 
@@ -114,8 +115,7 @@ def group_uncertainty_by(
     if key == "conversation_size":
         if sizes is None:
             raise ConfigError("conversation_size grouping needs a tree_id -> size mapping")
-        if n_bins < 1:
-            raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+        check_value("n_bins", n_bins, "int", "[1, inf)")
         missing = [r.tree_id for r in records if r.tree_id not in sizes]
         if missing:
             raise DataError(f"no size for trees {missing[:5]}")

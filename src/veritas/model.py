@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -154,7 +155,9 @@ def init_params(
     nn.check_value("input_scale", input_scale, "float", "(0, inf)")
     rng = nn.make_rng(seed)
     layers = {}
-    for name, shape in nn.layer_shapes(input_dim, hidden_size, num_relu_layers, n_classes, variance_dim).items():
+    # Python ints: numpy takes the square root of a small numpy integer fan-in in float16
+    dims = map(operator.index, (input_dim, hidden_size, num_relu_layers, n_classes, variance_dim))
+    for name, shape in nn.layer_shapes(*dims).items():
         if len(shape) == 1:
             layers[name] = np.zeros(shape)
         else:

@@ -9,12 +9,16 @@ the options.
 
 The forest grows its trees in lockstep. Each tree keeps its bootstrap,
 its own generator and a depth-first stack of pending nodes. Every step
-pops the next node of each unfinished tree, draws that node's features
-from the tree's generator, and searches all the popped nodes for their
-Gini-best split in one batch of array operations. Each generator makes
-its draws in the same order as when one tree is grown at a time, and the
-batched search computes each node's Gini values with the same elementwise
-formula and breaks ties the same way. So the saved forest is byte for
+pops the next node of each unfinished tree, takes that node's features
+from the tree's next feature draw, and searches all the popped nodes for
+their Gini-best split in one batch of array operations. A tree draws its
+features for 64 nodes at a time in one ``integers`` call, the very draws
+of 64 per-node ``Generator.choice`` calls: numpy's choice picks by
+Floyd's algorithm for d <= 10,000 features, and for any d at the
+forest's round(sqrt(d)) picks. Each generator makes its draws in the same
+order as when one tree is grown at a time, and the batched search
+computes each node's Gini values with the same elementwise formula and
+breaks ties the same way. So the saved forest is byte for
 byte the one a tree-at-a-time fit gives. Scoring walks flat node arrays.
 A rejection curve is one cumulative confusion count along one ranking. The
 hinge fit takes one subgradient step per block of 64 records.
@@ -117,8 +121,7 @@ def _partition(
 
 
 def _check_fraction(retain_fraction: float) -> None:
-    if not 0.0 < retain_fraction <= 1.0:
-        raise ConfigError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
+    check_value("retain_fraction", retain_fraction, "float", "(0, 1]")
 
 
 def unsupervised_reject(
@@ -460,38 +463,66 @@ def _row_chunks(step: list):
         yield chunk
 
 
+# sorted feature draws per refill of a tree's block: a constant, not a hyperparameter
+_DRAW_BLOCK = 64
+
+
+def _feature_draws(rng: np.random.Generator, d: int, k: int, count: int) -> Array:
+    """Row i: the k of d, sorted, that the i-th of ``count`` successive ``rng.choice`` calls without replacement picks.
+
+    Such a choice picks by Floyd's algorithm: for j = d-k ... d-1 a bounded
+    draw in [0, j], or j if that value is already picked; then it shuffles
+    the k picks with one bounded draw in [0, i] for i = k-1 ... 1. An
+    array-bounded ``integers`` makes each draw with that bounded routine,
+    rejections included, so the generator moves as the calls would move it;
+    the sort makes the shuffle's order moot.
+    """
+    bounds = np.r_[np.arange(d - k, d), np.arange(k - 1, 0, -1)]
+    picks = rng.integers(0, np.tile(bounds, count), endpoint=True).reshape(count, -1)[:, :k]
+    for t in range(1, k):
+        picks[(picks[:, :t] == picks[:, t : t + 1]).any(axis=1), t] = d - k + t
+    return np.sort(picks, axis=1)
+
+
+def _feature_rows(rng: np.random.Generator, d: int, k: int):
+    """A tree's endless sorted feature draws, made _DRAW_BLOCK at a time."""
+    while True:
+        yield from _feature_draws(rng, d, k, _DRAW_BLOCK)
+
+
 def _grow_trees(X: Array, y01: Array, jobs: Iterable, max_depth: int, n_sub: int) -> list:
     """One tree per (rows, rng) job, grown in lockstep.
 
     Each step pops every unfinished tree's next node in that tree's own
-    depth-first preorder, left before right, draws its features from the
-    tree's own generator, and searches all popped nodes in one batch. So
-    each generator makes its draws in the order that growing one tree at
-    a time by recursion makes them, and every tree comes out as it would
-    alone. A node is a leaf at max_depth, below 2 rows, when pure, or when
-    no feature splits it; its value is its share of positives. Only the
+    depth-first preorder, left before right, takes its features from the
+    tree's next sorted draw, and searches all popped nodes in one batch.
+    The draws come _DRAW_BLOCK at a time from the tree's own generator,
+    exactly as per-node ``choice`` calls would make them. So each tree
+    gets the features that growing one tree at a time by recursion gives
+    it, and comes out as it would alone. The last block may draw more than
+    the tree uses, so a job's generator must serve nothing after. A node
+    is a leaf at max_depth, below 2 rows, when pure, or when no feature
+    splits it; its value is its share of positives. Only the
     stacks keep the jobs' rows, so a generator of jobs frees each root once
     it is split.
     """
     X = np.ascontiguousarray(X)
     ranks = _column_ranks(X).ravel()
     trees: list = []
-    stacks, rngs = [], []
+    stacks, draws = [], []
     for t, (rows, rng) in enumerate(jobs):
         trees.append(None)
         stacks.append([(rows, int(y01[rows].sum()), 0, trees, t)])
-        rngs.append(rng)
+        draws.append(_feature_rows(rng, X.shape[1], n_sub))
     while True:
         step = []
-        for stack, rng in zip(stacks, rngs):
+        for stack, tree_draws in zip(stacks, draws):
             while stack:
                 rows, pos, depth, parent, key = stack.pop()
                 if depth >= max_depth or len(rows) < 2 or pos in (0, len(rows)):
                     parent[key] = {"p": pos / len(rows)}
                     continue
-                features = rng.choice(X.shape[1], size=n_sub, replace=False)
-                features.sort()
-                step.append((rows, pos, depth, parent, key, stack, features))
+                step.append((rows, pos, depth, parent, key, stack, next(tree_draws)))
                 break
         if not step:
             return trees

@@ -47,6 +47,21 @@ def test_init_params_equals_per_layer_reference(dims, input_scale, seed):
         assert same_bits(got[name], expected[name]), name
 
 
+INT_TYPES = st.sampled_from([int, np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64])
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes(), st.fixed_dictionaries({name: INT_TYPES for name in ("input_dim", "hidden_size", "num_relu_layers",
+                                                                       "n_classes", "variance_dim")}))
+def test_init_params_same_for_every_integer_type(dims, types):
+    # numpy takes the square root of a small numpy integer in float16
+    typed = {name: types[name](value) for name, value in dims.items()}
+    got, expected = init_params(**typed, seed=2).layers, init_params(**dims, seed=2).layers
+    assert list(got) == list(expected)
+    for name in expected:
+        assert same_bits(got[name], expected[name]), name
+
+
 @st.composite
 def branch_cases(draw):
     dims = draw(shapes())

@@ -127,6 +127,11 @@ class TestBinIndex:
         with pytest.raises(ConfigError):
             bin_index(0.5, 0)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, np.True_])
+    def test_rejects_non_integer_bins(self, bad):
+        with pytest.raises(ConfigError, match=f"n_bins must be an integer, got {bad!r}"):
+            bin_index(0.5, bad)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_confidence_is_invalid_input(self, bad):
         cal = CalibrationMap(n_bins=2, calibrated=(0.25, 0.75), dev_counts=(1, 1))
@@ -322,6 +327,17 @@ class TestCalibrationReport:
         report = calibration_report(dev, test, "aleatoric", n_bins=10)
         assert report.measure == "aleatoric"
         assert math.isfinite(report.ece_before) and math.isfinite(report.ece_after)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True])
+    def test_non_integer_bins_refused(self, rng, bad):
+        records = miscalibrated_records(rng, 40)
+        with pytest.raises(ConfigError, match=f"n_bins must be an integer, got {bad!r}"):
+            calibration_report(records, records, "lcs", n_bins=bad)
+
+    def test_numpy_integer_bins_report_as_python_int(self, rng):
+        dev, test = miscalibrated_records(rng, 40), miscalibrated_records(rng, 40)
+        report = calibration_report(dev, test, "lcs", n_bins=np.int64(3))
+        assert report.to_csv() == calibration_report(dev, test, "lcs", n_bins=3).to_csv()
 
     def test_csv_shape(self, rng):
         dev = miscalibrated_records(rng, 100)

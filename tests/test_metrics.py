@@ -123,6 +123,12 @@ class TestGroupUncertainty:
         assert list(groups) == ["bin0_size_1_4", "bin1_size_5_8", "bin2_size_9_12"]
         assert groups["bin0_size_1_4"] == pytest.approx([0.0, 1.0, 2.0, 3.0])
 
+    def test_numpy_integer_bins_group_as_python_int(self):
+        records = [record_with(f"t{i:02d}", entropy=float(i)) for i in range(12)]
+        sizes = {f"t{i:02d}": i + 1 for i in range(12)}
+        got = group_uncertainty_by(records, "conversation_size", measure="entropy", n_bins=np.int64(3), sizes=sizes)
+        assert got == group_uncertainty_by(records, "conversation_size", measure="entropy", n_bins=3, sizes=sizes)
+
     def test_size_bins_match_sorted_chunk_oracle(self, rng):
         n = 17
         records = [record_with(f"t{i:02d}", variance=float(v)) for i, v in enumerate(rng.random(n))]
@@ -147,5 +153,8 @@ class TestGroupUncertainty:
             group_uncertainty_by(records, "conversation_size")
         with pytest.raises(ConfigError):
             group_uncertainty_by(records, "conversation_size", n_bins=0, sizes={"a": 1})
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ConfigError, match=f"n_bins must be an integer, got {bad!r}"):
+                group_uncertainty_by(records, "conversation_size", n_bins=bad, sizes={"a": 1})
         with pytest.raises(DataError):
             group_uncertainty_by(records, "conversation_size", sizes={"other": 1})

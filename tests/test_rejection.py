@@ -117,6 +117,19 @@ class TestUnsupervisedReject:
     def test_empty_input(self):
         assert unsupervised_reject([], "entropy", 0.5) == ([], [])
 
+    @pytest.mark.parametrize("cut", [unsupervised_reject, per_fold_reject, random_reject])
+    @pytest.mark.parametrize("bad", [True, np.True_, math.nan, "0.5"])
+    def test_fraction_must_be_a_finite_number(self, cut, bad):
+        recs = records_with_uncertainty([0.1, 0.2, 0.3])
+        args = (recs, bad) if cut is random_reject else (recs, "entropy", bad)
+        with pytest.raises(ConfigError, match=f"retain_fraction must be a finite number, got {bad!r}"):
+            cut(*args)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, np.int64(3)])
+    def test_fraction_above_one_refused(self, bad):
+        with pytest.raises(ConfigError, match=rf"retain_fraction must be in \(0, 1\], got {bad}$"):
+            unsupervised_reject(records_with_uncertainty([0.1]), "entropy", bad)
+
     @pytest.mark.parametrize("cut", [unsupervised_reject, per_fold_reject])
     def test_empty_input_still_checks_measure_and_fraction(self, cut):
         with pytest.raises(ConfigError, match="unknown measure 'banana'"):

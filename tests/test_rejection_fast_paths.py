@@ -213,7 +213,8 @@ def feature_matrix(draw, rng, n, d):
 @st.composite
 def grow_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
-    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 8))
+    # up to 12 features, the meta-feature width 4 + 2C for the CLI's largest class count C = 4
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 12))
     X = feature_matrix(draw, rng, n, d)
     y01 = (rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))).astype(float)
     hp = {
@@ -221,17 +222,44 @@ def grow_cases(draw):
         "max_depth": draw(st.integers(0, 9)),
         "bootstrap_fraction": draw(st.floats(0.2, 3.0)),
     }
-    # a small row cap splits even these steps into several batches
-    return X, y01, hp, draw(st.integers(0, 10**6)), draw(st.sampled_from([1, 50, rejection._SPLIT_ROWS]))
+    # a small row cap splits even these steps into several batches, and a
+    # small draw block makes trees refill their feature draws often
+    cap = draw(st.sampled_from([1, 50, rejection._SPLIT_ROWS]))
+    return X, y01, hp, draw(st.integers(0, 10**6)), cap, draw(st.sampled_from([1, 3, rejection._DRAW_BLOCK]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(grow_cases())
 def test_lockstep_forest_byte_equal_to_one_tree_at_a_time(case):
-    X, y01, hp, seed, cap = case
-    with mock.patch.object(rejection, "_SPLIT_ROWS", cap):
+    X, y01, hp, seed, cap, block = case
+    with mock.patch.object(rejection, "_SPLIT_ROWS", cap), mock.patch.object(rejection, "_DRAW_BLOCK", block):
         fast = _fit_forest(X, y01, ForestHyperparams(**hp), seed)
     assert json.dumps(fast) == json.dumps(ref.fit_forest(X, y01, hp, seed))
+
+
+@st.composite
+def draw_cases(draw):
+    d = draw(st.integers(1, 64))
+    k = draw(st.one_of(st.just(d), st.integers(1, d)))  # k = d: the first Floyd draw, in [0, 0], consumes nothing
+    # an odd count of 32-bit draws before the block leaves half a 64-bit output buffered
+    return d, k, draw(st.sampled_from([1, 3, 64])), draw(st.integers(0, 5)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw_cases())
+@example((1, 1, 1, 1, 0))
+@example((64, 64, 3, 1, 7))
+def test_feature_draws_equal_successive_choice_calls(case):
+    d, k, count, n_before, seed = case
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (fast, slow):
+        rng.integers(0, 7, size=n_before)  # like a bootstrap draw, 32 bits per value
+    block = rejection._feature_draws(fast, d, k, count)
+    calls = np.stack([np.sort(slow.choice(d, size=k, replace=False)) for _ in range(count)])
+    assert block.dtype == calls.dtype and block.tobytes() == calls.tobytes()
+    # the generators are at the same place afterwards, buffered half included
+    assert fast.integers(0, 7, size=3).tolist() == slow.integers(0, 7, size=3).tolist()
+    assert fast.integers(0, 2**63) == slow.integers(0, 2**63)
 
 
 @st.composite
