@@ -126,26 +126,22 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def child_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Independent generator for (seed, stream...), the one ``np.random.default_rng([seed, *stream])`` gives.
+    """The generator ``np.random.default_rng([seed, *stream])`` gives; a negative or non-integer key is a ConfigError.
 
-    Derived streams do not depend on draw order elsewhere, so per-sample or
-    per-fold work stays deterministic under any scheduling. ``_seed_words``
-    keeps each key int's uint32 words, so a tree's seed is split once for all
-    of its samples. A negative or non-integer key is a ConfigError.
+    Derived streams do not depend on draw order elsewhere, so per-tree or
+    per-fold work stays deterministic under any scheduling. The generators
+    are not all distinct: numpy pads a key of fewer than four uint32 words
+    with zero words, so keys of up to four words that differ only in
+    trailing zeros give one stream (``child_rng(5)``, ``child_rng(5, 0)``
+    and ``child_rng(5, 0, 0)`` are the same generator).
     """
-    words = [w for n in (seed, *stream) for w in _seed_words(seed_int(n))]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
-
-
-@functools.lru_cache(maxsize=1024)
-def _seed_words(n: int) -> tuple[int, ...]:
-    """The uint32 words numpy's ``SeedSequence`` makes of a nonnegative int: least significant first, (0,) for 0."""
-    if n < 0:
-        raise ConfigError(f"random seeds must be nonnegative, got {n}")
-    words = [n & 0xFFFFFFFF]
-    while n := n >> 32:
-        words.append(n & 0xFFFFFFFF)
-    return tuple(words)
+    key = []
+    for n in (seed, *stream):
+        n = seed_int(n)
+        if n < 0:
+            raise ConfigError(f"random seeds must be nonnegative, got {n}")
+        key.append(n)
+    return np.random.default_rng(key)
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,8 @@ def rejection_curve(
 ) -> RejectionCurve:
     """Metrics over retained records at each retention fraction.
 
-    Fractions must start at 1.0 and strictly decrease. An empty retained
+    Fractions are real numbers, not bools or strings, and must start at 1.0
+    and strictly decrease within (0, 1]. An empty retained
     set yields a point flagged undefined rather than an error. The records
     are ranked once and each one's (gold, pred) confusion cell counted at
     the first fraction whose cut removes it; what a cut retains is the
@@ -209,6 +210,8 @@ def rejection_curve(
     turns into metrics. A label outside ``classes`` is the DataError that
     ``evaluate`` raises on all the records.
     """
+    for f in fractions:
+        check_value("fraction", f, "float")
     if not fractions or abs(fractions[0] - 1.0) > 1e-12:
         raise ConfigError("fractions must start at 1.0")
     if any(f2 >= f1 for f1, f2 in zip(fractions, fractions[1:])):

@@ -123,17 +123,15 @@ def mc_sample(
 ) -> SampleSet:
     """n_samples stochastic tree predictions with dropout active.
 
-    Sample i uses an independent stream derived from (seed, tree_id, i), so
-    results depend on neither evaluation order nor the path that scores the
-    tree: a timeline prefix keeps its tree's id and so its streams.
+    The samples draw their masks in turn from one stream, derived from
+    (seed, tree_id): sample i takes the stream's i-th mask block. So results
+    depend on neither evaluation order nor the path that scores the tree (a
+    timeline prefix keeps its tree's id and so its stream), and a larger
+    ``n_samples`` leaves the earlier samples as they were.
     """
     _check_sample_count(n_samples)
-    tree_seed = _tree_seed(seed, tree.tree_id)
-    rows = [
-        tree_probs(params, tree, embedder, dropout_rate, child_rng(tree_seed, i))
-        for i in range(n_samples)
-    ]
-    return SampleSet(np.array(rows))
+    rng = child_rng(_tree_seed(seed, tree.tree_id))
+    return SampleSet(np.array([tree_probs(params, tree, embedder, dropout_rate, rng) for _ in range(n_samples)]))
 
 
 def mc_sample_branches(
@@ -144,16 +142,13 @@ def mc_sample_branches(
     dropout_rate: float,
     seed: int = 0,
 ) -> list[SampleSet]:
-    """Per-branch sample sets (ablation mode); stream (seed, tree_id, branch, sample)."""
+    """Per-branch sample sets (ablation mode); branch b's samples draw in turn from stream (seed, tree_id, b)."""
     _check_sample_count(n_samples)
     tree_seed = _tree_seed(seed, tree.tree_id)
     sets = []
     for b, branch in enumerate(decompose_branches(tree)):
-        vectors = branch_matrix(branch, embedder)
-        rows = [
-            forward_branch(params, vectors, dropout_rate, child_rng(tree_seed, b, i)).probs
-            for i in range(n_samples)
-        ]
+        vectors, rng = branch_matrix(branch, embedder), child_rng(tree_seed, b)
+        rows = [forward_branch(params, vectors, dropout_rate, rng).probs for _ in range(n_samples)]
         sets.append(SampleSet(np.array(rows)))
     return sets
 

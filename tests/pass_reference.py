@@ -5,7 +5,8 @@ Every pass here works everything out again: it decomposes the tree
 (``lockstep_plan``), finds the rows of its mask block that reach the heads
 (``branch_masks``), stacks the embeddings with ``np.stack``, checks the
 variance and the logits separately (``softplus``, then ``softmax_rows``),
-averages with ``np.mean``, and seeds each sample's generator with
+averages with ``np.mean``, and seeds the generator that a tree's (or, per
+branch, a branch's) samples draw from in turn with
 ``np.random.default_rng([seed, *stream])``. The step kernel
 ``nn._lstm_step``, ``nn.head_forward``, ``embed_tweet`` and the measures on
 sample sets are shared with the library. ``uncertainty.bundle`` must equal
@@ -139,7 +140,8 @@ def aleatoric_score(params, tree, embedder):
 
 def mc_sample(params, tree, embedder, n_samples, dropout_rate, seed):
     tree_seed = _tree_seed(seed, tree.tree_id)
-    rows = [tree_probs(params, tree, embedder, dropout_rate, child_rng(tree_seed, i)) for i in range(n_samples)]
+    rng = child_rng(tree_seed)
+    rows = [tree_probs(params, tree, embedder, dropout_rate, rng) for _ in range(n_samples)]
     return SampleSet(np.stack(rows))
 
 
@@ -148,10 +150,8 @@ def mc_sample_branches(params, tree, embedder, n_samples, dropout_rate, seed):
     sets = []
     for b, branch in enumerate(decompose_branches(tree)):
         vectors = np.stack([embed_tweet(tw.text, embedder) for tw in branch.tweets])
-        rows = [
-            forward_branch(params, vectors, dropout_rate, child_rng(tree_seed, b, i)).probs
-            for i in range(n_samples)
-        ]
+        rng = child_rng(tree_seed, b)
+        rows = [forward_branch(params, vectors, dropout_rate, rng).probs for _ in range(n_samples)]
         sets.append(SampleSet(np.stack(rows)))
     return sets
 

@@ -66,6 +66,29 @@ def test_child_rng_is_default_rng_of_the_key(seed, stream):
     assert got.random(3).tobytes() == want.random(3).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    hidden=st.integers(1, 8),
+    n_relu=st.integers(0, 2),
+    rate=st.sampled_from([0.0, 0.2, 0.5]),
+    n_samples=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pass_by_pass_masks_are_one_block_draw(lengths, hidden, n_relu, rate, n_samples, seed):
+    """S passes drawing in turn from one generator take the S slices of one ``random((S, end, H))`` block."""
+    passes, block = nn.make_rng(seed), nn.make_rng(seed)
+    got = [nn.branch_masks(lengths, hidden, n_relu, rate, passes) for _ in range(n_samples)]
+    if rate == 0.0:
+        assert got == [None] * n_samples
+    else:
+        rows, end = nn._mask_rows(tuple(lengths), n_relu)
+        want = (block.random((n_samples, end, hidden))[:, rows] >= rate) / (1.0 - rate)
+        assert np.stack(got).tobytes() == want.reshape(n_samples, len(lengths), n_relu + 1, hidden).tobytes()
+    assert passes.bit_generator.state == block.bit_generator.state
+    assert passes.random() == block.random()
+
+
 @pytest.mark.parametrize("key", [(-1,), (5, -1), (2**40, 3, -7)])
 def test_child_rng_refuses_negative_words(key):
     with pytest.raises(ConfigError, match="nonnegative"):
@@ -137,7 +160,6 @@ def test_writing_into_a_pass_result_does_not_change_the_next_pass():
         (nn._lockstep_plan, lambda i: (((i % 7) + 1, i + 1),)),
         (nn._mask_rows, lambda i: ((i + 1,), 2)),
         (model_module._last_rows, lambda i: ((i + 1, 2),)),
-        (nn._seed_words, lambda i: (2**40 + i,)),
     ],
 )
 def test_caches_stay_bounded(cached, args):

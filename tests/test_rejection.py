@@ -251,12 +251,28 @@ class TestRejectionCurve:
         last = curve.points[-1]
         assert last.n_remaining == 0 and not last.defined and math.isnan(last.accuracy)
 
-    def test_fraction_validation(self):
-        recs = records_with_uncertainty([0.5])
-        with pytest.raises(ConfigError):
-            rejection_curve(recs, "entropy", ("true", "false"), (0.9, 0.5))
-        with pytest.raises(ConfigError):
-            rejection_curve(recs, "entropy", ("true", "false"), (1.0, 0.5, 0.7))
+    @pytest.mark.parametrize(
+        "fractions, message",
+        [
+            ((True, 0.5), "fraction must be a finite number, got True"),
+            ((1.0, "0.5"), "fraction must be a finite number, got '0.5'"),
+            ((0.9, 0.5), "fractions must start at 1.0"),
+            ((1.0, 0.5, 0.7), "fractions must be strictly decreasing"),
+            ((1.0, 0.0), "fractions must lie in (0, 1]"),
+        ],
+        ids=repr,
+    )
+    def test_fraction_validation(self, fractions, message):
+        recs = records_with_uncertainty([0.5] * 10)
+        with pytest.raises(ConfigError) as info:
+            rejection_curve(recs, "entropy", ("true", "false"), fractions)
+        assert str(info.value) == message
+
+    def test_numpy_fractions_are_accepted(self):
+        recs = records_with_uncertainty([0.5] * 10)
+        fractions = (np.float64(1.0), np.float64(0.5))
+        curve = rejection_curve(recs, "entropy", ("true", "false"), fractions)
+        assert curve == rejection_curve(recs, "entropy", ("true", "false"), (1.0, 0.5))
 
     def test_csv_shape(self):
         recs = records_with_uncertainty([0.2, 0.8], correct=[1, 0])

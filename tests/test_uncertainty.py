@@ -73,7 +73,7 @@ class TestMcSample:
         assert not np.array_equal(a.samples, c.samples)
 
     def test_sample_i_independent_of_count(self, toy_model):
-        # per-sample child streams: growing n_samples never changes earlier rows
+        # the samples draw in turn from one stream per tree: growing n_samples never changes earlier rows
         params, trees, emb = toy_model
         small = mc_sample(params, trees[0], emb, 3, 0.3, seed=9)
         big = mc_sample(params, trees[0], emb, 10, 0.3, seed=9)
