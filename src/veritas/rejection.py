@@ -212,6 +212,7 @@ def rejection_curve(
     """
     for f in fractions:
         check_value("fraction", f, "float")
+    fractions = [float(f) for f in fractions]  # a numpy float would reach curve_to_csv as "np.float64(…)"
     if not fractions or abs(fractions[0] - 1.0) > 1e-12:
         raise ConfigError("fractions must start at 1.0")
     if any(f2 >= f1 for f1, f2 in zip(fractions, fractions[1:])):

@@ -268,11 +268,11 @@ class TestRejectionCurve:
             rejection_curve(recs, "entropy", ("true", "false"), fractions)
         assert str(info.value) == message
 
-    def test_numpy_fractions_are_accepted(self):
+    @pytest.mark.parametrize("fractions", [(np.float64(1.0), np.float64(0.5)), np.array([1.0, 0.5])], ids=repr)
+    def test_numpy_fractions_give_the_float_curve(self, fractions):
         recs = records_with_uncertainty([0.5] * 10)
-        fractions = (np.float64(1.0), np.float64(0.5))
         curve = rejection_curve(recs, "entropy", ("true", "false"), fractions)
-        assert curve == rejection_curve(recs, "entropy", ("true", "false"), (1.0, 0.5))
+        assert curve_to_csv(curve) == curve_to_csv(rejection_curve(recs, "entropy", ("true", "false"), (1.0, 0.5)))
 
     def test_csv_shape(self):
         recs = records_with_uncertainty([0.2, 0.8], correct=[1, 0])
