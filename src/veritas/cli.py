@@ -178,6 +178,9 @@ def _cmd_reject(args: argparse.Namespace) -> int:
         spec = _load_json_arg(args.meta, "meta")
         if "dev_records" not in spec:
             raise ConfigError("--meta JSON needs a dev_records path")
+        for key in ("dev_records", "save"):
+            if key in spec and not isinstance(spec[key], str):
+                raise ConfigError(f"--meta key {key!r} must be a path string, got {spec[key]!r}")
         dev = read_records_csv(spec["dev_records"])
         backend = spec.get("backend", "random_forest")
         reserved = {"backend", "dev_records", "threshold", "save"}

@@ -304,10 +304,15 @@ class FoldSpec:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
             if not isinstance(doc["assignments"], dict):
                 raise DataError(f"fold file {path}: assignments must be an object of tree id to fold")
+            for tid, fold in doc["assignments"].items():
+                check_value(f"fold of tree {tid!r}", fold, "int")
+            dev_fold = doc.get("dev_fold")
+            if dev_fold is not None:
+                check_value("dev_fold", dev_fold, "int")
             return cls(
                 scheme=str(doc["scheme"]),
                 assignments={str(k): int(v) for k, v in doc["assignments"].items()},
-                dev_fold=None if doc.get("dev_fold") is None else int(doc["dev_fold"]),
+                dev_fold=None if dev_fold is None else int(dev_fold),
             )
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"cannot read fold file {path}: {exc}") from exc

@@ -1,11 +1,17 @@
-"""The branch network as it was written before ``nn`` defined it once.
+"""The branch network a branch at a time, layer by layer, as it was written before ``nn`` batched it.
 
-``init_params`` builds every layer by hand, in its own shape table, and
-``forward_branch`` chains the checked single-layer ops (``nn.dense_forward``
-and ``dropout_forward``) after the LSTM. ``model.init_params`` and
-``model.forward_branch`` now run ``nn.layer_shapes`` and
-``nn.head_forward`` instead, and must match these bit for bit, so the
-properties compare with ``np.array_equal`` and equal bytes.
+``init_params`` builds every layer by hand, in its own shape table.
+``lstm_recurrence`` is the LSTM with a fresh array for every gate, cell
+and hidden state and the two-division ``sigmoid``; ``lstm_backward`` sums
+the weight gradients inside the time loop as per-step outer products,
+starting from zeros. ``softmax`` and ``softplus`` check finiteness with
+generic ``np.all`` calls. ``forward_branch`` runs one branch: the
+recurrence, its ``(steps, H)`` dropout mask, then ``nn.dense_forward`` and
+``dropout_forward`` per ReLU layer, the two heads, ``softplus`` and
+``softmax``. ``tree_branch_outputs`` runs a tree's branches through it one
+after another from one rng. ``nn``'s kernels, ``model.init_params``,
+``model.forward_branch`` and a one-branch ``model.tree_branch_outputs`` must
+match these bit for bit, so the properties compare equal bytes.
 ``dropout_forward`` is also the single-op dropout that criteria 1 and 4
 check; no library path calls it, so it lives here rather than in ``nn``.
 """
@@ -15,7 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from veritas import nn
-from veritas.errors import ConfigError
+from veritas.data import branch_matrix, decompose_branches
+from veritas.errors import ConfigError, InvalidInput, ShapeError
+from veritas.model import BranchOutput
+from veritas.nn import _LSTMStates
 
 
 def init_params(input_dim, hidden_size, num_relu_layers, n_classes, seed=0, variance_dim=1, input_scale=1.0):
@@ -41,6 +50,82 @@ def init_params(input_dim, hidden_size, num_relu_layers, n_classes, seed=0, vari
     return layers
 
 
+def sigmoid(x):
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def softmax(logits):
+    v = np.asarray(logits, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise ShapeError(f"softmax expects a nonempty vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidInput("softmax: logits must be finite")
+    e = np.exp(v - v.max())
+    return e / e.sum()
+
+
+def softplus(x):
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInput("softplus: input must be finite")
+    tail = np.log1p(np.exp(-np.abs(arr)))
+    return np.where(arr > 0, arr + tail, tail)
+
+
+def lstm_recurrence(Wx, Wh, b, X):
+    steps, hidden = X.shape[0], Wh.shape[1]
+    acts = np.empty((steps, 4 * hidden))
+    cells = np.zeros((steps + 1, hidden))
+    hiddens = np.zeros((steps + 1, hidden))
+    tanh_cells = np.empty((steps, hidden))
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    candidate = slice(2 * hidden, 3 * hidden)
+    for t in range(steps):
+        a = Wx @ X[t] + Wh @ h + b
+        s = sigmoid(a)
+        g = np.tanh(a[candidate])
+        s[candidate] = g
+        acts[t] = s
+        c = s[hidden : 2 * hidden] * c + s[:hidden] * g
+        tanh_cells[t] = np.tanh(c)
+        h = s[3 * hidden :] * tanh_cells[t]
+        cells[t + 1] = c
+        hiddens[t + 1] = h
+    return _LSTMStates(acts, cells, hiddens, tanh_cells)
+
+
+def lstm_backward(Wh, X, states, d_hidden):
+    steps, hidden = X.shape[0], Wh.shape[1]
+    acts = states.acts.reshape(steps, 4, hidden)
+    i, f, g, o = acts[:, 0], acts[:, 1], acts[:, 2], acts[:, 3]
+    tc = states.tanh_cells
+    second = np.concatenate([g, states.cells[:-1], i, tc], axis=1)
+    third = np.concatenate([i, f, np.ones((steps, hidden)), o], axis=1)
+    fourth = np.concatenate([1.0 - i, 1.0 - f, 1.0 - g * g, 1.0 - o], axis=1)
+    dtanh = 1.0 - tc * tc
+    dWx = np.zeros((4 * hidden, X.shape[1]))
+    dWh = np.zeros((4 * hidden, hidden))
+    db = np.zeros(4 * hidden)
+    das = np.empty((steps, 4 * hidden))
+    dh_next = np.zeros(hidden)
+    dc_next = np.zeros(hidden)
+    hiddens = states.hiddens
+    for t in reversed(range(steps)):
+        dh = d_hidden[t] + dh_next
+        dc = dh * o[t] * dtanh[t] + dc_next
+        da = np.concatenate((dc, dc, dc, dh)) * second[t] * third[t] * fourth[t]
+        dWx += np.outer(da, X[t])
+        dWh += np.outer(da, hiddens[t])
+        db += da
+        das[t] = da
+        dh_next = Wh.T @ da
+        dc_next = dc * f[t]
+    return dWx, dWh, db, das
+
+
 def dropout_forward(x, rate, rng=None):
     """Inverted dropout of one array at ``rate``; a zero rate returns the array itself."""
     xv = np.asarray(x, dtype=np.float64)
@@ -52,15 +137,15 @@ def dropout_forward(x, rate, rng=None):
 
 
 def forward_branch(params, vectors, dropout=0.0, rng=None):
-    """(hidden, logits, variance, probs) of one branch through the dense-op chain."""
     p = params.layers
-    outputs = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], vectors)
-    if nn._drops(dropout):
-        outputs = outputs * nn._draw_mask(outputs.shape, dropout, rng)
-    u = outputs[-1]
+    outputs = lstm_recurrence(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], vectors).hiddens[1:]
+    u = dropout_forward(outputs, dropout, rng)[-1]
     for i in range(params.num_relu_layers):
-        u = nn.dense_forward(p[f"relu{i}.w"], p[f"relu{i}.b"], u, "relu")
-        u = dropout_forward(u, dropout, rng)
+        u = dropout_forward(nn.dense_forward(p[f"relu{i}.w"], p[f"relu{i}.b"], u, "relu"), dropout, rng)
     logits = nn.dense_forward(p["out.w"], p["out.b"], u, "linear")
-    variance = nn.softplus(nn.dense_forward(p["var.w"], p["var.b"], u, "linear"))
-    return u, logits, variance, nn.softmax(logits)
+    variance = softplus(nn.dense_forward(p["var.w"], p["var.b"], u, "linear"))
+    return BranchOutput(logits=logits, variance=variance, probs=softmax(logits))
+
+
+def tree_branch_outputs(params, tree, embedder, dropout=0.0, rng=None):
+    return [forward_branch(params, branch_matrix(b, embedder), dropout, rng) for b in decompose_branches(tree)]

@@ -6,18 +6,23 @@ recorded scalar for every watched array. Gradients flow keyed on array
 identity, so the same array objects must be passed to every op that should
 share them. Only the ops of the branch network and its two losses are here.
 
-The ops call the same private ``nn`` kernels as ``nn.backward``, but the
-graph plumbing (fan-out accumulation, the generic reverse sweep, the
-functional SGD update) is independent of it. ``reference_step`` is the
-per-branch step ``model.train`` used to run, so ``nn.backward`` followed by
-``nn.sgd_step`` must match it bit for bit.
+The ops compute with slow kernels of their own: ``network_reference``'s
+LSTM loop and per-step outer-product backward, its ``np.all``-checked
+``softmax`` and ``softplus``, ``np.outer`` dense gradients and an
+``np.mean`` sampled cross-entropy. Only the dropout rule (``nn._drops``,
+``nn._draw_mask``), ``nn._xent``, ``nn._xent_backward`` and ``LOG_FLOOR``
+are shared with ``nn``. ``reference_step`` followed by ``sgd`` is the
+per-branch step ``model.train`` used to run, so ``nn.backward`` and
+``nn.sgd_step`` must match them bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import network_reference as net
 from veritas import nn
+from veritas.errors import InvalidInput
 
 
 class TapeError(Exception):
@@ -65,23 +70,19 @@ def dense(W, b, x, activation, tape):
 
     def pull(dy):
         dz = dy * (z > 0.0) if activation == "relu" else dy
-        dW, dx = nn._dense_backward(W, x, dz)
-        return dW, dz, dx
+        return np.outer(dz, x), dz, W.T @ dz
 
     return tape.record(y, (W, b, x), pull)
 
 
 def lstm(Wx, Wh, b, X, dropout, rng, tape):
     steps, hidden = X.shape[0], Wh.shape[1]
-    masks = nn._draw_mask((steps, hidden), dropout, rng) if dropout > 0 else np.ones((steps, hidden))
-    states = nn._lstm_recurrence(Wx, Wh, b, X)
+    masks = nn._draw_mask((steps, hidden), dropout, rng) if nn._drops(dropout) else np.ones((steps, hidden))
+    states = net.lstm_recurrence(Wx, Wh, b, X)
 
     def pull(dout):
-        dWx, dWh, db, das = nn._lstm_backward(Wh, X, states, dout * masks)
-        dX = np.empty_like(X)
-        for t in range(steps):
-            dX[t] = Wx.T @ das[t]
-        return dWx, dWh, db, dX
+        dWx, dWh, db, das = net.lstm_backward(Wh, X, states, dout * masks)
+        return dWx, dWh, db, das @ Wx
 
     return tape.record(states.outputs * masks, (Wx, Wh, b, X), pull)
 
@@ -96,18 +97,18 @@ def take_last(seq, tape):
 
 
 def dropout(x, rate, rng, tape):
-    if rate == 0:
+    if not nn._drops(rate):
         return x  # identity: gradients flow through the same array object
     mask = nn._draw_mask(x.shape, rate, rng)
     return tape.record(x * mask, (x,), lambda dy: (dy * mask,))
 
 
 def softplus(x, tape):
-    return tape.record(np.asarray(nn.softplus(x)), (x,), lambda dy: (nn._softplus_backward(x, dy),))
+    return tape.record(net.softplus(x), (x,), lambda dy: (dy * net.sigmoid(x),))
 
 
 def softmax_xent(v, target, tape):
-    p = nn.softmax(v)
+    p = net.softmax(v)
     return tape.record(np.asarray(nn._xent(p, target)), (v,), lambda dy: (nn._xent_backward(p, target, dy),))
 
 
@@ -115,8 +116,22 @@ def sampled_xent(v, sig, target, noise, tape):
     sqrt_sig = np.sqrt(sig)
     if np.all(sqrt_sig == 0.0):
         return softmax_xent(v, target, tape)
-    value, probs = nn._sampled_xent(v, sqrt_sig, target, noise)
-    pull = lambda dy: nn._sampled_xent_backward(probs, sqrt_sig, target, noise, dy)  # noqa: E731
+    perturbed = v[None, :] + noise * sqrt_sig[None, :]
+    if not np.all(np.isfinite(perturbed)):
+        raise InvalidInput("sampled_xent: perturbed logits are not finite")
+    e = np.exp(perturbed - perturbed.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    value = np.mean(-(np.log(np.maximum(probs, nn.LOG_FLOOR)) @ target))
+
+    def pull(dy):
+        g = (probs - target[None, :]) / noise.shape[0]
+        per_logit = (g * noise).sum(axis=0)
+        if sqrt_sig.shape == v.shape:
+            dsig = np.where(sqrt_sig > 0.0, per_logit / (2.0 * np.where(sqrt_sig > 0.0, sqrt_sig, 1.0)), 0.0)
+        else:
+            dsig = np.asarray([per_logit.sum() / (2.0 * sqrt_sig[0])])
+        return dy * g.sum(axis=0), dy * dsig
+
     return tape.record(np.asarray(value), (v, sig), pull)
 
 
@@ -156,7 +171,7 @@ def sgd(layers, grads, learning_rate):
 
 
 def reference_step(layers, vectors, target, config, rate, rng):
-    """One SGD step on one branch: (new layers, cross-entropy, sampled loss)."""
+    """One branch's step on the tape: (gradients of every layer, cross-entropy, sampled loss, variance)."""
     tape = Tape()
     tape.watch_all(layers)
     logits, variance = forward_branch(layers, vectors, rate, rng, tape)
@@ -164,4 +179,4 @@ def reference_step(layers, vectors, target, config, rate, rng):
     noise = rng.standard_normal((config.aleatoric_samples, target.shape[0]))
     sampled = sampled_xent(logits, variance, target, noise, tape)
     weighted_sum(ce, sampled, config.ce_weight, config.aleatoric_weight, tape)
-    return sgd(layers, backward(tape), float(config.learning_rate)), float(ce), float(sampled)
+    return backward(tape), float(ce), float(sampled), variance

@@ -416,6 +416,10 @@ class TestBadInputExits2:
         [
             {"scheme": "k_fold", "assignments": ["t0", 0]},
             {"scheme": "k_fold", "assignments": {"t0": 0, "t1": 1}, "dev_fold": 5},
+            {"scheme": "k_fold", "assignments": {"t0": 0, "t1": 1.7}},
+            {"scheme": "k_fold", "assignments": {"t0": 0, "t1": True}},
+            {"scheme": "k_fold", "assignments": {"t0": 0, "t1": "1"}},
+            {"scheme": "k_fold", "assignments": {"t0": 0, "t1": 1}, "dev_fold": 0.9},
         ],
     )
     def test_bad_folds_file(self, workspace, tmp_path, capfd, doc):
@@ -435,6 +439,10 @@ class TestBadInputExits2:
             ({"threshold": "0.5"}, "threshold must be a finite number, got '0.5'"),
             ({"backend": "linear_hinge", "epochs": "many"}, "linear_hinge hyperparameter epochs must be an integer, got 'many'"),
             ({"n_trees": None}, "random_forest hyperparameter n_trees must be an integer, got None"),
+            # fd 0 is /dev/null under pytest's capture, so reading it could not block
+            ({"dev_records": 0}, "--meta key 'dev_records' must be a path string, got 0"),
+            ({"dev_records": ["r.csv"]}, "--meta key 'dev_records' must be a path string, got ['r.csv']"),
+            ({"save": 1}, "--meta key 'save' must be a path string, got 1"),
         ],
     )
     def test_bad_meta_value(self, workspace, capfd, extra, message):

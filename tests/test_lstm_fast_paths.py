@@ -1,7 +1,7 @@
 """The LSTM step's fast paths against the loops they replaced.
 
-``lstm_reference`` keeps the slow versions: fresh arrays per step and a
-two-division sigmoid in the recurrence, per-step outer products in the
+``network_reference`` keeps the slow versions: fresh arrays per step and
+a two-division sigmoid in the recurrence, per-step outer products in the
 backward. Every property asks for the same bits: ``np.array_equal`` and
 equal ``tobytes()`` for each state array and each gradient.
 """
@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lstm_reference as ref
+import network_reference as ref
 from veritas import nn
 
 STATE_FIELDS = ("acts", "cells", "hiddens", "tanh_cells")

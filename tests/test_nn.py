@@ -2,7 +2,8 @@
 
 ``TestTape`` and ``TestGradients`` check ``tests/tape_reference.py``, the
 exact oracle of the training step in ``tests/test_train_step.py``, against
-finite differences; criterion 1 checks ``nn.backward`` and its kernels.
+finite differences; its ops run their own slow kernels, not ``nn``'s.
+Criterion 1 checks ``nn.backward`` and its kernels.
 """
 
 import json

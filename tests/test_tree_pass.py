@@ -1,10 +1,10 @@
 """A tree pass runs all of its branches as one batch.
 
 ``model.tree_branch_outputs`` sends every branch through one lockstep LSTM
-call and one head pass. ``inference_reference`` keeps the branch-at-a-time
-loop it replaced. The masks must be the same random numbers, so the rng
-state after a pass must equal the reference's, and a one-branch pass must
-give the same bits. With several branches the LSTM and head products are
+call and one head pass. ``network_reference`` keeps the branch-at-a-time
+loop it replaced, with its own per-step LSTM loop. The masks must be the
+same random numbers, so the rng state after a pass must equal the
+reference's, and a one-branch pass must give the same bits. With several branches the LSTM and head products are
 matrix products instead of matrix-vector ones, which round differently:
 those passes must agree within 1e-12, where a wrong mask would move a
 value by order one.
@@ -16,7 +16,7 @@ from conftest import conversation_trees
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import inference_reference as ref
+import network_reference as ref
 from veritas import (
     ConversationTree,
     HashingEmbedder,
