@@ -14,8 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataWarning, InvalidInput
-from .nn import check_value
+from .errors import ConfigError, DataWarning, InvalidInput, check_value
 from .rejection import PredictionRecord
 from .uncertainty import UncertaintyBundle, measure_spec
 

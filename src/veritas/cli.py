@@ -21,7 +21,7 @@ from .data import (
     load_dataset,
     write_dataset,
 )
-from .errors import ConfigError, DataError, VeritasError
+from .errors import ConfigError, DataError, VeritasError, check_value
 from .harness import (
     cross_validate,
     timeline_report,
@@ -33,7 +33,6 @@ from .harness import (
 )
 from .metrics import evaluate
 from .model import ModelParams, TrainingConfig
-from .nn import check_value
 from .rejection import (
     RejectionCurve,
     curve_point,

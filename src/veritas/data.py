@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DataWarning
-from .nn import check_fields, check_value, make_rng, seed_int
+from .errors import ConfigError, DataError, DataWarning, check_fields, check_value, make_rng, seed_int
 
 CANONICAL_LABELS = ("true", "false", "unverified", "nonrumour")
 STANCES = ("support", "deny", "query", "comment")
@@ -309,8 +308,10 @@ class FoldSpec:
             dev_fold = doc.get("dev_fold")
             if dev_fold is not None:
                 check_value("dev_fold", dev_fold, "int")
+            if not isinstance(doc["scheme"], str):
+                raise DataError(f"fold file {path}: scheme must be a string, got {doc['scheme']!r}")
             return cls(
-                scheme=str(doc["scheme"]),
+                scheme=doc["scheme"],
                 assignments={str(k): int(v) for k, v in doc["assignments"].items()},
                 dev_fold=None if dev_fold is None else int(dev_fold),
             )

@@ -12,8 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .nn import check_value
+from .errors import ConfigError, DataError, check_value
 from .uncertainty import uncertainty_value
 
 

@@ -1,26 +1,11 @@
-"""Branch-sequence rumour classifier.
+"""Branch-sequence rumour classifier: parameters, inference per branch and per tree, training.
 
-Each conversation tree is decomposed into root-to-leaf branches; a branch is
-a sequence of tweet embeddings fed through an LSTM, a small ReLU stack and
-two linear heads: class logits and a learned data-noise variance (softplus
-keeps it positive). Tree-level predictions average the branch softmax
-outputs. Training minimises a weighted sum of the plain cross-entropy and a
-noise-sampled cross-entropy whose gradient flows through the fixed Gaussian
-draws: per branch, ``nn.backward`` computes the loss and its gradients and
-``nn.sgd_step`` applies them in place.
-
-Inference scores a tree in passes, and a pass (``tree_branch_outputs``)
-runs all of the tree's branches as one batch: their tweets embedded into
-one block, one lockstep ``nn.lstm_forward`` call with the branch
-``lengths``, then ``nn.head_forward`` on the block of last outputs, with
-the masks a branch-at-a-time pass would draw (``nn.branch_masks``) and
-one finiteness check for the logits and variance pre-activations together
-(``nn.head_distributions``). ``forward_branch`` is that pass over one branch.
-
-A bundle's passes differ only in their masks: the branches are decomposed
-once per tree (the tree keeps them) and planned once per shape (``nn`` and
-``_last_rows``), while every pass embeds each branch row, runs the LSTM and
-the heads and draws its whole mask block.
+Each conversation tree is decomposed into root-to-leaf branches; a branch
+runs through the network of ``nn`` (an LSTM, a small ReLU stack and two
+linear heads: class logits and a softplus data-noise variance), and a
+tree's prediction averages its branches' softmax outputs. README's
+"Inference path" and "Training path" say how a pass and a training step
+run and round.
 """
 
 from __future__ import annotations
@@ -35,7 +20,7 @@ import numpy as np
 
 from . import nn
 from .data import ConversationTree, HashingEmbedder, branch_matrix, decompose_branches, embed_tweet, infer_classes
-from .errors import ConfigError, DataError, InvalidInput
+from .errors import ConfigError, DataError, InvalidInput, check_fields, check_value, make_rng
 
 Array = np.ndarray
 
@@ -150,10 +135,10 @@ def init_params(
     bound.
     """
     for name, value in (("input_dim", input_dim), ("hidden_size", hidden_size), ("n_classes", n_classes)):
-        nn.check_value(name, value, "int", "[1, inf)")
-    nn.check_value("num_relu_layers", num_relu_layers, "int", "[0, inf)")
-    nn.check_value("input_scale", input_scale, "float", "(0, inf)")
-    rng = nn.make_rng(seed)
+        check_value(name, value, "int", "[1, inf)")
+    check_value("num_relu_layers", num_relu_layers, "int", "[0, inf)")
+    check_value("input_scale", input_scale, "float", "(0, inf)")
+    rng = make_rng(seed)
     layers = {}
     # Python ints: numpy takes the square root of a small numpy integer fan-in in float16
     dims = map(operator.index, (input_dim, hidden_size, num_relu_layers, n_classes, variance_dim))
@@ -257,7 +242,7 @@ class TrainingConfig:
     variance_per_logit: bool = False
 
     def __post_init__(self) -> None:
-        nn.check_fields(
+        check_fields(
             self, hidden_size="[1, inf)", num_relu_layers="[0, inf)", dropout_rate_train="[0, 1)",
             learning_rate="(0, inf)", epochs="[0, inf)", aleatoric_samples="[1, inf)", ce_weight="[0, inf)",
             aleatoric_weight="[0, inf)", seed="[0, inf)",
@@ -339,7 +324,7 @@ def train(
 
     n_classes = len(classes)
     variance_dim = n_classes if config.variance_per_logit else 1
-    rng = nn.make_rng(config.seed)
+    rng = make_rng(config.seed)
     params = init_params(
         input_dim=embedder.dimension,
         hidden_size=config.hidden_size,

@@ -1,52 +1,18 @@
-"""Numeric building blocks of the branch classifier.
+"""The branch network in plain float64 numpy: layer table, forward pass, training step, checkpoints.
 
-Everything is plain float64 numpy. The branch network is defined once:
-``layer_shapes`` is its layer table, and the LSTM recurrence followed by
-``head_forward`` (ReLU stack, logits, variance head) is its forward pass,
-run by inference (``lstm_forward`` in ``model``'s tree pass) and by
-training (``backward``, which adds the gradients from the private
-per-layer kernels ``_dense_backward``, ``_lstm_backward``,
-``_xent_backward``, ``_sampled_xent_backward`` and ``_softplus_backward``).
-``sgd_step`` applies them in place. This is not a general autodiff engine.
-Dropout is a rate in [0, 1): each op that takes one draws an inverted-dropout
-mask exactly when the rate is positive, and ``branch_masks`` is the one rule
-for the masks of a pass over branches. ``dense_forward``, ``softmax_xent``
-and ``sampled_xent`` are checked single-op references no library path
-calls; the benchmark's tracer wraps them by name.
-
-Inference runs a tree's branches as one batch. ``lstm_forward`` takes
-``lengths``, the branches sitting back to back in its input, and runs
-them in lockstep through the one step kernel ``_lstm_step``: a step is
-one matrix product per weight matrix over the branches still running.
-``head_forward`` takes one branch's vector or a ``(branches, H)`` block.
-A one-row product rounds as the matrix-vector product does, so a single
-branch, and so training, gets the bits of a branch-at-a-time loop; a
-block of several rows rounds as a matrix product.
-
-The lockstep plan (``_lockstep_plan``) and the mask rows that reach the
-heads (``_mask_rows``) depend only on the branch lengths, so they are
-worked out once per shape, in bounded caches of read-only arrays. A pass
-still draws its whole mask block but compares and scales only those rows.
-
-A training step is well over a hundred numpy calls on arrays of 3 to 128
-values, so Python dispatch outweighs the arithmetic. ``backward`` therefore
-builds no ``(steps, H)`` hidden-state gradient and no masked copy of one:
-the heads read only the last emitted hidden state, so every other row of
-that gradient is zero. It draws the LSTM's whole mask block, as inference
-does, and applies only the last row. The LSTM backward starts from that
-one row, exactly: the zero rows it no longer adds changed only the sign of
-zeros in the per-step gate gradients, and the weight gradients sum those
-onto +0.0, which clears a zero's sign.
+``layer_shapes`` is the layer table. The forward pass is the LSTM
+recurrence (``lstm_forward``) followed by ``head_forward`` (ReLU stack,
+logits, variance head); ``backward`` returns one branch's losses and
+gradients from the private per-layer kernels, and ``sgd_step`` applies
+them in place. This is not a general autodiff engine. README's
+"Inference path" and "Training path" say how each path runs and rounds.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import json
-import math
-import numbers
 import operator
 from pathlib import Path
 from typing import NamedTuple
@@ -58,90 +24,6 @@ Array = np.ndarray
 
 # Floor for log arguments inside the cross-entropy losses.
 LOG_FLOOR = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# config values and random streams
-
-
-def is_integer(value) -> bool:
-    """Whether ``operator.index`` takes the value, as it does numpy integers, and it is no bool."""
-    try:
-        return not isinstance(value, (bool, np.bool_)) and operator.index(value) is not None
-    except TypeError:
-        return False
-
-
-def finite_number(value) -> bool:
-    """Whether the value is a real number, no bool, that is finite as a float."""
-    try:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
-def seed_int(seed) -> int:
-    """``operator.index(seed)``; a bool or a non-integer is a ConfigError."""
-    if not is_integer(seed):
-        raise ConfigError(f"random seeds must be integers, got {seed!r}")
-    return operator.index(seed)
-
-
-def check_value(name: str, value, kind: str, bound: str | None = None) -> None:
-    """A ConfigError naming the value unless it is of its kind and within its bound.
-
-    An "int" or a "seed" is an ``is_integer``, a "float" a real number and no bool, and a "bool" a bool;
-    an "int" or a "float" is also finite as a float. A bound is an interval such as "[0, 1)", "(0, inf)"
-    or "[0, 2**64)": each end is closed, open or absent, and a float holds it exactly.
-    """
-    if kind in ("int", "seed") and not is_integer(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if kind in ("int", "float") and not finite_number(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if kind == "bool" and not isinstance(value, bool):
-        raise ConfigError(f"{name} must be a bool, got {value!r}")
-    if bound is not None:
-        ends = bound[1:-1].split(", ")
-        lo, hi = (float(base) ** float(power or 1) for base, _, power in (end.partition("**") for end in ends))
-        x = operator.index(value) if kind in ("int", "seed") else value  # exact, a numpy uint64 too
-        closed_lo, closed_hi = bound[0] == "[", bound[-1] == "]"
-        if not ((lo <= x if closed_lo else lo < x) and (x <= hi if closed_hi else x < hi)):
-            rule = f"{'>=' if closed_lo else '>'} {ends[0]}" if hi == math.inf else f"in {bound}"
-            raise ConfigError(f"{name} must be {rule}, got {value}")
-
-
-def check_fields(config, **bounds: str) -> None:
-    """``check_value`` on each field of a config dataclass in order, of its annotated type or, named seed, a seed."""
-    for field in dataclasses.fields(config):
-        kind = "seed" if field.name == "seed" else field.type
-        check_value(field.name, getattr(config, field.name), kind, bounds.get(field.name))
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """The generator ``np.random.default_rng(seed)`` gives; a negative or non-integer seed is a ConfigError."""
-    seed = seed_int(seed)
-    if seed < 0:
-        raise ConfigError(f"random seeds must be nonnegative, got {seed}")
-    return np.random.default_rng(seed)
-
-
-def child_rng(seed: int, *stream: int) -> np.random.Generator:
-    """The generator ``np.random.default_rng([seed, *stream])`` gives; a negative or non-integer key is a ConfigError.
-
-    Derived streams do not depend on draw order elsewhere, so per-tree or
-    per-fold work stays deterministic under any scheduling. The generators
-    are not all distinct: numpy pads a key of fewer than four uint32 words
-    with zero words, so keys of up to four words that differ only in
-    trailing zeros give one stream (``child_rng(5)``, ``child_rng(5, 0)``
-    and ``child_rng(5, 0, 0)`` are the same generator).
-    """
-    key = []
-    for n in (seed, *stream):
-        n = seed_int(n)
-        if n < 0:
-            raise ConfigError(f"random seeds must be nonnegative, got {n}")
-        key.append(n)
-    return np.random.default_rng(key)
 
 
 # ---------------------------------------------------------------------------

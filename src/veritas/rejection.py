@@ -36,9 +36,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DataWarning, InvalidInput
+from .errors import (
+    ConfigError,
+    DataError,
+    DataWarning,
+    InvalidInput,
+    check_fields,
+    check_value,
+    child_rng,
+    finite_number,
+    is_integer,
+    make_rng,
+)
 from .metrics import _cells, _class_index, _report, evaluate
-from .nn import check_fields, check_value, child_rng, finite_number, is_integer, make_rng, sigmoid
+from .nn import sigmoid
 from .uncertainty import UncertaintyBundle, measure_spec
 
 Array = np.ndarray

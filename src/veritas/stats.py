@@ -13,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInput
-from .nn import is_integer
+from .errors import ConfigError, InvalidInput, is_integer
 
 
 def chi2_sf(x: float, df: int) -> float:

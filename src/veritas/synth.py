@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .data import CANONICAL_LABELS, ConversationTree, Tweet
-from .errors import ConfigError
-from .nn import check_fields, is_integer, make_rng
+from .errors import ConfigError, check_fields, is_integer, make_rng
 
 _BASE_TIMESTAMP = 1_500_000_000_000
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ConversationTree, branch_matrix, decompose_branches
-from .errors import ConfigError, InvalidInput
+from .errors import ConfigError, InvalidInput, check_fields, check_value, child_rng, seed_int
 from .model import ModelParams, forward_branch, predict_tree, tree_branch_outputs, tree_probs
-from .nn import check_fields, check_value, child_rng, seed_int
 
 Array = np.ndarray
 

@@ -22,14 +22,14 @@ import numpy as np
 
 from veritas import nn
 from veritas.data import branch_matrix, decompose_branches
-from veritas.errors import ConfigError, InvalidInput, ShapeError
+from veritas.errors import ConfigError, InvalidInput, ShapeError, make_rng
 from veritas.model import BranchOutput
 from veritas.nn import _LSTMStates
 
 
 def init_params(input_dim, hidden_size, num_relu_layers, n_classes, seed=0, variance_dim=1, input_scale=1.0):
     """Seeded uniform(+-1/sqrt(fan_in)) weights, zero biases, as a layer dict."""
-    rng = nn.make_rng(seed)
+    rng = make_rng(seed)
 
     def uniform(shape, fan_in, scale=1.0):
         bound = 1.0 / (np.sqrt(fan_in) * scale)

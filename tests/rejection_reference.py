@@ -17,10 +17,9 @@ import math
 
 import numpy as np
 
-from veritas.errors import ConfigError, DataError, InvalidInput
+from veritas.errors import ConfigError, DataError, InvalidInput, child_rng, make_rng
 from veritas.harness import _finite, records_header
 from veritas.metrics import MetricsReport
-from veritas.nn import child_rng, make_rng
 from veritas.rejection import CurvePoint, RejectionCurve, make_record
 from veritas.uncertainty import MEASURE_TABLE, UncertaintyBundle, measure_spec, uncertainty_value
 

@@ -49,8 +49,8 @@ from veritas import (
 from veritas import nn
 from veritas.calibration import ConfidenceRecord
 from veritas.cli import main as cli_main
+from veritas.errors import make_rng
 from veritas.model import forward_branch, init_params
-from veritas.nn import make_rng
 from veritas.rejection import curve_to_csv, rejection_curve
 from veritas.uncertainty import MEASURES, SampleSet
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import network_reference as ref
 from veritas import nn
+from veritas.errors import make_rng
 from veritas.model import ModelParams, forward_branch, init_params
 
 
@@ -85,7 +86,7 @@ def branch_cases(draw):
 @given(branch_cases())
 def test_forward_branch_equals_dense_op_chain(case):
     params, vectors, _, dropout, seed = case
-    rng, ref_rng = nn.make_rng(seed), nn.make_rng(seed)
+    rng, ref_rng = make_rng(seed), make_rng(seed)
     out = forward_branch(params, vectors, dropout, rng)
     want = ref.forward_branch(params, vectors, dropout, ref_rng)
     assert same_bits(out.logits, want.logits)
@@ -98,7 +99,7 @@ def test_forward_branch_equals_dense_op_chain(case):
 @given(branch_cases(), st.integers(1, 6))
 def test_training_runs_the_inference_forward_pass(case, samples):
     params, vectors, target, dropout, seed = case
-    train_rng, infer_rng = nn.make_rng(seed), nn.make_rng(seed)
+    train_rng, infer_rng = make_rng(seed), make_rng(seed)
     ce, _, _ = nn.backward(params.layers, vectors, target, dropout, train_rng, samples, 1.0, 0.2)
     out = forward_branch(params, vectors, dropout, infer_rng)
     assert ce == nn._xent(out.probs, target)

@@ -420,6 +420,8 @@ class TestBadInputExits2:
             {"scheme": "k_fold", "assignments": {"t0": 0, "t1": True}},
             {"scheme": "k_fold", "assignments": {"t0": 0, "t1": "1"}},
             {"scheme": "k_fold", "assignments": {"t0": 0, "t1": 1}, "dev_fold": 0.9},
+            {"scheme": 5, "assignments": {"t0": 0, "t1": 1}},
+            {"scheme": None, "assignments": {"t0": 0, "t1": 1}},
         ],
     )
     def test_bad_folds_file(self, workspace, tmp_path, capfd, doc):

@@ -349,6 +349,14 @@ class TestFolds:
         with pytest.raises(DataError):
             FoldSpec.load(path)
 
+    @pytest.mark.parametrize("scheme", [5, None, ["k_fold"]])
+    def test_load_requires_a_string_scheme(self, tmp_path, scheme):
+        path = tmp_path / "folds.json"
+        path.write_text(json.dumps({"scheme": scheme, "assignments": {"t0": 0, "t1": 1}}))
+        with pytest.raises(DataError) as info:
+            FoldSpec.load(path)
+        assert str(info.value) == f"fold file {path}: scheme must be a string, got {scheme!r}"
+
 
 # ---------------------------------------------------------------------------
 # tokenisation

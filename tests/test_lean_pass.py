@@ -17,7 +17,7 @@ import pass_reference as ref
 from veritas import ConversationTree, HashingEmbedder, Tweet, bundle, nn
 from veritas import model as model_module
 from veritas.data import decompose_branches
-from veritas.errors import ConfigError
+from veritas.errors import ConfigError, child_rng, make_rng
 from veritas.model import ModelParams, init_params, tree_branch_outputs
 
 
@@ -60,7 +60,7 @@ def test_bundle_equals_the_pass_that_repeats_everything(case):
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**64), stream=st.lists(st.integers(0, 2**64), min_size=1, max_size=3))
 def test_child_rng_is_default_rng_of_the_key(seed, stream):
-    got = nn.child_rng(seed, *stream)
+    got = child_rng(seed, *stream)
     want = np.random.default_rng([seed, *stream])
     assert got.bit_generator.state == want.bit_generator.state
     assert got.random(3).tobytes() == want.random(3).tobytes()
@@ -77,7 +77,7 @@ def test_child_rng_is_default_rng_of_the_key(seed, stream):
 )
 def test_pass_by_pass_masks_are_one_block_draw(lengths, hidden, n_relu, rate, n_samples, seed):
     """S passes drawing in turn from one generator take the S slices of one ``random((S, end, H))`` block."""
-    passes, block = nn.make_rng(seed), nn.make_rng(seed)
+    passes, block = make_rng(seed), make_rng(seed)
     got = [nn.branch_masks(lengths, hidden, n_relu, rate, passes) for _ in range(n_samples)]
     if rate == 0.0:
         assert got == [None] * n_samples
@@ -92,7 +92,7 @@ def test_pass_by_pass_masks_are_one_block_draw(lengths, hidden, n_relu, rate, n_
 @pytest.mark.parametrize("key", [(-1,), (5, -1), (2**40, 3, -7)])
 def test_child_rng_refuses_negative_words(key):
     with pytest.raises(ConfigError, match="nonnegative"):
-        nn.child_rng(*key)
+        child_rng(*key)
 
 
 def _tree():
@@ -142,16 +142,16 @@ def test_shape_caches_hand_out_read_only_arrays():
 def test_writing_into_a_pass_result_does_not_change_the_next_pass():
     params = init_params(6, 4, 1, 3, seed=2)
     tree, embedder = _tree(), HashingEmbedder(dimension=6, seed=1)
-    first = tree_branch_outputs(params, tree, embedder, 0.3, nn.make_rng(4))
+    first = tree_branch_outputs(params, tree, embedder, 0.3, make_rng(4))
     expected = [out.probs.copy() for out in first]
     for out in first:
         out.probs[:] = -1.0
         out.logits[:] = np.nan
-    masks = nn.branch_masks((3, 3, 2), 4, 1, 0.3, nn.make_rng(4))
+    masks = nn.branch_masks((3, 3, 2), 4, 1, 0.3, make_rng(4))
     masks[:] = 7.0
-    again = tree_branch_outputs(params, tree, embedder, 0.3, nn.make_rng(4))
+    again = tree_branch_outputs(params, tree, embedder, 0.3, make_rng(4))
     assert [out.probs.tobytes() for out in again] == [p.tobytes() for p in expected]
-    assert not (nn.branch_masks((3, 3, 2), 4, 1, 0.3, nn.make_rng(4)) == 7.0).any()
+    assert not (nn.branch_masks((3, 3, 2), 4, 1, 0.3, make_rng(4)) == 7.0).any()
 
 
 @pytest.mark.parametrize(

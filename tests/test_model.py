@@ -24,7 +24,7 @@ from veritas import (
 )
 import veritas.model
 from veritas import nn
-from veritas.errors import ConfigError, DataError, InvalidInput, ShapeError
+from veritas.errors import ConfigError, DataError, InvalidInput, ShapeError, make_rng
 from veritas.model import input_rms
 
 
@@ -172,7 +172,7 @@ class TestInitParams:
 
 def _sampled(logits, variance, target, n_draws, seed):
     """nn.sampled_xent over n_draws standard-normal rows from make_rng(seed)."""
-    eps = nn.make_rng(seed).standard_normal((n_draws, len(logits)))
+    eps = make_rng(seed).standard_normal((n_draws, len(logits)))
     return float(nn.sampled_xent(logits, variance, target, eps))
 
 
@@ -205,7 +205,7 @@ class TestSampledCrossEntropy:
         logits = np.array([0.3, -0.1, 0.6])
         variance = np.array([0.49])
         target = np.array([0.0, 0.0, 1.0])
-        eps = nn.make_rng(42).standard_normal((1, 3))
+        eps = make_rng(42).standard_normal((1, 3))
         expected = -math.log(nn.softmax(logits + 0.7 * eps[0])[2])
         got = _sampled(logits, variance, target, 1, 42)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -217,7 +217,7 @@ class TestSampledCrossEntropy:
         n = 10000
         got = _sampled(logits, variance, target, n, 1)
 
-        eps = nn.make_rng(999).standard_normal((n, 2))
+        eps = make_rng(999).standard_normal((n, 2))
         draws = np.array(
             [-math.log(nn.softmax(logits + 0.5 * e)[0]) for e in eps]
         )

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veritas import HashingEmbedder, SyntheticSpec, generate_synthetic, mc_sample, nn
-from veritas.errors import ConfigError, DataError, InvalidInput, ShapeError
+from veritas.errors import ConfigError, DataError, InvalidInput, ShapeError, child_rng, make_rng
 from veritas.model import forward_branch, init_params
 
 import network_reference as ref
@@ -184,16 +184,16 @@ class TestDropout:
         assert ref.dropout_forward(x, 0.0) is x
 
     def test_zero_fraction_near_rate(self):
-        masks = nn._draw_mask((10_000, 100), 0.3, nn.make_rng(0))
+        masks = nn._draw_mask((10_000, 100), 0.3, make_rng(0))
         zero_fraction = float((masks == 0).mean())
         assert abs(zero_fraction - 0.3) <= 0.02
 
     def test_survivors_scaled_and_mean_preserved(self):
-        mask = nn._draw_mask(200_000, 0.25, nn.make_rng(3))
+        mask = nn._draw_mask(200_000, 0.25, make_rng(3))
         survivors = mask[mask > 0]
         assert np.allclose(survivors, 1.0 / 0.75)
         x = np.full(200_000, 2.0)
-        dropped = ref.dropout_forward(x, 0.25, nn.make_rng(4))
+        dropped = ref.dropout_forward(x, 0.25, make_rng(4))
         assert abs(dropped.mean() - 2.0) < 0.02
 
     def test_invalid_rate(self):
@@ -205,8 +205,8 @@ class TestDropout:
         p = params.layers
         for rate in (1.0, -0.1):
             calls = (
-                lambda: nn.backward(p, vectors, target, rate, nn.make_rng(0), 2, 1.0, 0.2),
-                lambda: forward_branch(params, vectors, rate, nn.make_rng(0)),
+                lambda: nn.backward(p, vectors, target, rate, make_rng(0), 2, 1.0, 0.2),
+                lambda: forward_branch(params, vectors, rate, make_rng(0)),
                 lambda: mc_sample(params, tree, emb, 2, rate),
             )
             for call in calls:
@@ -338,7 +338,7 @@ class TestGradients:
         r = rng.normal(size=(steps, hidden))
         def build(arrs, tape):
             # Fresh generator per call keeps the mask fixed across FD evals.
-            hs = tr.lstm(arrs["wx"], arrs["wh"], arrs["b"], arrs["x"], 0.4, nn.make_rng(11), tape)
+            hs = tr.lstm(arrs["wx"], arrs["wh"], arrs["b"], arrs["x"], 0.4, make_rng(11), tape)
             return tr.inner(hs, r, tape)
 
         _check_grads(build, arrays, ("wx", "wh", "b", "x"))
@@ -348,7 +348,7 @@ class TestGradients:
         arrays = {"x": rng.normal(size=6)}
         r = rng.normal(size=6)
         def build(arrs, tape):
-            y = tr.dropout(arrs["x"], 0.3, nn.make_rng(2), tape)
+            y = tr.dropout(arrs["x"], 0.3, make_rng(2), tape)
             return tr.inner(tr.softplus(y, tape), r, tape)
 
         _check_grads(build, arrays, ("x",))
@@ -560,8 +560,8 @@ class TestCheckpoints:
 
 
 def test_child_rng_deterministic_and_distinct():
-    a = nn.child_rng(5, 1).random(4)
-    b = nn.child_rng(5, 1).random(4)
-    c = nn.child_rng(5, 2).random(4)
+    a = child_rng(5, 1).random(4)
+    b = child_rng(5, 1).random(4)
+    c = child_rng(5, 2).random(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)

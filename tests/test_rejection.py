@@ -18,8 +18,7 @@ from veritas import (
     train_meta,
     unsupervised_reject,
 )
-from veritas.errors import ConfigError, DataError, DataWarning, InvalidInput
-from veritas.nn import make_rng
+from veritas.errors import ConfigError, DataError, DataWarning, InvalidInput, make_rng
 from veritas.rejection import ForestHyperparams, _fit_forest, _forest_scores, _grow_trees, curve_to_csv
 from veritas.uncertainty import uncertainty_value
 

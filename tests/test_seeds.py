@@ -24,8 +24,7 @@ from veritas import (
     make_folds,
 )
 from veritas.data import fnv1a_64
-from veritas.errors import ConfigError
-from veritas.nn import child_rng, make_rng
+from veritas.errors import ConfigError, child_rng, make_rng
 from veritas.rejection import ForestHyperparams, HingeHyperparams
 from veritas.uncertainty import _tree_seed
 

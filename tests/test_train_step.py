@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from tape_reference import reference_step, sgd
 
 from veritas import nn
-from veritas.errors import InvalidInput
+from veritas.errors import InvalidInput, make_rng
 from veritas.model import ModelParams, TrainingConfig, forward_branch, init_params
 
 
@@ -79,7 +79,7 @@ def oracle_cases(draw):
 @given(oracle_cases())
 def test_step_bits_equal_tape_reference(case):
     layers, vectors, target, config, seed = case
-    rng, ref_rng = nn.make_rng(seed), nn.make_rng(seed)
+    rng, ref_rng = make_rng(seed), make_rng(seed)
     rate = config.dropout_rate_train
     want, want_ce, want_sampled, variance = reference_step(layers, vectors, target, config, rate, ref_rng)
 

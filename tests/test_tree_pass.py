@@ -25,12 +25,11 @@ from veritas import (
     UncertaintyConfig,
     bundle,
     mc_sample,
-    nn,
     timeline_report,
     tree_probs,
 )
 from veritas.data import decompose_branches
-from veritas.errors import InvalidInput
+from veritas.errors import InvalidInput, make_rng
 from veritas.model import ModelParams, init_params, tree_branch_outputs
 
 FIELDS = ("logits", "probs", "variance")
@@ -64,7 +63,7 @@ def pass_cases(draw):
 @given(pass_cases())
 def test_tree_pass_matches_branch_at_a_time_reference(case):
     params, tree, embedder, dropout, seed = case
-    rng, ref_rng = nn.make_rng(seed), nn.make_rng(seed)
+    rng, ref_rng = make_rng(seed), make_rng(seed)
     got = tree_branch_outputs(params, tree, embedder, dropout, rng)
     want = ref.tree_branch_outputs(params, tree, embedder, dropout, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -30,8 +30,7 @@ from veritas import (
     variation_ratio,
 )
 from veritas.data import branch_matrix, decompose_branches
-from veritas.errors import ConfigError, InvalidInput
-from veritas.nn import child_rng
+from veritas.errors import ConfigError, InvalidInput, child_rng
 from veritas.uncertainty import MEASURE_TABLE, MEASURES, aleatoric_score
 
 
