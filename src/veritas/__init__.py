@@ -79,7 +79,6 @@ from .rejection import (
     PredictionRecord,
     RejectionCurve,
     make_record,
-    meta_features,
     per_fold_reject,
     random_reject,
     rejection_curve,

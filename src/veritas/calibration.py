@@ -47,13 +47,10 @@ def aleatoric_stats(dev_records: Sequence[PredictionRecord]) -> NormalizationSta
 def to_confidence(
     bundle: UncertaintyBundle, measure: str, stats: NormalizationStats | None = None
 ) -> float:
-    """Map one bundle's measure value to a confidence in [0, 1].
+    """Map one bundle's measure value to a confidence in [0, 1] by the measure's ``confidence_map``.
 
-    The measure's ``confidence_map`` in MEASURE_TABLE picks the mapping.
-    Confidences pass through; bounded uncertainties become 1 - value;
-    entropies are scaled by their log(n_classes) ceiling first; the
-    aleatoric variance is min-max normalised with dev stats (values clipped
-    into the dev range). A degenerate dev range maps to 0.5 with a warning.
+    The dev stats min-max scale a "dev_minmax" measure; a degenerate dev
+    range maps to 0.5 with a warning.
     """
     return float(_confidences([bundle], measure, stats)[0])
 
@@ -76,7 +73,6 @@ def _confidences(
     values = np.array([getattr(b, spec.field) for b in bundles], dtype=np.float64)
     if spec.confidence_map == "clip":
         return _clip01(values)
-    u = 1.0 - values if spec.confidence else values
     if spec.confidence_map == "dev_minmax":
         if stats is None:
             raise ConfigError(f"{measure} confidence needs dev-set normalisation stats")
@@ -89,12 +85,12 @@ def _confidences(
                 )
             return np.full(len(bundles), 0.5)
         with np.errstate(all="ignore"):
-            u = (u - stats.lo) / (stats.hi - stats.lo)
+            values = (values - stats.lo) / (stats.hi - stats.lo)
     elif spec.confidence_map == "entropy":
         ceilings = np.array([math.log(b.n_classes) for b in bundles])
         with np.errstate(all="ignore"):
-            u = u / ceilings
-    return _clip01(1.0 - u)
+            values = values / ceilings
+    return _clip01(1.0 - values)
 
 
 def confidence_records(
@@ -188,11 +184,14 @@ def _ece(conf: np.ndarray, correct: np.ndarray, n_bins: int) -> float:
 
 @dataclass(frozen=True)
 class CalibrationMap:
-    """Histogram binning: bin -> calibrated confidence."""
+    """Histogram binning: bin m -> calibrated confidence ``calibrated[m - 1]``."""
 
-    n_bins: int
     calibrated: tuple[float, ...]
     dev_counts: tuple[int, ...]
+
+    @property
+    def n_bins(self) -> int:
+        return len(self.calibrated)
 
 
 def fit_histogram_binning(dev_records: Sequence[ConfidenceRecord], n_bins: int = 10) -> CalibrationMap:
@@ -213,7 +212,7 @@ def _fit(conf: np.ndarray, correct: np.ndarray, n_bins: int) -> CalibrationMap:
             calibrated.append((m - 0.5) / n_bins)
         else:
             calibrated.append(stats.accuracy)
-    return CalibrationMap(n_bins=n_bins, calibrated=tuple(calibrated), dev_counts=tuple(b.count for b in bins))
+    return CalibrationMap(calibrated=tuple(calibrated), dev_counts=tuple(b.count for b in bins))
 
 
 def apply_calibration(cal_map: CalibrationMap, confidence) -> float | list[float]:

@@ -154,7 +154,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     records = read_records_csv(args.records)
-    print(_metrics_json(records, _classes_for(args.classes)))
+    classes = _classes_for(args.classes)
+    k = records[0].bundle.n_classes if records else args.classes
+    if k != args.classes:
+        raise ConfigError(f"--classes {args.classes} does not match the {k} probability columns of {args.records}")
+    print(_metrics_json(records, classes))
     return 0
 
 

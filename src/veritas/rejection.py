@@ -5,23 +5,7 @@ Supervised mode trains a small meta-classifier (linear hinge or a
 hand-rolled random forest) on development-set records to predict whether
 the underlying prediction is correct, and drops the ones it flags. A
 random baseline and a per-fold variant of the unsupervised cut round out
-the options.
-
-The forest grows its trees in lockstep. Each tree keeps its bootstrap,
-its own generator and a depth-first stack of pending nodes. Every step
-pops the next node of each unfinished tree, takes that node's features
-from the tree's next feature draw, and searches all the popped nodes for
-their Gini-best split in one batch of array operations. A tree draws its
-features for 64 nodes at a time in one ``integers`` call, the very draws
-of 64 per-node ``Generator.choice`` calls: numpy's choice picks by
-Floyd's algorithm for d <= 10,000 features, and for any d at the
-forest's round(sqrt(d)) picks. Each generator makes its draws in the same
-order as when one tree is grown at a time, and the batched search
-computes each node's Gini values with the same elementwise formula and
-breaks ties the same way. So the saved forest is byte for
-byte the one a tree-at-a-time fit gives. Scoring walks flat node arrays.
-A rejection curve is one cumulative confusion count along one ranking. The
-hinge fit takes one subgradient step per block of 64 records.
+the options. Every cut keeps the count ``_kept`` gives.
 """
 
 from __future__ import annotations
@@ -62,22 +46,16 @@ class PredictionRecord:
     tree_id: str
     gold: str
     pred: str
-    correct: bool
     bundle: UncertaintyBundle
     fold: int
 
-    def __post_init__(self) -> None:
-        if self.correct != (self.gold == self.pred):
-            raise DataError(
-                f"record {self.tree_id}: correct={self.correct} contradicts "
-                f"gold={self.gold!r} pred={self.pred!r}"
-            )
+    @property
+    def correct(self) -> bool:
+        return self.gold == self.pred
 
 
 def make_record(tree_id: str, gold: str, pred: str, bundle: UncertaintyBundle, fold: int) -> PredictionRecord:
-    return PredictionRecord(
-        tree_id=tree_id, gold=gold, pred=pred, correct=gold == pred, bundle=bundle, fold=fold
-    )
+    return PredictionRecord(tree_id, gold, pred, bundle, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -88,29 +66,27 @@ def _ranking(records: Sequence[PredictionRecord], measure: str, per_fold: bool) 
     """Record positions from most to least uncertain, ties broken on tree_id.
 
     One list for all records, or one per fold in fold order when
-    ``per_fold`` is set. A cut at fraction f removes the first
-    ceil((1-f)*len) positions of every list. An unknown measure is a
-    ConfigError even when there is nothing to rank.
+    ``per_fold`` is set; a cut at fraction f removes the first
+    ``len - _kept(len, f)`` positions of every list. An unknown measure is
+    a ConfigError even when there is nothing to rank.
     """
     spec = measure_spec(measure)
-    if not records:
-        return []
-    keys = []
-    for r in records:
-        value = getattr(r.bundle, spec.field)
-        u = 1.0 - value if spec.confidence else value
-        keys.append((r.fold if per_fold else 0, -u, r.tree_id))
+    keys = [(r.fold if per_fold else 0, -spec.uncertainty(r.bundle), r.tree_id) for r in records]
     order = sorted(range(len(records)), key=keys.__getitem__)
     return [list(group) for _, group in itertools.groupby(order, key=lambda i: keys[i][0])]
 
 
-def _cut(n: int, retain_fraction: float) -> int:
-    """How many of a group's n ranked positions a cut at the fraction removes."""
-    return math.ceil((1.0 - retain_fraction) * n)
+def _kept(n: int, retain_fraction: float) -> int:
+    """The one keep-count rule of every cut: floor(f*n) of n records.
+
+    A product within 1e-9 of an integer counts as that integer, so 0.7 of
+    90 keeps 63 although 0.7 * 90 is 62.99999999999999 in floats.
+    """
+    return math.floor(retain_fraction * n + 1e-9)
 
 
 def _removed_positions(groups: list[list[int]], retain_fraction: float) -> list[list[int]]:
-    return [g[: _cut(len(g), retain_fraction)] for g in groups]
+    return [g[: len(g) - _kept(len(g), retain_fraction)] for g in groups]
 
 
 def _split(
@@ -138,7 +114,7 @@ def _check_fraction(retain_fraction: float) -> None:
 def unsupervised_reject(
     records: Sequence[PredictionRecord], measure: str, retain_fraction: float
 ) -> tuple[list[PredictionRecord], list[PredictionRecord]]:
-    """Remove the ceil((1-f)*n) most uncertain records by one measure.
+    """Keep all but the most uncertain records by one measure, ``_kept(n, f)`` of n.
 
     Ranking ties break on tree_id; the retained list keeps input order and
     the removed list is most uncertain first.
@@ -152,11 +128,11 @@ def unsupervised_reject(
 def random_reject(
     records: Sequence[PredictionRecord], retain_fraction: float, seed: int = 0
 ) -> tuple[list[PredictionRecord], list[PredictionRecord]]:
-    """Keep a uniform floor(f*n) subsample, input order preserved."""
+    """Keep a uniform subsample of ``_kept(n, f)`` records, input order preserved."""
     _check_fraction(retain_fraction)
     n = len(records)
     keep = np.zeros(n, dtype=bool)
-    keep[make_rng(seed).choice(n, size=math.floor(retain_fraction * n), replace=False)] = True
+    keep[make_rng(seed).choice(n, size=_kept(n, retain_fraction), replace=False)] = True
     return _partition(records, keep.tolist())
 
 
@@ -165,7 +141,7 @@ def per_fold_reject(
 ) -> tuple[list[PredictionRecord], list[PredictionRecord]]:
     """Apply the unsupervised cut inside each fold, then pool.
 
-    Both lists keep input order.
+    Each fold of n records keeps ``_kept(n, f)``; both lists keep input order.
     """
     _check_fraction(retain_fraction)
     return _split(records, _removed_positions(_ranking(records, measure, True), retain_fraction))
@@ -177,11 +153,16 @@ def per_fold_reject(
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """Metrics over the records a cut retains; NaN when it retains none."""
+
     retain_fraction: float
     n_remaining: int
     accuracy: float
     macro_f: float
-    defined: bool
+
+    @property
+    def defined(self) -> bool:
+        return self.n_remaining > 0
 
 
 @dataclass(frozen=True)
@@ -198,9 +179,9 @@ def curve_point(
 ) -> CurvePoint:
     """Metrics over the retained records; an empty set is flagged undefined."""
     if not retained:
-        return CurvePoint(retain_fraction, 0, float("nan"), float("nan"), False)
+        return CurvePoint(retain_fraction, 0, float("nan"), float("nan"))
     report = evaluate(retained, classes)
-    return CurvePoint(retain_fraction, len(retained), report.accuracy, report.macro_f, True)
+    return CurvePoint(retain_fraction, len(retained), report.accuracy, report.macro_f)
 
 
 def rejection_curve(
@@ -240,7 +221,7 @@ def rejection_curve(
     # the index of the first fraction whose cut reaches each record's rank
     leaves = np.empty(len(records), dtype=np.int64)
     for g in groups:
-        leaves[g] = np.searchsorted([_cut(len(g), f) for f in fractions], np.arange(len(g)), side="right")
+        leaves[g] = np.searchsorted([len(g) - _kept(len(g), f) for f in fractions], np.arange(len(g)), side="right")
     # row j: the confusion counts of the records that the cuts up to fraction j remove
     counts = np.bincount(leaves * n_cells + codes, minlength=(len(fractions) + 1) * n_cells)
     removed = counts.reshape(-1, n_cells).cumsum(axis=0)
@@ -251,16 +232,14 @@ def rejection_curve(
             points.append(curve_point(f, [], classes))
             continue
         report = _report(confusion, classes)
-        points.append(CurvePoint(f, n, report.accuracy, report.macro_f, True))
+        points.append(CurvePoint(f, n, report.accuracy, report.macro_f))
     return RejectionCurve(measure=measure, points=tuple(points))
 
 
 def curve_to_csv(curve: RejectionCurve) -> str:
     lines = ["measure,retain_fraction,n_remaining,accuracy,macro_f"]
     for p in curve.points:
-        acc = repr(p.accuracy) if p.defined else "nan"
-        mf = repr(p.macro_f) if p.defined else "nan"
-        lines.append(f"{curve.measure},{p.retain_fraction!r},{p.n_remaining},{acc},{mf}")
+        lines.append(f"{curve.measure},{p.retain_fraction!r},{p.n_remaining},{p.accuracy!r},{p.macro_f!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -268,24 +247,17 @@ def curve_to_csv(curve: RejectionCurve) -> str:
 # meta-classifier features
 
 
-def meta_features(record: PredictionRecord) -> np.ndarray:
-    """[aleatoric, variance, entropy, variation_ratio, probs..., one-hot pred]."""
-    b = record.bundle
-    one_hot = np.zeros(b.n_classes)
-    one_hot[b.predicted_class] = 1.0
-    return np.concatenate(
-        [
-            [b.aleatoric, b.variance, b.entropy, b.variation_ratio],
-            list(b.mean_probs),
-            one_hot,
-        ]
-    )
+def _n_features(n_classes: int) -> int:
+    """The meta-feature count: 4 measures, then a probability and a one-hot prediction per class."""
+    return 4 + 2 * n_classes
 
 
 def _feature_matrix(records: Sequence[PredictionRecord]) -> np.ndarray:
-    """meta_features of each of a nonempty list of records, one row each, filled by columns.
+    """The meta features of a nonempty list of records, one row each, filled by columns.
 
-    A record whose class count differs from the first record's is a ConfigError.
+    A row is [aleatoric, variance, entropy, variation_ratio, mean_probs...,
+    one-hot prediction...]; the class columns are the last 2k. A record
+    whose class count differs from the first record's is a ConfigError.
     """
     bundles, k = [r.bundle for r in records], records[0].bundle.n_classes
     for r in records:
@@ -293,10 +265,10 @@ def _feature_matrix(records: Sequence[PredictionRecord]) -> np.ndarray:
             raise ConfigError(
                 f"record {r.tree_id} has {r.bundle.n_classes} classes but record {records[0].tree_id} has {k}"
             )
-    X = np.zeros((len(bundles), 4 + 2 * k))
-    X[:, :4] = [(b.aleatoric, b.variance, b.entropy, b.variation_ratio) for b in bundles]
-    X[:, 4 : 4 + k] = [b.mean_probs for b in bundles]
-    X[np.arange(len(bundles)), [4 + k + b.predicted_class for b in bundles]] = 1.0
+    X = np.zeros((len(bundles), _n_features(k)))
+    X[:, : -2 * k] = [(b.aleatoric, b.variance, b.entropy, b.variation_ratio) for b in bundles]
+    X[:, -2 * k : -k] = [b.mean_probs for b in bundles]
+    X[np.arange(len(bundles)), [b.predicted_class - k for b in bundles]] = 1.0
     return X
 
 
@@ -644,14 +616,7 @@ class MetaClassifier:
         return _forest_scores(self.state, X)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "backend": self.backend,
-                "state": self.state,
-                "n_classes": self.n_classes,
-                "n_features": self.n_features,
-            }
-        )
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)})
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -674,7 +639,13 @@ class MetaClassifier:
 
     @classmethod
     def load(cls, path) -> "MetaClassifier":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        """Read a saved meta-classifier; an unreadable or bad file is a DataError naming it."""
+        try:
+            return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read meta-classifier {path}: {exc}") from exc
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def _node_problem(root, n_features: int) -> str | None:
@@ -704,7 +675,7 @@ def _check_state(meta: MetaClassifier) -> None:
     where = f"meta-classifier {meta.backend}"
     if meta.backend not in ("linear_hinge", "random_forest"):
         raise DataError(f"meta-classifier: unknown backend {meta.backend!r}")
-    if meta.n_classes < 2 or meta.n_features != 4 + 2 * meta.n_classes:
+    if meta.n_classes < 2 or meta.n_features != _n_features(meta.n_classes):
         raise DataError(
             f"{where}: {meta.n_features} features do not fit {meta.n_classes} classes "
             "(4 measures, then probabilities and a one-hot prediction per class)"

@@ -27,31 +27,36 @@ class Measure:
     """One uncertainty measure and every place it shows up.
 
     ``field`` is the UncertaintyBundle attribute and ``column`` the records
-    and timeline CSV column. A ``confidence`` measure reads higher for more
-    certain predictions; ranking inverts it as 1 - value. ``confidence_map``
-    names how calibration maps the value u into [0, 1]: "clip" keeps u,
-    "1-u" takes the complement, "entropy" divides u by the log(n_classes)
-    ceiling before the complement, and "dev_minmax" min-max scales u with
-    dev-set stats before the complement. Every result is clipped to [0, 1].
+    and timeline CSV column. ``confidence_map`` names how calibration maps
+    the value u into [0, 1]: "clip" keeps u, "1-u" takes the complement,
+    "entropy" divides u by the log(n_classes) ceiling before the
+    complement, and "dev_minmax" min-max scales u with dev-set stats before
+    the complement. Every result is clipped to [0, 1]. So the "clip"
+    measures are the confidences, which read higher for more certain
+    predictions; every other measure is an uncertainty.
     """
 
     name: str
     field: str
     column: str
-    confidence: bool
     confidence_map: str
+
+    def uncertainty(self, bundle_: UncertaintyBundle) -> float:
+        """The bundle's ranking value: higher always means more uncertain, so a confidence is inverted as 1 - value."""
+        value = getattr(bundle_, self.field)
+        return 1.0 - value if self.confidence_map == "clip" else value
 
 
 # The eight measures in CSV column order; MEASURES follows the same order.
 MEASURE_TABLE = (
-    Measure("variation_ratio", "variation_ratio", "vr", False, "1-u"),
-    Measure("entropy", "entropy", "entropy", False, "entropy"),
-    Measure("variance", "variance", "variance", False, "1-u"),
-    Measure("aleatoric", "aleatoric", "aleatoric", False, "dev_minmax"),
-    Measure("lcs", "softmax_lcs", "lcs", True, "clip"),
-    Measure("margin", "softmax_margin", "margin", True, "clip"),
-    Measure("ratio", "softmax_ratio", "ratio", False, "1-u"),
-    Measure("softmax_entropy", "softmax_entropy", "softmax_entropy", False, "entropy"),
+    Measure("variation_ratio", "variation_ratio", "vr", "1-u"),
+    Measure("entropy", "entropy", "entropy", "entropy"),
+    Measure("variance", "variance", "variance", "1-u"),
+    Measure("aleatoric", "aleatoric", "aleatoric", "dev_minmax"),
+    Measure("lcs", "softmax_lcs", "lcs", "clip"),
+    Measure("margin", "softmax_margin", "margin", "clip"),
+    Measure("ratio", "softmax_ratio", "ratio", "1-u"),
+    Measure("softmax_entropy", "softmax_entropy", "softmax_entropy", "entropy"),
 )
 
 MEASURES = tuple(m.name for m in MEASURE_TABLE)
@@ -294,13 +299,8 @@ def bundle(
 
 
 def uncertainty_value(bundle_: UncertaintyBundle, measure: str) -> float:
-    """Ranking value for a measure: higher always means more uncertain.
-
-    Confidence measures are inverted as 1 - value.
-    """
-    spec = measure_spec(measure)
-    value = getattr(bundle_, spec.field)
-    return 1.0 - value if spec.confidence else value
+    """The ranking value of a measure, ``Measure.uncertainty``: higher always means more uncertain."""
+    return measure_spec(measure).uncertainty(bundle_)
 
 
 @dataclass(frozen=True)

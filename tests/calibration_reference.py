@@ -93,7 +93,7 @@ def fit_histogram_binning(dev_records, n_bins=10):
             calibrated.append((m - 0.5) / n_bins)
         else:
             calibrated.append(stats.accuracy)
-    return CalibrationMap(n_bins=n_bins, calibrated=tuple(calibrated), dev_counts=tuple(b.count for b in bins))
+    return CalibrationMap(calibrated=tuple(calibrated), dev_counts=tuple(b.count for b in bins))
 
 
 def calibrate_records(cal_map, records):

@@ -1,11 +1,12 @@
 """Slow reference versions of the rejection stage's fast paths.
 
 Each function here is the straightforward loop that the library replaced:
-a fresh sort of every record for each cut, one Python walk per (record,
-tree) pair when scoring a forest, one tree grown at a time with one Gini
-search per (node, feature) pair, three passes over the pairs per class in
-``evaluate``, the hinge fit's block rule applied one record at a time, and a
-records CSV reader that checks every cell on its own.
+a fresh sort of every record for each cut, one meta-feature row per
+record, one Python walk per (record, tree) pair when scoring a forest, one
+tree grown at a time with one Gini search per (node, feature) pair, three
+passes over the pairs per class in ``evaluate``, the hinge fit's block
+rule applied one record at a time, and a records CSV reader that checks
+every cell on its own.
 The library versions must give exactly the same results, so the property
 tests compare them with ``==`` or byte equality, never a tolerance.
 """
@@ -35,7 +36,7 @@ def unsupervised_reject(records, measure, retain_fraction):
     _check_cut(measure, retain_fraction)
     if not records:
         return [], []
-    n_remove = math.ceil((1.0 - retain_fraction) * len(records))
+    n_remove = len(records) - math.floor(retain_fraction * len(records) + 1e-9)
     ranked = sorted(records, key=lambda r: (-uncertainty_value(r.bundle, measure), r.tree_id))
     removed = ranked[:n_remove]
     removed_ids = {id(r) for r in removed}
@@ -47,7 +48,7 @@ def random_reject(records, retain_fraction, seed=0):
     if not 0.0 < retain_fraction <= 1.0:
         raise ConfigError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
     n = len(records)
-    n_keep = math.floor(retain_fraction * n)
+    n_keep = math.floor(retain_fraction * n + 1e-9)
     keep = np.sort(make_rng(seed).choice(n, size=n_keep, replace=False))
     keep_set = set(int(i) for i in keep)
     retained = [r for i, r in enumerate(records) if i in keep_set]
@@ -111,11 +112,25 @@ def rejection_curve(records, measure, classes, fractions, per_fold=False):
     for f in fractions:
         retained = cut(records, measure, f)[0]
         if not retained:
-            points.append(CurvePoint(f, 0, float("nan"), float("nan"), False))
+            points.append(CurvePoint(f, 0, float("nan"), float("nan")))
             continue
         report = evaluate(retained, classes)
-        points.append(CurvePoint(f, len(retained), report.accuracy, report.macro_f, True))
+        points.append(CurvePoint(f, len(retained), report.accuracy, report.macro_f))
     return RejectionCurve(measure=measure, points=tuple(points))
+
+
+def meta_features(record):
+    """One record's meta features: [aleatoric, variance, entropy, variation_ratio, probs..., one-hot pred]."""
+    b = record.bundle
+    one_hot = np.zeros(b.n_classes)
+    one_hot[b.predicted_class] = 1.0
+    return np.concatenate(
+        [
+            [b.aleatoric, b.variance, b.entropy, b.variation_ratio],
+            list(b.mean_probs),
+            one_hot,
+        ]
+    )
 
 
 def _tree_prob(node, x):

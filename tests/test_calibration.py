@@ -134,7 +134,7 @@ class TestBinIndex:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_confidence_is_invalid_input(self, bad):
-        cal = CalibrationMap(n_bins=2, calibrated=(0.25, 0.75), dev_counts=(1, 1))
+        cal = CalibrationMap(calibrated=(0.25, 0.75), dev_counts=(1, 1))
         for call in (
             lambda: bin_index(bad, 10),
             lambda: apply_calibration(cal, bad),
@@ -289,9 +289,14 @@ class TestHistogramBinning:
         with pytest.raises(ConfigError):
             fit_histogram_binning([], 10)
 
+    def test_bin_count_is_the_calibrated_length(self):
+        cal = CalibrationMap(calibrated=(0.2, 0.8), dev_counts=(1, 1))
+        assert cal.n_bins == 2
+        assert apply_calibration(cal, [0.1, 0.9]) == [0.2, 0.8]
+
     def test_identity_map_is_noop(self):
         cal = CalibrationMap(
-            n_bins=4, calibrated=(0.125, 0.375, 0.625, 0.875), dev_counts=(1, 1, 1, 1)
+            calibrated=(0.125, 0.375, 0.625, 0.875), dev_counts=(1, 1, 1, 1)
         )
         for c in (0.1, 0.3, 0.6, 0.9):
             assert apply_calibration(cal, c) == pytest.approx((bin_index(c, 4) - 0.5) / 4)

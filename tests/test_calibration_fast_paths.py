@@ -97,7 +97,7 @@ def test_to_confidence_bits_equal_python_floats(data, measure, n_classes, bounds
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(VALUES, st.floats(-1e300, 1e300))), st.integers(1, 12))
 def test_binning_keeps_the_scalar_rule(confidences, n_bins):
-    cal_map = CalibrationMap(n_bins, tuple(m / n_bins for m in range(1, n_bins + 1)), (0,) * n_bins)
+    cal_map = CalibrationMap(tuple(m / n_bins for m in range(1, n_bins + 1)), (0,) * n_bins)
     want = [ref.bin_index(c, n_bins) for c in confidences]
     assert [bin_index(c, n_bins) for c in confidences] == want
     assert apply_calibration(cal_map, confidences) == [cal_map.calibrated[m - 1] for m in want]

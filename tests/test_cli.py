@@ -430,6 +430,13 @@ class TestBadInputExits2:
         assert self._train(workspace, folds, json.dumps(CONFIG)) == 2
         assert str(folds) in capfd.readouterr().err
 
+    @pytest.mark.parametrize("classes", ["2", "4"])
+    def test_evaluate_class_count_differs_from_the_records(self, workspace, capfd, classes):
+        records = workspace["out"] / "records.csv"
+        assert main(["evaluate", "--records", str(records), "--classes", classes]) == 2
+        err = capfd.readouterr().err
+        assert f"error: --classes {classes} does not match the 3 probability columns of {records}\n" in err
+
     @pytest.mark.parametrize("classes", [3, "ab", ["a", 1]])
     def test_classes_not_a_list_of_strings(self, workspace, capfd, classes):
         assert self._train(workspace, workspace["folds"], json.dumps({**CONFIG, "classes": classes})) == 2

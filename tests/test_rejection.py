@@ -1,16 +1,20 @@
 """Rejection strategies: quantile cuts, random baseline, meta-classifier."""
 
+import functools
 import json
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import bundle_with, record_with
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from veritas import (
     MetaClassifier,
     make_record,
-    meta_features,
     per_fold_reject,
     random_reject,
     rejection_curve,
@@ -19,7 +23,15 @@ from veritas import (
     unsupervised_reject,
 )
 from veritas.errors import ConfigError, DataError, DataWarning, InvalidInput, make_rng
-from veritas.rejection import ForestHyperparams, _fit_forest, _forest_scores, _grow_trees, curve_to_csv
+from veritas.rejection import (
+    DEFAULT_FRACTIONS,
+    ForestHyperparams,
+    _feature_matrix,
+    _fit_forest,
+    _forest_scores,
+    _grow_trees,
+    curve_to_csv,
+)
 from veritas.uncertainty import uncertainty_value
 
 
@@ -41,15 +53,6 @@ def records_with_uncertainty(values, correct=None, fold=0, measure="entropy"):
 
 
 class TestPredictionRecord:
-    def test_correct_flag_must_match(self):
-        with pytest.raises(DataError, match="contradicts"):
-            from veritas.rejection import PredictionRecord
-
-            PredictionRecord(
-                tree_id="x", gold="true", pred="false", correct=True,
-                bundle=bundle_with(), fold=0,
-            )
-
     def test_make_record_derives_correct(self):
         r = make_record("x", "true", "true", bundle_with(), 2)
         assert r.correct and r.fold == 2
@@ -85,7 +88,7 @@ class TestUnsupervisedReject:
         recs = records_with_uncertainty(values)
         for f in (0.9, 0.75, 0.5, 0.25, 0.01):
             retained, removed = unsupervised_reject(recs, "entropy", f)
-            n_remove = math.ceil((1 - f) * 100)
+            n_remove = 100 - math.floor(Fraction(repr(f)) * 100)
             order = sorted(recs, key=lambda r: (-uncertainty_value(r.bundle, "entropy"), r.tree_id))
             expect_removed = set(r.tree_id for r in order[:n_remove])
             assert {r.tree_id for r in removed} == expect_removed
@@ -200,6 +203,49 @@ class TestPerFoldReject:
             _, rem = unsupervised_reject(fr, "entropy", 0.7)
             expect_removed |= {r.tree_id for r in rem}
         assert {r.tree_id for r in removed} == expect_removed
+
+
+# every k/100, largest first, as one curve's fractions
+PERCENT_FRACTIONS = tuple(k / 100 for k in range(100, 0, -1))
+
+
+@functools.cache
+def distinct_bundles(n=3000):
+    """n bundles whose entropies all differ."""
+    return [bundle_with(entropy=(i * 7919 % n) / n) for i in range(n)]
+
+
+def exact_kept(fraction, n):
+    """floor of the exact decimal product of the fraction and n."""
+    return math.floor(Fraction(repr(fraction)) * n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 3000),
+    st.integers(1, 7),
+    st.sampled_from(DEFAULT_FRACTIONS + PERCENT_FRACTIONS),
+    st.integers(0, 2**31),
+)
+@example(100, 1, 0.95, 0)  # 1 - 0.95 rounds up: a cut of ceil((1-f)*n) keeps 94
+@example(90, 1, 0.7, 0)  # 0.7 * 90 rounds down: floor(f*n) keeps 62
+def test_every_cut_keeps_floor_of_the_decimal_product(n, n_folds, fraction, seed):
+    records = [
+        make_record(f"r{i:04d}", "true", "true" if i % 3 else "false", b, i % n_folds)
+        for i, b in enumerate(distinct_bundles()[:n])
+    ]
+    sizes = [len(records[fold::n_folds]) for fold in range(n_folds)]
+    kept = exact_kept(fraction, n)
+    assert len(unsupervised_reject(records, "entropy", fraction)[0]) == kept
+    assert len(random_reject(records, fraction, seed=seed)[0]) == kept
+    retained = per_fold_reject(records, "entropy", fraction)[0]
+    per_fold_kept = [sum(r.fold == fold for r in retained) for fold in range(n_folds)]
+    assert per_fold_kept == [exact_kept(fraction, s) for s in sizes]
+    for fractions in (DEFAULT_FRACTIONS, PERCENT_FRACTIONS):
+        pooled = rejection_curve(records, "entropy", ("true", "false"), fractions)
+        assert [p.n_remaining for p in pooled.points] == [exact_kept(f, n) for f in fractions]
+        per_fold = rejection_curve(records, "entropy", ("true", "false"), fractions, per_fold=True)
+        assert [p.n_remaining for p in per_fold.points] == [sum(exact_kept(f, s) for s in sizes) for f in fractions]
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +544,7 @@ def test_meta_feature_order():
     )
     r = make_record("t", "true", "true", b, 0)
     np.testing.assert_allclose(
-        meta_features(r), [1.5, 0.02, 0.7, 0.25, 0.5, 0.3, 0.2, 1.0, 0.0, 0.0]
+        _feature_matrix([r])[0], [1.5, 0.02, 0.7, 0.25, 0.5, 0.3, 0.2, 1.0, 0.0, 0.0]
     )
 
 
@@ -598,6 +644,24 @@ class TestMetaValidation:
     def test_bad_forest_state(self, mutate, message):
         with pytest.raises(DataError, match=message):
             MetaClassifier.from_json(_saved("random_forest", mutate))
+
+    def test_load_names_a_file_that_is_no_json(self, tmp_path):
+        path = tmp_path / "meta.json"
+        path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: bad meta-classifier JSON: "):
+            MetaClassifier.load(path)
+
+    def test_load_names_a_file_with_a_bad_tree(self, tmp_path):
+        path = tmp_path / "meta.json"
+        path.write_text(_saved("random_forest", lambda d: _deepest_split(d).update(f=10)), encoding="utf-8")
+        message = f"^{re.escape(str(path))}: meta-classifier random_forest: tree 2: feature 10 "
+        with pytest.raises(DataError, match=message):
+            MetaClassifier.load(path)
+
+    def test_load_turns_an_unreadable_file_into_a_data_error(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(DataError, match=f"^cannot read meta-classifier {re.escape(str(path))}: "):
+            MetaClassifier.load(path)
 
     def test_good_states_load(self):
         for backend in ("linear_hinge", "random_forest"):

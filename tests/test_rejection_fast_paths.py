@@ -29,7 +29,6 @@ from veritas.rejection import (
     _fit_forest,
     _fit_linear_hinge,
     _forest_scores,
-    meta_features,
     per_fold_reject,
     random_reject,
     rejection_curve,
@@ -359,7 +358,7 @@ def same_class_records(draw):
 @given(same_class_records())
 def test_feature_matrix_byte_equal_to_stacked_rows(records):
     fast = _feature_matrix(records)
-    slow = np.stack([meta_features(r) for r in records])
+    slow = np.stack([ref.meta_features(r) for r in records])
     assert fast.dtype == slow.dtype and fast.shape == slow.shape
     assert fast.tobytes() == slow.tobytes()
 
