@@ -21,7 +21,7 @@ from .data import (
     load_dataset,
     write_dataset,
 )
-from .errors import ConfigError, DataError, VeritasError, check_value
+from .errors import ConfigError, DataError, VeritasError, check_value, read_json, write_text
 from .harness import (
     cross_validate,
     timeline_report,
@@ -49,16 +49,13 @@ from .uncertainty import UncertaintyConfig
 
 def _load_json_arg(value: str, what: str) -> dict:
     """Accept either inline JSON or a path to a JSON file."""
-    text = value
     if not value.lstrip().startswith("{"):
+        parsed = read_json(value, f"{what} file")
+    else:
         try:
-            text = Path(value).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot read {what} file {value}: {exc}") from exc
-    try:
-        parsed = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{what} is not valid JSON: {exc}") from exc
+            parsed = json.loads(value)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise DataError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(parsed, dict):
         raise ConfigError(f"{what} must be a JSON object")
     return parsed
@@ -117,7 +114,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     result = cross_validate(trees, folds, config, uq, embedder, classes=classes)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for fold in result.models:
+            (out / f"fold_{fold}").mkdir(exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write --out directory {out}: {exc}") from exc
     echo = {
         "model": dataclasses.asdict(config),
         "uncertainty": dataclasses.asdict(uq),
@@ -126,14 +128,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "scheme": folds.scheme,
         "dev_fold": folds.dev_fold,
     }
-    (out / "config.json").write_text(
-        json.dumps(echo, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_text(out / "config.json", json.dumps(echo, indent=2, sort_keys=True) + "\n", "config file")
     for fold in sorted(result.models):
-        fold_dir = out / f"fold_{fold}"
-        fold_dir.mkdir(exist_ok=True)
-        result.models[fold].save(fold_dir / "params.json")
-        write_history_csv(result.histories[fold], fold_dir / "history.csv")
+        result.models[fold].save(out / f"fold_{fold}" / "params.json")
+        write_history_csv(result.histories[fold], out / f"fold_{fold}" / "history.csv")
     write_records_csv(result.records, out / "records.csv")
     pooled = [r for fold in sorted(result.dev_records) for r in result.dev_records[fold]]
     if pooled:
@@ -223,10 +221,7 @@ def _find_config_echo(model_path: Path) -> dict:
     """The ``train`` config echo next to the model or one directory up."""
     for candidate in (model_path.parent / "config.json", model_path.parent.parent / "config.json"):
         if candidate.is_file():
-            try:
-                parsed = json.loads(candidate.read_text(encoding="utf-8"))
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise DataError(f"cannot read config file {candidate}: {exc}") from exc
+            parsed = read_json(candidate, "config file")
             if not isinstance(parsed, dict):
                 raise DataError(f"config file {candidate} is not a JSON object")
             return parsed

@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DataWarning, check_fields, check_value, make_rng, seed_int
+from .errors import (
+    ConfigError, DataError, DataWarning, check_fields, check_value, make_rng, read_json, read_text, seed_int, write_text
+)
 
 CANONICAL_LABELS = ("true", "false", "unverified", "nonrumour")
 STANCES = ("support", "deny", "query", "comment")
@@ -144,7 +145,7 @@ def _tree_from_payload(payload: dict, where: str) -> ConversationTree:
                     stance=None if entry.get("stance") is None else str(entry["stance"]).lower(),
                 )
             )
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:  # int() of an infinite timestamp
             raise DataError(f"{where}: tree {tid}: bad tweet entry ({exc})") from exc
     tree = ConversationTree(tree_id=tid, event=event, label=label, tweets=tuple(tweets))
     validate_tree(tree)
@@ -152,45 +153,30 @@ def _tree_from_payload(payload: dict, where: str) -> ConversationTree:
 
 
 def load_dataset(path) -> list[ConversationTree]:
-    """Read a JSON Lines dataset; raises DataError naming the bad line/tree."""
+    """Read a JSON Lines dataset; raises DataError naming the file, or the bad line and tree."""
     trees = []
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            tree = _tree_from_payload(payload, f"{path}:{lineno}")
-            if tree.tree_id in seen_ids:
-                raise DataError(f"{path}:{lineno}: duplicate tree_id {tree.tree_id!r}")
-            seen_ids.add(tree.tree_id)
-            trees.append(tree)
+    # universal newlines: "\r\n", "\r" and "\n" each end a line
+    for lineno, line in enumerate(re.split(r"\r\n?|\n", read_text(path, "dataset")), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            payload = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+        tree = _tree_from_payload(payload, f"{path}:{lineno}")
+        if tree.tree_id in seen_ids:
+            raise DataError(f"{path}:{lineno}: duplicate tree_id {tree.tree_id!r}")
+        seen_ids.add(tree.tree_id)
+        trees.append(tree)
     return trees
 
 
 def write_dataset(trees, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tree in trees:
-            payload = {
-                "tree_id": tree.tree_id,
-                "event": tree.event,
-                "label": tree.label,
-                "tweets": [
-                    {
-                        "id": tw.id,
-                        "parent_id": tw.parent_id,
-                        "timestamp": tw.timestamp,
-                        "text": tw.text,
-                        "stance": tw.stance,
-                    }
-                    for tw in tree.tweets
-                ],
-            }
-            fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
+    """One compact JSON line per tree, its fields and each tweet's in declaration order."""
+    lines = [json.dumps(asdict(tree), separators=(",", ":")) + "\n" for tree in trees]
+    write_text(path, "".join(lines), "dataset")
 
 
 def infer_classes(trees) -> tuple[str, ...]:
@@ -295,12 +281,12 @@ class FoldSpec:
             "assignments": {tid: int(f) for tid, f in sorted(self.assignments.items())},
             "dev_fold": self.dev_fold,
         }
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        write_text(path, json.dumps(doc, indent=2) + "\n", "fold file")
 
     @classmethod
     def load(cls, path) -> "FoldSpec":
+        doc = read_json(path, "fold file")
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
             if not isinstance(doc["assignments"], dict):
                 raise DataError(f"fold file {path}: assignments must be an object of tree id to fold")
             for tid, fold in doc["assignments"].items():
@@ -315,7 +301,7 @@ class FoldSpec:
                 assignments={str(k): int(v) for k, v in doc["assignments"].items()},
                 dev_fold=None if dev_fold is None else int(dev_fold),
             )
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DataError(f"cannot read fold file {path}: {exc}") from exc
         except ConfigError as exc:
             raise DataError(f"fold file {path}: {exc}") from exc

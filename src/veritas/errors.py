@@ -1,14 +1,16 @@
-"""Exception and warning types, the value rules that raise them, and the seeded generators.
+"""Exception and warning types, the file and value rules that raise them, and the seeded generators.
 
 Every error the package raises on purpose derives from VeritasError so the
-CLI can map them to a single exit code. ``check_value`` and ``check_fields``
-hold the config value rules, and ``make_rng`` and ``child_rng`` make every
-random stream the package draws from.
+CLI can map them to a single exit code. ``read_text``, ``read_json`` and
+``write_text`` are the only code that opens a file, ``check_value`` and
+``check_fields`` hold the config value rules, and ``make_rng`` and
+``child_rng`` make every random stream the package draws from.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import numbers
 import operator
@@ -38,6 +40,37 @@ class InvalidInput(VeritasError):
 
 class DataWarning(UserWarning):
     """Recoverable data irregularity that was repaired or defaulted."""
+
+
+# ---------------------------------------------------------------------------
+# files
+
+
+def read_text(path, what: str) -> str:
+    """The file as UTF-8 with its line ends as they are; a failed read is a DataError naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json(path, what: str):
+    """``read_text`` parsed as JSON; text that is no JSON or nests too deep is a DataError naming the file."""
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_text(path, text: str, what: str) -> None:
+    """Write the text as UTF-8; a failed write is a DataError naming the file."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {what} {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .data import ConversationTree, FoldSpec, HashingEmbedder, infer_classes, timeline_prefixes
-from .errors import ConfigError, DataError, InvalidInput
+from .errors import ConfigError, DataError, InvalidInput, read_text, write_text
 from .model import EpochStats, ModelParams, TrainingConfig, train
 from .rejection import PredictionRecord, make_record
 from .uncertainty import MEASURE_TABLE, UncertaintyBundle, UncertaintyConfig, bundle, uncertainty_value
@@ -139,7 +139,7 @@ def write_records_csv(records: Sequence[PredictionRecord], path) -> None:
             raise DataError(f"record {r.tree_id}: inconsistent class count")
         cells = _bundle_cells(r.bundle)
         writer.writerow([r.tree_id, r.gold, r.pred] + cells + [r.fold])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    write_text(path, buf.getvalue(), "records file")
 
 
 def _finite(path, lineno: int, column: str, cell: str) -> float:
@@ -152,13 +152,13 @@ def _finite(path, lineno: int, column: str, cell: str) -> float:
     return value
 
 
+# One line of a file read with newline="": its text up to and with "\r\n", "\r" or "\n".
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
 def read_records_csv(path) -> list[PredictionRecord]:
     """Load a records CSV; a cell that is no finite number or a row that is no valid bundle is a DataError."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read records file {path}: {exc}") from exc
+    rows = list(csv.reader(_LINE.findall(read_text(path, "records file"))))
     if not rows:
         raise DataError(f"records file {path} is empty")
     header = rows[0]
@@ -207,7 +207,7 @@ def write_history_csv(history: Sequence[EpochStats], path) -> None:
     lines = ["epoch,loss_total,loss_ce,loss_sampled"]
     for row in history:
         lines.append(f"{row.epoch},{row.loss_total!r},{row.loss_ce!r},{row.loss_sampled!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n", "history file")
 
 
 # ---------------------------------------------------------------------------

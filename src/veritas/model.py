@@ -11,6 +11,7 @@ run and round.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import nn
 from .data import ConversationTree, HashingEmbedder, branch_matrix, decompose_branches, embed_tweet, infer_classes
-from .errors import ConfigError, DataError, InvalidInput, check_fields, check_value, make_rng
+from .errors import ConfigError, DataError, InvalidInput, check_fields, check_value, make_rng, read_json, write_text
 
 Array = np.ndarray
 
@@ -91,14 +92,43 @@ class ModelParams:
         return ModelParams({k: v.copy() for k, v in self.layers.items()})
 
     def save(self, path) -> None:
-        nn.save_checkpoint(self.layers, path)
+        """Write the layers as JSON {name: {shape, row-major values}}; lossless.
+
+        A non-finite value is a DataError naming the layer; nothing is written.
+        """
+        doc = {}
+        for name in sorted(self.layers):
+            arr = np.asarray(self.layers[name], dtype=np.float64)
+            _check_finite(arr, path, name)
+            doc[name] = {"shape": list(arr.shape), "values": [float(v) for v in arr.ravel()]}
+        write_text(path, json.dumps(doc), "checkpoint")
 
     @classmethod
     def load(cls, path) -> "ModelParams":
+        """Read what ``save`` wrote; a file that holds no valid parameters is a DataError naming it."""
+        doc = read_json(path, "checkpoint")
+        if not isinstance(doc, dict):
+            raise DataError(f"checkpoint {path}: top level must be an object")
+        layers = {}
+        for name, entry in doc.items():
+            try:
+                shape = tuple(int(s) for s in entry["shape"])
+                arr = np.asarray(entry["values"], dtype=np.float64)
+                if min(shape, default=0) < 0 or arr.size != math.prod(shape):
+                    raise DataError(f"checkpoint {path}: layer {name!r} has {arr.size} values for shape {shape}")
+                layers[name] = arr.reshape(shape)  # a dimension numpy cannot hold is a ValueError
+            except (TypeError, KeyError, ValueError, OverflowError) as exc:
+                raise DataError(f"checkpoint {path}: bad entry for layer {name!r}") from exc
+            _check_finite(arr, path, name)
         try:
-            return cls(nn.load_checkpoint(path))
+            return cls(layers)
         except ConfigError as exc:
             raise DataError(f"checkpoint {path}: {exc}") from exc
+
+
+def _check_finite(arr: Array, path, name: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"checkpoint {path}: layer {name!r} has non-finite values")
 
 
 def input_rms(instances: Sequence[tuple[Array, int]]) -> float:

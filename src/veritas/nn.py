@@ -1,4 +1,4 @@
-"""The branch network in plain float64 numpy: layer table, forward pass, training step, checkpoints.
+"""The branch network in plain float64 numpy: layer table, forward pass, training step.
 
 ``layer_shapes`` is the layer table. The forward pass is the LSTM
 recurrence (``lstm_forward``) followed by ``head_forward`` (ReLU stack,
@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
-from pathlib import Path
 from typing import NamedTuple
 import numpy as np
 
-from .errors import ConfigError, DataError, InvalidInput, ShapeError
+from .errors import ConfigError, InvalidInput, ShapeError
 
 Array = np.ndarray
 
@@ -592,46 +590,3 @@ def sgd_step(layers: dict[str, Array], grads: dict[str, Array], learning_rate: f
         if g.shape != value.shape:
             raise ShapeError(f"sgd_step: gradient shape {g.shape} != {value.shape} for layer {name!r}")
         value -= lr * g
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def _check_finite(arr: Array, path, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"checkpoint {path}: layer {name!r} has non-finite values")
-
-
-def save_checkpoint(layers: dict[str, Array], path) -> None:
-    """Write layers as JSON {name: {shape, row-major values}}; lossless.
-
-    A non-finite value is a DataError naming the layer; nothing is written.
-    """
-    doc = {}
-    for name in sorted(layers):
-        arr = _as_f64(layers[name])
-        _check_finite(arr, path, name)
-        doc[name] = {"shape": list(arr.shape), "values": [float(v) for v in arr.ravel()]}
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-
-def load_checkpoint(path) -> dict[str, Array]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"checkpoint {path}: top level must be an object")
-    layers = {}
-    for name, entry in doc.items():
-        try:
-            shape = tuple(int(s) for s in entry["shape"])
-            arr = np.asarray(entry["values"], dtype=np.float64)
-        except (TypeError, KeyError, ValueError) as exc:
-            raise DataError(f"checkpoint {path}: bad entry for layer {name!r}") from exc
-        if arr.size != int(np.prod(shape, dtype=np.int64)):
-            raise DataError(f"checkpoint {path}: layer {name!r} has {arr.size} values for shape {shape}")
-        _check_finite(arr, path, name)
-        layers[name] = arr.reshape(shape)
-    return layers

@@ -15,7 +15,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +30,8 @@ from .errors import (
     finite_number,
     is_integer,
     make_rng,
+    read_text,
+    write_text,
 )
 from .metrics import _cells, _class_index, _report, evaluate
 from .nn import sigmoid
@@ -619,7 +620,7 @@ class MetaClassifier:
         return json.dumps({f.name: getattr(self, f.name) for f in fields(self)})
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        write_text(path, self.to_json(), "meta-classifier")
 
     @classmethod
     def from_json(cls, text: str) -> "MetaClassifier":
@@ -632,7 +633,7 @@ class MetaClassifier:
                 n_classes=int(doc["n_classes"]),
                 n_features=int(doc["n_features"]),
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"bad meta-classifier JSON: {exc}") from exc
         _check_state(meta)
         return meta
@@ -640,10 +641,9 @@ class MetaClassifier:
     @classmethod
     def load(cls, path) -> "MetaClassifier":
         """Read a saved meta-classifier; an unreadable or bad file is a DataError naming it."""
+        text = read_text(path, "meta-classifier")
         try:
-            return cls.from_json(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read meta-classifier {path}: {exc}") from exc
+            return cls.from_json(text)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from exc
 

@@ -517,6 +517,62 @@ class TestBadInputExits2:
         assert not saved.exists()
 
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            ("train --data {missing} --folds {folds} --config {config} --out {out}", "{missing}"),
+            ("train --data {latin1} --folds {folds} --config {config} --out {out}", "{latin1}"),
+            ("train --data {data} --folds {folds} --config {latin1} --out {out}", "{latin1}"),
+            ("evaluate --records {latin1} --classes 3", "{latin1}"),
+            ("calibrate --dev {latin1} --test {records} --measure entropy --bins 5", "{latin1}"),
+            ("timeline --model {latin1} --tree {tree} --data {data} --measure entropy", "{latin1}"),
+            ("train --data {deep} --folds {folds} --config {config} --out {out}", "{deep}"),
+            ("train --data {data} --folds {folds} --config {deep_config} --out {out}", "config is not valid JSON"),
+            ("timeline --model {negative} --tree {tree} --data {data} --measure entropy", "{negative}"),
+            ("synth --spec {spec} --out {nodir}/x.jsonl", "{nodir}/x.jsonl"),
+            ("train --data {data} --folds {folds} --config {config} --out {taken}", "{taken}"),
+            ("reject --records {records} --mode sup --meta {save_meta}", "{nodir}/meta.json"),
+        ],
+        ids=[
+            "train_data_missing",
+            "train_data_not_utf8",
+            "train_config_not_utf8",
+            "evaluate_records_not_utf8",
+            "calibrate_dev_not_utf8",
+            "timeline_model_not_utf8",
+            "train_data_nested_too_deep",
+            "train_inline_config_nested_too_deep",
+            "timeline_model_negative_shape",
+            "synth_out_in_missing_directory",
+            "train_out_is_a_file",
+            "reject_meta_save_in_missing_directory",
+        ],
+    )
+    def test_unreadable_or_unwritable_file_exits_2_naming_it(self, workspace, tmp_path, capfd, argv, named):
+        deep = "[" * 200_000 + "]" * 200_000
+        paths = {name: tmp_path / name for name in ("missing", "latin1", "deep", "negative", "nodir", "taken", "out")}
+        paths["latin1"].write_bytes('{"x": "café"}\n'.encode("latin-1"))
+        paths["deep"].write_text(deep + "\n", encoding="utf-8")
+        paths["negative"].write_text(json.dumps({"lstm.wx": {"shape": [-1, -1], "values": [0.5]}}), encoding="utf-8")
+        paths["taken"].write_text("", encoding="utf-8")
+        paths.update(
+            {name: workspace[name] for name in ("data", "folds", "config")},
+            records=workspace["out"] / "records.csv",
+            tree=load_dataset(workspace["data"])[0].tree_id,
+            deep_config='{"model": ' + deep + "}",
+            spec=json.dumps(SPEC),
+            save_meta=json.dumps(
+                {"dev_records": str(workspace["out"] / "dev_records.csv"), "save": str(paths["nodir"] / "meta.json")}
+            ),
+        )
+        assert main([arg.format(**paths) for arg in argv.split(" ")]) == 2
+        err = capfd.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and named.format(**paths) in errors[0]
+        assert "Traceback" not in err
+        assert not paths["nodir"].exists()
+
+
 class TestSeedsAndConfigKeys:
     """A negative or non-integer seed and an unknown train config key exit 2 naming the field or key."""
 

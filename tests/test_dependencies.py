@@ -1,6 +1,7 @@
 """numpy is the only runtime dependency: every import in the package is
 from the standard library, from numpy, or package-relative. Within the
-package, only ``model`` and ``rejection`` import the network (``nn``)."""
+package, only ``model`` and ``rejection`` import the network (``nn``), and
+only ``errors`` opens a file."""
 
 import ast
 import re
@@ -60,3 +61,29 @@ def test_only_model_and_rejection_import_the_network():
     importers = {name: names for name, names in importers.items() if names}
     assert sorted(importers) == ["model.py", "rejection.py"]
     assert importers["rejection.py"] == ["sigmoid"]
+
+
+# The calls that open a file: ``open(...)`` and the ``pathlib.Path`` methods that read or write one.
+FILE_METHODS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def _file_calls(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) and func.id == "open" else None
+            if isinstance(func, ast.Attribute) and func.attr in FILE_METHODS:
+                name = f".{func.attr}"
+            if name:
+                found.append(f"{path.name}:{node.lineno}: {name}(")
+    return found
+
+
+def test_only_errors_opens_a_file():
+    """Every other module reads and writes through ``errors.read_text``, ``read_json`` and ``write_text``."""
+    found = [call for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py" for call in _file_calls(path)]
+    assert found == []
+    assert _file_calls(PACKAGE / "errors.py")
+    # the network holds no file format
+    assert not {"json", "pathlib"} & {module for _, module in _absolute_imports(PACKAGE / "nn.py")}

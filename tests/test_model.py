@@ -1,5 +1,6 @@
-"""Forward pass, losses, SGD training and tree-level prediction."""
+"""Forward pass, losses, SGD training, tree-level prediction and checkpoints."""
 
+import json
 import math
 
 import numpy as np
@@ -582,10 +583,12 @@ class TestModelParamsIO:
         assert all(np.array_equal(loaded[k], params[k]) for k in params.layers)
 
     def test_load_error_names_the_file(self, tmp_path):
-        layers = dict(init_params(input_dim=5, hidden_size=4, num_relu_layers=1, n_classes=3, seed=1).layers)
-        layers["relu0.b"] = np.zeros(3)
+        params = init_params(input_dim=5, hidden_size=4, num_relu_layers=1, n_classes=3, seed=1)
         path = tmp_path / "params.json"
-        nn.save_checkpoint(layers, path)
+        params.save(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["relu0.b"] = {"shape": [3], "values": [0.0, 0.0, 0.0]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError, match=r"params\.json: layer relu0\.b: expected shape \(4,\), got \(3,\)"):
             ModelParams.load(path)
 
@@ -594,3 +597,78 @@ class TestModelParamsIO:
         dup = params.copy()
         dup.layers["out.b"][0] = 99.0
         assert params["out.b"][0] == 0.0
+
+
+def _checkpoint_params(rng, out_b=None):
+    """Random parameters for 3 inputs, 2 hidden units, one ReLU layer and 2 classes."""
+    layers = {name: rng.normal(size=shape) for name, shape in nn.layer_shapes(3, 2, 1, 2, 1).items()}
+    if out_b is not None:
+        layers["out.b"] = np.asarray(out_b)
+    return ModelParams(layers)
+
+
+class TestCheckpoints:
+    """The checkpoint file format that ``ModelParams.save`` writes and ``ModelParams.load`` reads."""
+
+    def test_round_trip_lossless(self, tmp_path, rng):
+        params = _checkpoint_params(rng)
+        path = tmp_path / "ckpt.json"
+        params.save(path)
+        loaded = ModelParams.load(path)
+        assert set(loaded.layers) == set(params.layers)
+        for k in params.layers:
+            np.testing.assert_array_equal(loaded[k], params[k])
+
+    def test_bad_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(DataError):
+            ModelParams.load(path)
+
+    def test_wrong_value_count(self, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"w": {"shape": [2, 2], "values": [1.0, 2.0]}}))
+        with pytest.raises(DataError):
+            ModelParams.load(path)
+
+    def test_negative_shape(self, tmp_path):
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({"w": {"shape": [-1, -1], "values": [1.0]}}))
+        with pytest.raises(DataError, match=r"negative\.json: layer 'w' has 1 values for shape \(-1, -1\)"):
+            ModelParams.load(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError):
+            ModelParams.load(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_rejects_non_finite(self, tmp_path, rng, bad):
+        params = _checkpoint_params(rng, out_b=[0.5, bad])
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(DataError, match=r"ckpt\.json: layer 'out\.b' has non-finite values"):
+            params.save(path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_load_rejects_non_finite(self, tmp_path, token):
+        path = tmp_path / "ckpt.json"
+        path.write_text(
+            '{"lstm.wx": {"shape": [2], "values": [0.0, 1.0]}, '
+            f'"out.b": {{"shape": [2], "values": [0.5, {token}]}}}}'
+        )
+        with pytest.raises(DataError, match=r"ckpt\.json: layer 'out\.b' has non-finite values"):
+            ModelParams.load(path)
+
+    @pytest.mark.parametrize("shape, values", [("[1e400]", "[1.0]"), (f"[{2**70}, 0]", "[]")])
+    def test_load_rejects_a_shape_numpy_cannot_hold(self, tmp_path, shape, values):
+        path = tmp_path / "ckpt.json"
+        path.write_text(f'{{"w": {{"shape": {shape}, "values": {values}}}}}')
+        with pytest.raises(DataError, match=r"ckpt\.json: bad entry for layer 'w'"):
+            ModelParams.load(path)
+
+    @pytest.mark.parametrize("values", ['["abc"]', "[[1.0], [2.0, 3.0]]", '[{"a": 1}]'])
+    def test_load_rejects_non_numeric_values(self, tmp_path, values):
+        path = tmp_path / "ckpt.json"
+        path.write_text(f'{{"w": {{"shape": [1], "values": {values}}}}}')
+        with pytest.raises(DataError, match=r"ckpt\.json: bad entry for layer 'w'"):
+            ModelParams.load(path)

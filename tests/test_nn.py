@@ -1,4 +1,4 @@
-"""Numeric core: activations, layers, the training step, optimiser, checkpoints.
+"""Numeric core: activations, layers, the training step, optimiser.
 
 ``TestTape`` and ``TestGradients`` check ``tests/tape_reference.py``, the
 exact oracle of the training step in ``tests/test_train_step.py``, against
@@ -6,7 +6,6 @@ finite differences; its ops run their own slow kernels, not ``nn``'s.
 Criterion 1 checks ``nn.backward`` and its kernels.
 """
 
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veritas import HashingEmbedder, SyntheticSpec, generate_synthetic, mc_sample, nn
-from veritas.errors import ConfigError, DataError, InvalidInput, ShapeError, child_rng, make_rng
+from veritas.errors import ConfigError, InvalidInput, ShapeError, child_rng, make_rng
 from veritas.model import forward_branch, init_params
 
 import network_reference as ref
@@ -494,65 +493,6 @@ class TestSgd:
             nn.sgd_step({"a": np.zeros(2)}, {"a": np.zeros(2)}, -0.1)
         with pytest.raises(ShapeError, match="layer 'a'"):
             nn.sgd_step({"a": np.zeros(2)}, {"a": np.zeros(3)}, 0.1)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-class TestCheckpoints:
-    def test_round_trip_lossless(self, tmp_path, rng):
-        layers = {
-            "lstm.wx": rng.normal(size=(8, 3)),
-            "out.b": rng.normal(size=2),
-        }
-        path = tmp_path / "ckpt.json"
-        nn.save_checkpoint(layers, path)
-        loaded = nn.load_checkpoint(path)
-        assert set(loaded) == set(layers)
-        for k in layers:
-            np.testing.assert_array_equal(loaded[k], layers[k])
-
-    def test_bad_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(DataError):
-            nn.load_checkpoint(path)
-
-    def test_wrong_value_count(self, tmp_path):
-        path = tmp_path / "short.json"
-        path.write_text(json.dumps({"w": {"shape": [2, 2], "values": [1.0, 2.0]}}))
-        with pytest.raises(DataError):
-            nn.load_checkpoint(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError):
-            nn.load_checkpoint(tmp_path / "nope.json")
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_save_rejects_non_finite(self, tmp_path, bad):
-        layers = {"lstm.wx": np.zeros((2, 2)), "out.b": np.array([0.5, bad])}
-        path = tmp_path / "ckpt.json"
-        with pytest.raises(DataError, match=r"ckpt\.json: layer 'out\.b' has non-finite values"):
-            nn.save_checkpoint(layers, path)
-        assert not path.exists()
-
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
-    def test_load_rejects_non_finite(self, tmp_path, token):
-        path = tmp_path / "ckpt.json"
-        path.write_text(
-            '{"lstm.wx": {"shape": [2], "values": [0.0, 1.0]}, '
-            f'"out.b": {{"shape": [2], "values": [0.5, {token}]}}}}'
-        )
-        with pytest.raises(DataError, match=r"ckpt\.json: layer 'out\.b' has non-finite values"):
-            nn.load_checkpoint(path)
-
-    @pytest.mark.parametrize("values", ['["abc"]', "[[1.0], [2.0, 3.0]]", '[{"a": 1}]'])
-    def test_load_rejects_non_numeric_values(self, tmp_path, values):
-        path = tmp_path / "ckpt.json"
-        path.write_text(f'{{"w": {{"shape": [1], "values": {values}}}}}')
-        with pytest.raises(DataError, match=r"ckpt\.json: bad entry for layer 'w'"):
-            nn.load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
