@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -79,6 +80,27 @@ def _classes_for(n_classes: int) -> tuple[str, ...]:
     return CANONICAL_LABELS[:n_classes]
 
 
+def _check_out_dir(out: Path) -> None:
+    """Refuse an --out that cannot become a directory, before any training; creates nothing.
+
+    ``out`` must be a directory, or its nearest existing ancestor must be one
+    that can take new entries.
+    """
+    ancestor = out
+    try:
+        while not ancestor.exists() and ancestor.parent != ancestor:
+            ancestor = ancestor.parent
+        if not ancestor.is_dir():
+            problem = f"{ancestor} is not a directory"
+        elif not os.access(ancestor, os.W_OK | os.X_OK):
+            problem = f"{ancestor} is not writable"
+        else:
+            return
+    except OSError as exc:
+        problem = str(exc)
+    raise DataError(f"cannot write --out directory {out}: {problem}")
+
+
 def _metrics_json(records, classes) -> str:
     report = evaluate(records, classes)
     return json.dumps(dataclasses.asdict(report), sort_keys=True)
@@ -111,9 +133,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         folds = FoldSpec(
             scheme=folds.scheme, assignments=folds.assignments, dev_fold=args.dev_fold
         )
+    out = Path(args.out)
+    _check_out_dir(out)
     result = cross_validate(trees, folds, config, uq, embedder, classes=classes)
 
-    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
         for fold in result.models:

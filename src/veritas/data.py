@@ -396,7 +396,6 @@ class HashingEmbedder:
         vec = self._texts.get(text)
         if vec is None:
             vec = _mean_token_vector(text, self)
-            vec.flags.writeable = False
             if len(self._texts) >= _MEMO_TEXTS:
                 del self._texts[next(iter(self._texts))]
             self._texts[text] = vec
@@ -440,20 +439,25 @@ class TableEmbedder:
 def embed_tweet(text: str, embedder) -> np.ndarray:
     """Mean of the token vectors; zero vector when nothing embeds.
 
-    Always a fresh writable array, also when a ``HashingEmbedder`` serves
-    it from its text memo.
+    Always a read-only array: a ``HashingEmbedder`` returns the vector its
+    text memo keeps, not a copy, so a caller that needs to write takes its
+    own copy.
     """
     if isinstance(embedder, HashingEmbedder):
-        return embedder.tweet_vector(text).copy()
+        return embedder.tweet_vector(text)
     return _mean_token_vector(text, embedder)
 
 
 def _mean_token_vector(text: str, embedder) -> np.ndarray:
+    """The read-only mean of the text's token vectors, or zeros when none embeds."""
     vectors = [v for v in (embedder.token_vector(tok) for tok in tokenize(text)) if v is not None]
-    if not vectors:
-        return np.zeros(embedder.dimension)
-    # The same sum and division as np.mean, without its dispatch cost.
-    return np.add.reduce(np.array(vectors), axis=0) / len(vectors)
+    if vectors:
+        # The same sum and division as np.mean, without its dispatch cost.
+        vec = np.add.reduce(np.array(vectors), axis=0) / len(vectors)
+    else:
+        vec = np.zeros(embedder.dimension)
+    vec.flags.writeable = False
+    return vec
 
 
 def branch_matrix(branch: Branch, embedder) -> np.ndarray:

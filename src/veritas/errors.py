@@ -2,8 +2,9 @@
 
 Every error the package raises on purpose derives from VeritasError so the
 CLI can map them to a single exit code. ``read_text``, ``read_json`` and
-``write_text`` are the only code that opens a file, ``check_value`` and
-``check_fields`` hold the config value rules, and ``make_rng`` and
+``write_text`` are the only code that opens a file, ``csv_line`` quotes
+the cells of the records, timeline and curve CSV files, ``check_value``
+and ``check_fields`` hold the config value rules, and ``make_rng`` and
 ``child_rng`` make every random stream the package draws from.
 """
 
@@ -14,6 +15,7 @@ import json
 import math
 import numbers
 import operator
+import re
 
 import numpy as np
 
@@ -71,6 +73,24 @@ def write_text(path, text: str, what: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def csv_line(cells) -> str:
+    r"""One CSV line of the cells' text, ending in "\n".
+
+    A cell holding a ",", a '"', a "\n" or a "\r" is quoted and its quotes
+    doubled. That is ``csv.writer``'s minimal quoting with a "\n" line end,
+    except that the writer leaves a lone "\r" bare, where a reader ends the
+    line, so the row could not be read back.
+    """
+    return ",".join(_csv_cell(str(cell)) for cell in cells) + "\n"
+
+
+def _csv_cell(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
+
+
+_CSV_QUOTED = re.compile('[,"\r\n]')
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,13 @@ with the same inputs is byte-identical.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
 
 from .data import ConversationTree, FoldSpec, HashingEmbedder, infer_classes, timeline_prefixes
-from .errors import ConfigError, DataError, InvalidInput, read_text, write_text
+from .errors import ConfigError, DataError, InvalidInput, csv_line, read_text, write_text
 from .model import EpochStats, ModelParams, TrainingConfig, train
 from .rejection import PredictionRecord, make_record
 from .uncertainty import MEASURE_TABLE, UncertaintyBundle, UncertaintyConfig, bundle, uncertainty_value
@@ -131,15 +130,12 @@ def write_records_csv(records: Sequence[PredictionRecord], path) -> None:
     if not records:
         raise ConfigError("write_records_csv needs at least one record")
     n_classes = records[0].bundle.n_classes
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(records_header(n_classes))
+    lines = [csv_line(records_header(n_classes))]
     for r in records:
         if r.bundle.n_classes != n_classes:
             raise DataError(f"record {r.tree_id}: inconsistent class count")
-        cells = _bundle_cells(r.bundle)
-        writer.writerow([r.tree_id, r.gold, r.pred] + cells + [r.fold])
-    write_text(path, buf.getvalue(), "records file")
+        lines.append(csv_line([r.tree_id, r.gold, r.pred] + _bundle_cells(r.bundle) + [r.fold]))
+    write_text(path, "".join(lines), "records file")
 
 
 def _finite(path, lineno: int, column: str, cell: str) -> float:
@@ -276,11 +272,8 @@ def timeline_to_csv(series: TimelineSeries) -> str:
     if not series.steps:
         raise ConfigError("timeline series has no steps")
     n_classes = series.steps[0].bundle.n_classes
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["step", "n_tweets", "pred"] + _bundle_columns(n_classes) + ["added_stance"])
+    lines = [csv_line(["step", "n_tweets", "pred"] + _bundle_columns(n_classes) + ["added_stance"])]
     for i, step in enumerate(series.steps):
         stance = step.added_stance if step.added_stance is not None else ""
-        cells = _bundle_cells(step.bundle)
-        writer.writerow([i, step.n_tweets, step.predicted_class] + cells + [stance])
-    return buf.getvalue()
+        lines.append(csv_line([i, step.n_tweets, step.predicted_class] + _bundle_cells(step.bundle) + [stance]))
+    return "".join(lines)

@@ -31,8 +31,9 @@ LOG_FLOOR = 1e-12
 def sigmoid(x: Array) -> Array:
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    # One division: 1/(1+e) for x >= 0 and e/(1+e) below, as two would give.
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # One division: 1/(1+e) for x >= 0 and e/(1+e) below, as two would give;
+    # e lies in [0, 1], so max(e, x >= 0) is the numerator.
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def softmax(logits: Array) -> Array:
@@ -62,9 +63,11 @@ def softplus(x):
 
 def _softplus_kernel(arr: Array) -> Array:
     # log1p(exp(x)) for x <= 0, x + log1p(exp(-x)) for x > 0; both share
-    # log1p(exp(-|x|)) so the exp argument never overflows.
+    # log1p(exp(-|x|)) so the exp argument never overflows. For finite x,
+    # max(x, 0) + tail is x + tail where x > 0 and tail elsewhere, bit for
+    # bit: a zero added to the nonnegative tail leaves it as it is.
     tail = np.log1p(np.exp(-np.abs(arr)))
-    return np.where(arr > 0, arr + tail, tail)
+    return np.maximum(arr, 0.0) + tail
 
 
 def head_distributions(logits: Array, var_pre: Array) -> tuple[Array, Array] | None:
@@ -165,16 +168,18 @@ def _lstm_step(a: Array, c_prev: Array, s: Array, c: Array, tc: Array, h: Array)
     the bits are theirs.
     """
     hidden = c.shape[-1]
-    gate_g = slice(2 * hidden, 3 * hidden)
     e = np.abs(a)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    ones_or_e = np.where(a >= 0, 1.0, e)
+    np.maximum(e, a >= 0, out=s)
     e += 1.0
-    np.divide(ones_or_e, e, out=s)
-    np.tanh(a[..., gate_g], out=s[..., gate_g])
+    s /= e
+    g = s[..., 2 * hidden : 3 * hidden]
+    np.tanh(a[..., 2 * hidden : 3 * hidden], out=g)
     np.multiply(s[..., hidden : 2 * hidden], c_prev, out=c)
-    c += s[..., :hidden] * s[..., gate_g]
+    # tc is free until the new cell's tanh lands in it: it holds i * g first.
+    np.multiply(s[..., :hidden], g, out=tc)
+    c += tc
     np.tanh(c, out=tc)
     np.multiply(s[..., 3 * hidden :], tc, out=h)
 
@@ -224,8 +229,9 @@ def _lstm_recurrence(Wx: Array, Wh: Array, b: Array, X: Array, lengths: tuple[in
     ``lengths`` splits X into sequences that sit back to back, each
     starting from the zero state; None is one sequence. The sequences run
     in lockstep by ``_lockstep_plan``: each step is one ``rows @ Wx.T`` and
-    one ``h @ Wh.T`` over the sequences still running, then ``_lstm_step``
-    on all of them, writing in place into the preallocated state arrays. A
+    one ``h @ Wh.T`` over the sequences still running (step 0 skips the
+    latter, whose states are all zero), then ``_lstm_step`` on all of them,
+    writing in place into the preallocated state arrays. A
     one-row product rounds as the matrix-vector product ``Wx @ x`` does, so
     one sequence gets the bits of a plain per-step loop; a block of rows is
     a matrix product, which rounds differently.
@@ -239,9 +245,10 @@ def _lstm_recurrence(Wx: Array, Wh: Array, b: Array, X: Array, lengths: tuple[in
     hiddens = np.zeros((k + rows, hidden))
     tanh_cells = np.empty((rows, hidden))
     wx_t, wh_t = Wx.T, Wh.T
-    for step_rows, entering, leaving in steps:
+    for t, (step_rows, entering, leaving) in enumerate(steps):
         a = X[step_rows] @ wx_t
-        a += hiddens[entering] @ wh_t
+        if t:  # step 0's entering states are zero, and adding their +0.0 product changes no entry
+            a += hiddens[entering] @ wh_t
         a += b
         _lstm_step(a, cells[entering], acts[step_rows], cells[leaving], tanh_cells[step_rows], hiddens[leaving])
     return _LSTMStates(acts, cells, hiddens, tanh_cells, order)

@@ -27,6 +27,7 @@ from .errors import (
     check_fields,
     check_value,
     child_rng,
+    csv_line,
     finite_number,
     is_integer,
     make_rng,
@@ -238,10 +239,11 @@ def rejection_curve(
 
 
 def curve_to_csv(curve: RejectionCurve) -> str:
-    lines = ["measure,retain_fraction,n_remaining,accuracy,macro_f"]
+    lines = ["measure,retain_fraction,n_remaining,accuracy,macro_f\n"]
     for p in curve.points:
-        lines.append(f"{curve.measure},{p.retain_fraction!r},{p.n_remaining},{p.accuracy!r},{p.macro_f!r}")
-    return "\n".join(lines) + "\n"
+        cells = [curve.measure, repr(p.retain_fraction), p.n_remaining, repr(p.accuracy), repr(p.macro_f)]
+        lines.append(csv_line(cells))
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

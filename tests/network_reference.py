@@ -2,10 +2,11 @@
 
 ``init_params`` builds every layer by hand, in its own shape table.
 ``lstm_recurrence`` is the LSTM with a fresh array for every gate, cell
-and hidden state and the two-division ``sigmoid``; ``lstm_backward`` sums
-the weight gradients inside the time loop as per-step outer products,
-starting from zeros. ``softmax`` and ``softplus`` check finiteness with
-generic ``np.all`` calls. ``forward_branch`` runs one branch: the
+and hidden state, the zero state's product on step 0 too, and the
+two-division ``sigmoid`` in its one-row ``lstm_step``; ``lstm_backward``
+sums the weight gradients inside the time loop as per-step outer
+products, starting from zeros. ``softmax`` and ``softplus`` check
+finiteness with generic ``np.all`` calls. ``forward_branch`` runs one branch: the
 recurrence, its ``(steps, H)`` dropout mask, then ``nn.dense_forward`` and
 ``dropout_forward`` per ReLU layer, the two heads, ``softplus`` and
 ``softmax``. ``tree_branch_outputs`` runs a tree's branches through it one
@@ -74,26 +75,28 @@ def softplus(x):
     return np.where(arr > 0, arr + tail, tail)
 
 
+def lstm_step(a, c):
+    """One textbook LSTM step on one row: (gate activations, new cell, its tanh, new hidden state)."""
+    hidden = c.shape[0]
+    candidate = slice(2 * hidden, 3 * hidden)
+    s = sigmoid(a)
+    g = np.tanh(a[candidate])
+    s[candidate] = g
+    c = s[hidden : 2 * hidden] * c + s[:hidden] * g
+    tc = np.tanh(c)
+    return s, c, tc, s[3 * hidden :] * tc
+
+
 def lstm_recurrence(Wx, Wh, b, X):
     steps, hidden = X.shape[0], Wh.shape[1]
     acts = np.empty((steps, 4 * hidden))
     cells = np.zeros((steps + 1, hidden))
     hiddens = np.zeros((steps + 1, hidden))
     tanh_cells = np.empty((steps, hidden))
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    candidate = slice(2 * hidden, 3 * hidden)
     for t in range(steps):
-        a = Wx @ X[t] + Wh @ h + b
-        s = sigmoid(a)
-        g = np.tanh(a[candidate])
-        s[candidate] = g
-        acts[t] = s
-        c = s[hidden : 2 * hidden] * c + s[:hidden] * g
-        tanh_cells[t] = np.tanh(c)
-        h = s[3 * hidden :] * tanh_cells[t]
-        cells[t + 1] = c
-        hiddens[t + 1] = h
+        # the zero state's product too, on step 0
+        a = Wx @ X[t] + Wh @ hiddens[t] + b
+        acts[t], cells[t + 1], tanh_cells[t], hiddens[t + 1] = lstm_step(a, cells[t])
     return _LSTMStates(acts, cells, hiddens, tanh_cells)
 
 

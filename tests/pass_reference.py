@@ -7,9 +7,11 @@ Every pass here works everything out again: it decomposes the tree
 variance and the logits separately (``softplus``, then ``softmax_rows``),
 averages with ``np.mean``, and seeds the generator that a tree's (or, per
 branch, a branch's) samples draw from in turn with
-``np.random.default_rng([seed, *stream])``. The step kernel
+``np.random.default_rng([seed, *stream])``. Its lockstep loop adds the
+zero state's product ``h @ Wh.T`` on step 0 too. The step kernel
 ``nn._lstm_step``, ``nn.head_forward``, ``embed_tweet`` and the measures on
-sample sets are shared with the library. ``uncertainty.bundle`` must equal
+sample sets are shared with the library; ``test_pass_kernels`` checks the
+kernel against the textbook step. ``uncertainty.bundle`` must equal
 ``bundle`` here exactly.
 """
 

@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from veritas import MetaClassifier, make_folds, read_records_csv
+from veritas import cli
 from veritas.cli import main
 from veritas.data import load_dataset
 
@@ -102,6 +103,20 @@ class TestTrain:
         first = (workspace["out"] / "records.csv").read_bytes()
         again = (workspace["root"] / "run2" / "records.csv").read_bytes()
         assert first == again
+
+    @pytest.mark.parametrize("out, blocker", [("taken", "taken"), ("taken/sub/run", "taken")])
+    def test_unusable_out_exits_2_before_training(self, workspace, tmp_path, capfd, monkeypatch, out, blocker):
+        def no_training(*args, **kwargs):
+            raise AssertionError("cross_validate ran")
+
+        monkeypatch.setattr(cli, "cross_validate", no_training)
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        inputs = [f"--{name}={workspace[name]}" for name in ("data", "folds", "config")]
+        assert main(["train", *inputs, "--out", str(tmp_path / out)]) == 2
+        err = capfd.readouterr().err
+        assert f"cannot write --out directory {tmp_path / out}: {tmp_path / blocker} is not a directory" in err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestEvaluate:

@@ -409,6 +409,15 @@ class TestEmbedders:
         np.testing.assert_allclose(embed_tweet("a missing", emb), [1.0, 0.0])
         np.testing.assert_array_equal(embed_tweet("missing", emb), np.zeros(2))
 
+    @pytest.mark.parametrize("text", ["a b", "a", "missing"])
+    def test_table_vectors_are_read_only_and_leave_the_table_writable(self, text):
+        table = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
+        vec = embed_tweet(text, TableEmbedder(table=table, dimension=2))
+        with pytest.raises(ValueError, match="read-only"):
+            vec[0] = 5.0
+        table["a"][0] = 2.0
+        assert vec[0] != 2.0
+
     def test_hashing_deterministic_and_seeded(self):
         a = HashingEmbedder(dimension=32, seed=0)
         b = HashingEmbedder(dimension=32, seed=1)
@@ -466,13 +475,16 @@ _VOCAB = ["rumour", "false", "@bob", "http://t.co/x", "breaking", "it's", "news"
 )
 @settings(max_examples=300, deadline=None)
 def test_memoised_embedding_equals_unmemoised(text, dimension):
-    """embed_tweet with memoised vectors equals the mean of freshly hashed ones."""
+    """embed_tweet with memoised vectors equals the mean of freshly hashed ones, read-only."""
     for emb in (_SHARED_EMBEDDER, HashingEmbedder(dimension=dimension, seed=dimension)):
         vectors = [_unmemoised_token_vector(tok, emb) for tok in tokenize(text)]
         expected = np.mean(vectors, axis=0) if vectors else np.zeros(emb.dimension)
         got = embed_tweet(text, emb)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-        assert got.flags.writeable
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 1.0
+        assert embed_tweet(text, emb).tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -487,15 +499,17 @@ def text_streams(draw):
 
 @given(text_streams(), st.integers(1, 40))
 @settings(max_examples=25, deadline=None)
-def test_text_memo_is_bounded_and_returns_fresh_vectors(texts, dimension):
+def test_text_memo_is_bounded_and_returns_read_only_vectors(texts, dimension):
     """Past the bound the memo still gives a fresh embedder's bytes, never grows
-    beyond _MEMO_TEXTS, and a caller writing to a vector changes nothing later."""
+    beyond _MEMO_TEXTS, and a caller cannot write to a vector it hands out."""
     emb = HashingEmbedder(dimension=dimension, seed=3)
     for text in texts:
         got = embed_tweet(text, emb)
         expected = embed_tweet(text, HashingEmbedder(dimension=dimension, seed=3))
         assert got.tobytes() == expected.tobytes()
         assert len(emb._texts) <= _MEMO_TEXTS
-        got += 1.0
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got += 1.0
         assert embed_tweet(text, emb).tobytes() == expected.tobytes()
     assert len(emb._texts) == _MEMO_TEXTS

@@ -124,8 +124,10 @@ def test_dataset_line_separator_character_is_no_line_end(tmp_path):
     assert tree.tweets[0].text == "one\u2028two\x85three"
 
 
-# csv quotes a field for a "\n", a "," or a '"' in it, not for a "\r" alone
-@pytest.mark.parametrize("tree_id", ["a\n\rb", "a,\rb", 'a"\r', "a\r\nb", "a\nb", "a\u2028b", "a\x85b"])
+# a field is quoted for a "\n", a "\r", a "," or a '"' in it
+@pytest.mark.parametrize(
+    "tree_id", ["a\rb", "\r", "a\n\rb", "a,\rb", 'a"\r', "a\r\nb", "a\nb", "a\u2028b", "a\x85b"]
+)
 def test_records_csv_quoted_line_ends_round_trip(tmp_path, tree_id):
     records = [record_with(tree_id), record_with("plain", fold=1)]
     path = tmp_path / "records.csv"

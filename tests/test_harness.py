@@ -1,5 +1,7 @@
 """Cross-validation, record CSVs and timeline reports."""
 
+import csv
+import io
 import re
 import warnings
 
@@ -32,9 +34,10 @@ from veritas import (
     write_records_csv,
 )
 from veritas.data import CANONICAL_LABELS, timeline_prefixes
-from veritas.harness import _score_trees, records_header
+from veritas.harness import _LINE, _score_trees, records_header
+from veritas.rejection import CurvePoint, RejectionCurve, curve_to_csv
 from veritas.uncertainty import MEASURE_TABLE, UncertaintyBundle, UncertaintyConfig
-from veritas.errors import ConfigError, DataError, DataWarning, InvalidInput
+from veritas.errors import ConfigError, DataError, DataWarning, InvalidInput, csv_line
 
 CLASSES = ("true", "false", "unverified")
 
@@ -264,15 +267,20 @@ def _valid_bundles(n_classes: int):
     return st.builds(build, values, st.floats(0.0, 1.0), weights.filter(lambda w: sum(w) > 0.0))
 
 
+# Any text a UTF-8 file can hold: every character but the lone surrogates.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
 @st.composite
 def _record_lists(draw):
     n_classes = draw(st.integers(2, 4))
     labels = st.sampled_from(CANONICAL_LABELS)
+    ids = st.one_of(st.sampled_from(["t", "a\rb", "\r", "a\r\nb", 'x,"\r']), _TEXT)
     records = []
     for i in range(draw(st.integers(1, 4))):
         records.append(
             make_record(
-                f"t{i}", draw(labels), draw(labels), draw(_valid_bundles(n_classes)), draw(st.integers(0, 9))
+                draw(ids), draw(labels), draw(labels), draw(_valid_bundles(n_classes)), draw(st.integers(0, 9))
             )
         )
     return records
@@ -284,6 +292,25 @@ def test_records_csv_round_trip_property(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("prop") / "records.csv"
     write_records_csv(records, path)
     assert read_records_csv(path) == records
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_TEXT, st.integers(), st.floats().map(repr)), min_size=2, max_size=6))
+def test_csv_line_is_the_csv_writers_line_but_quotes_a_lone_cr(cells):
+    line = csv_line(cells)
+    assert next(csv.reader(_LINE.findall(line))) == [str(c) for c in cells]
+    if not any("\r" in str(c) for c in cells):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(cells)
+        assert line == buf.getvalue()
+
+
+def test_timeline_and_curve_csv_quote_a_lone_cr():
+    step = TimelineStep(n_tweets=1, predicted_class=0, bundle=bundle_with(), added_stance="a\rb")
+    rows = list(csv.reader(_LINE.findall(timeline_to_csv(TimelineSeries(tree_id="t", steps=(step,))))))
+    assert len(rows) == 2 and rows[1][-1] == "a\rb"
+    curve = RejectionCurve("m\r", (CurvePoint(1.0, 2, 0.5, 0.25),))
+    assert list(csv.reader(_LINE.findall(curve_to_csv(curve))))[1] == ["m\r", "1.0", "2", "0.5", "0.25"]
 
 
 def test_timeline_measure_columns_match_records_header():

@@ -1,0 +1,115 @@
+"""How much work one bundle does today, pinned as exact counts.
+
+A bundle runs S+2 tree passes: the deterministic pass (``predict_tree``),
+the learned-variance pass (``aleatoric_score``) and S MC-dropout passes.
+Each tree pass embeds every branch row (one ``data.embed_tweet`` call
+each), runs one ``nn._lstm_recurrence`` over all of them, draws its masks
+once (``nn.branch_masks``, also at rate 0) and runs ``nn.head_forward``
+once on a row per branch. With ``branch_level`` the two dropout-free passes
+stay tree passes, and each branch is embedded once more and run alone S
+times. A plain counter patched over each function counts its calls and the
+rows it gets, for every timeline prefix of random trees.
+
+These are today's values, not a target: the one scorer per bundle and the
+one head block (ROADMAP items 3 and 4) rewrite them, and a change that runs
+one pass more or less must rewrite them too.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+
+import numpy as np
+import pytest
+from conftest import conversation_trees
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from veritas import HashingEmbedder, UncertaintyConfig, bundle, nn
+from veritas import data as data_module
+from veritas import model as model_module
+from veritas.data import decompose_branches, timeline_prefixes
+from veritas.harness import timeline_report
+from veritas.model import init_params
+
+EMBEDDER = HashingEmbedder(dimension=6, seed=1)
+PARAMS = init_params(6, 4, 1, 3, seed=2)
+
+
+@contextlib.contextmanager
+def counting():
+    """Count calls and rows of the four functions a pass runs, in every namespace that binds them."""
+    counts = dict.fromkeys(
+        ("recurrence_calls", "recurrence_rows", "head_calls", "head_rows", "embed_calls", "mask_calls"), 0
+    )
+
+    def counted(fn, calls, rows=None, row_arg=None):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[calls] += 1
+            if rows is not None:
+                counts[rows] += len(np.atleast_2d(args[row_arg]))  # a vector is one row
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "_lstm_recurrence", counted(nn._lstm_recurrence, "recurrence_calls", "recurrence_rows", 3))
+        mp.setattr(nn, "head_forward", counted(nn.head_forward, "head_calls", "head_rows", 1))
+        mp.setattr(nn, "branch_masks", counted(nn.branch_masks, "mask_calls"))
+        embed = counted(data_module.embed_tweet, "embed_calls")
+        for module in (data_module, model_module):
+            mp.setattr(module, "embed_tweet", embed)
+        yield counts
+
+
+def expected(tree, n_samples: int, branch_level: bool) -> dict:
+    lengths = [len(b) for b in decompose_branches(tree)]
+    rows, branches = sum(lengths), len(lengths)
+    if branch_level:
+        passes = 2 + n_samples * branches
+        return dict(
+            recurrence_calls=passes,
+            recurrence_rows=(2 + n_samples) * rows,
+            head_calls=passes,
+            head_rows=(2 + n_samples) * branches,
+            embed_calls=3 * rows,
+            mask_calls=passes,
+        )
+    passes = n_samples + 2
+    return dict(
+        recurrence_calls=passes,
+        recurrence_rows=passes * rows,
+        head_calls=passes,
+        head_rows=passes * branches,
+        embed_calls=passes * rows,
+        mask_calls=passes,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tree=conversation_trees(max_tweets=8),
+    n_samples=st.sampled_from([1, 3, 15]),
+    branch_level=st.booleans(),
+    rate=st.sampled_from([0.0, 0.2]),
+)
+def test_every_prefix_bundle_does_todays_work(tree, n_samples, branch_level, rate):
+    for prefix in timeline_prefixes(tree):
+        with counting() as counts:
+            bundle(PARAMS, prefix, EMBEDDER, n_samples, rate, seed=3, branch_level=branch_level)
+        assert counts == expected(prefix, n_samples, branch_level)
+
+
+@settings(max_examples=15, deadline=None)
+@given(tree=conversation_trees(max_tweets=8), n_samples=st.sampled_from([1, 3, 15]), branch_level=st.booleans())
+def test_timeline_does_one_bundle_of_work_per_prefix(tree, n_samples, branch_level):
+    uq = UncertaintyConfig(n_samples=n_samples, dropout_rate=0.2, seed=3, branch_level=branch_level)
+    with counting() as counts:
+        timeline_report(PARAMS, tree, EMBEDDER, uq)
+    want = dict.fromkeys(counts, 0)
+    for prefix in timeline_prefixes(tree):
+        for key, value in expected(prefix, n_samples, branch_level).items():
+            want[key] += value
+    assert counts == want
