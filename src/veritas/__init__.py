@@ -62,9 +62,9 @@ from .harness import (
 )
 from .metrics import MetricsReport, evaluate, group_uncertainty_by
 from .model import (
-    BranchOutput,
     EpochStats,
     ModelParams,
+    PassOutput,
     TrainingConfig,
     forward_branch,
     init_params,

@@ -3,7 +3,8 @@
 Each conversation tree is decomposed into root-to-leaf branches; a branch
 runs through the network of ``nn`` (an LSTM, a small ReLU stack and two
 linear heads: class logits and a softplus data-noise variance), and a
-tree's prediction averages its branches' softmax outputs. README's
+tree's prediction averages its branches' softmax outputs. A pass gives
+one ``PassOutput``, whose blocks hold a row per branch. README's
 "Inference path" and "Training path" say how a pass and a training step
 run and round.
 """
@@ -182,25 +183,33 @@ def init_params(
 
 
 @dataclass(frozen=True)
-class BranchOutput:
+class PassOutput:
+    """One pass's outputs, each a block with a row per branch in branch order (``forward_branch``: its vectors).
+
+    ``variance`` (one shared column, or one per logit) is the softplus of
+    ``var_pre``, worked out on first read: a pass whose variance is never read runs no softplus.
+    """
+
     logits: Array
-    variance: Array  # (1,) shared, or (n_classes,) per logit
+    var_pre: Array
     probs: Array
 
-    @property
-    def variance_value(self) -> float:
-        # np.mean's own sum and division, without its dispatch cost.
-        return float(np.add.reduce(self.variance)) / self.variance.size
+    @functools.cached_property
+    def variance(self) -> Array:
+        return nn.softplus(self.var_pre)
 
 
-def _branch_heads(params: ModelParams, X: Array, lengths: tuple[int, ...], dropout: float, rng) -> tuple[Array, Array]:
-    """One pass over embedded branches as one batch: logits and variance pre-activations, a row per branch.
+def _branch_heads(params: ModelParams, X: Array, lengths: tuple[int, ...], dropout: float, rng, where) -> tuple:
+    """One pass over embedded branches as one batch: logits, variance pre-activations and probs, a row per branch.
 
     The branches of ``lengths`` rows sit back to back in ``X``. They run
     through one lockstep ``nn.lstm_forward`` call, and the ReLU stack and
     both heads run once on the block of their last outputs. The masks are
     those of a branch-at-a-time pass, drawn in its order by
-    ``nn.branch_masks``.
+    ``nn.branch_masks``. The heads' blocks are checked once: a non-finite
+    row raises the InvalidInput that its branch would raise alone (its
+    variance is checked before its logits), for the first such row j,
+    prefixed with ``where(j)``.
     """
     p = params.layers
     outputs = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], X, lengths)
@@ -209,7 +218,15 @@ def _branch_heads(params: ModelParams, X: Array, lengths: tuple[int, ...], dropo
     if masks is not None:
         u *= masks[:, 0]
     _, _, logits, var_pre = nn.head_forward(p, u, None if masks is None else masks[:, 1:])
-    return logits, var_pre
+    probs = nn.head_probs(logits, var_pre)
+    if probs is None:
+        for j, (v, z) in enumerate(zip(var_pre, logits)):
+            try:
+                nn.softplus(v)
+                nn.softmax(z)
+            except InvalidInput as exc:
+                raise InvalidInput(f"{where(j)}{exc}") from exc
+    return logits, var_pre, probs
 
 
 @functools.lru_cache(maxsize=nn._SHAPE_CACHE)
@@ -220,38 +237,16 @@ def _last_rows(lengths: tuple[int, ...]) -> Array:
     return rows
 
 
-def _branch_outputs(logits: Array, var_pre: Array, where) -> list[BranchOutput]:
-    """One ``BranchOutput`` per row of the heads' blocks, checked once for finiteness.
-
-    A non-finite row raises the InvalidInput that its branch would raise
-    alone (its variance is checked before its logits), for the first such
-    row j, prefixed with ``where(j)``.
-    """
-    distributions = nn.head_distributions(logits, var_pre)
-    if distributions is None:
-        first = int(np.argmin(np.isfinite(var_pre).all(axis=1) & np.isfinite(logits).all(axis=1)))
-        try:
-            nn.softplus(var_pre[first])
-            nn.softmax(logits[first])
-        except InvalidInput as exc:
-            raise InvalidInput(f"{where(first)}{exc}") from exc
-    return [BranchOutput(*row) for row in zip(logits, *distributions)]
-
-
-def forward_branch(
-    params: ModelParams,
-    vectors: Array,
-    dropout: float = 0.0,
-    rng=None,
-) -> BranchOutput:
+def forward_branch(params: ModelParams, vectors: Array, dropout: float = 0.0, rng=None) -> PassOutput:
     """Run one embedded branch (steps, input_dim) through the network.
 
-    This is a tree pass (``tree_branch_outputs``) over one branch. At a
-    positive dropout rate masks apply to each LSTM output step and after
-    every ReLU layer, drawn in the order ``nn.backward`` draws them in training.
+    This is a tree pass (``tree_branch_outputs``) over one branch, and its
+    fields are that branch's vectors. At a positive dropout rate masks apply
+    to each LSTM output step and after every ReLU layer, drawn in the order
+    ``nn.backward`` draws them in training.
     """
-    logits, var_pre = _branch_heads(params, vectors, (len(vectors),), dropout, rng)
-    return _branch_outputs(logits, var_pre, lambda j: "")[0]
+    blocks = _branch_heads(params, vectors, (len(vectors),), dropout, rng, lambda j: "")
+    return PassOutput(*(block[0] for block in blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -399,40 +394,31 @@ def train(
 
 
 def tree_branch_outputs(
-    params: ModelParams,
-    tree: ConversationTree,
-    embedder,
-    dropout: float = 0.0,
-    rng=None,
-) -> list[BranchOutput]:
-    """One pass over the tree: every branch through the network as one batch.
+    params: ModelParams, tree: ConversationTree, embedder, dropout: float = 0.0, rng=None
+) -> PassOutput:
+    """One pass over the tree: every branch through the network as one batch, one result.
 
     The branches' tweets are embedded straight into one block, branch
-    after branch in branch order. The masks and their random numbers are
-    those of a branch-at-a-time pass, in branch order. The logits and
-    variance pre-activations of all branches are checked once; a
-    non-finite one raises the InvalidInput that the first branch holding
-    one would raise alone, naming the tree and that branch's leaf tweet.
+    after branch in branch order, and each field of the result holds a
+    row per branch in that order. The masks and their random numbers are
+    those of a branch-at-a-time pass, in branch order. A non-finite logit
+    or variance pre-activation raises the InvalidInput that the first
+    branch holding one would raise alone, naming the tree and that
+    branch's leaf tweet.
     """
     branches = decompose_branches(tree)
     X = np.array([embed_tweet(tw.text, embedder) for b in branches for tw in b.tweets])
-    logits, var_pre = _branch_heads(params, X, tuple(len(b.tweets) for b in branches), dropout, rng)
-    return _branch_outputs(
-        logits, var_pre, lambda j: f"tree {tree.tree_id}, branch ending at tweet {branches[j].tweets[-1].id}: "
-    )
+    return PassOutput(*_branch_heads(
+        params, X, tuple(len(b.tweets) for b in branches), dropout, rng,
+        lambda j: f"tree {tree.tree_id}, branch ending at tweet {branches[j].tweets[-1].id}: ",
+    ))
 
 
-def tree_probs(
-    params: ModelParams,
-    tree: ConversationTree,
-    embedder,
-    dropout: float = 0.0,
-    rng=None,
-) -> Array:
+def tree_probs(params: ModelParams, tree: ConversationTree, embedder, dropout: float = 0.0, rng=None) -> Array:
     """Mean of the branch softmax vectors."""
-    outputs = tree_branch_outputs(params, tree, embedder, dropout, rng)
+    probs = tree_branch_outputs(params, tree, embedder, dropout, rng).probs
     # np.mean's own reduction and division, without its dispatch cost.
-    return np.add.reduce(np.array([out.probs for out in outputs]), axis=0) / len(outputs)
+    return np.add.reduce(probs, axis=0) / len(probs)
 
 
 def predict_tree(params: ModelParams, tree: ConversationTree, embedder) -> tuple[Array, int]:

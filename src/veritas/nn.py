@@ -70,16 +70,15 @@ def _softplus_kernel(arr: Array) -> Array:
     return np.maximum(arr, 0.0) + tail
 
 
-def head_distributions(logits: Array, var_pre: Array) -> tuple[Array, Array] | None:
-    """``softplus`` of the variance pre-activations and ``softmax`` of each logits row, a row per branch.
+def head_probs(logits: Array, var_pre: Array) -> Array | None:
+    """``softmax`` of each logits row, a row per branch, after one finiteness check of both heads' blocks.
 
-    One finiteness check covers both blocks. None when any entry is not
-    finite: the caller then finds the branch, and ``softplus`` and
-    ``softmax`` on its rows give the error.
+    None when any entry is not finite: the caller then finds the branch,
+    and ``softplus`` and ``softmax`` on its rows give the error.
     """
     if not (np.isfinite(logits).all() and np.isfinite(var_pre).all()):
         return None
-    return _softplus_kernel(var_pre), _softmax_kernel(logits)
+    return _softmax_kernel(logits)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +339,14 @@ def lstm_forward(
     if Wh.shape != (four_h, hidden):
         raise ShapeError(f"lstm: recurrent weights {Wh.shape} do not match hidden size {hidden}")
     if lengths is not None:
-        lengths = tuple(map(operator.index, lengths))
-        if min(lengths, default=0) < 1 or sum(lengths) != len(X):
-            raise ShapeError(f"lstm: lengths must be positive and sum to the {len(X)} input rows, got {lengths}")
+        lengths = tuple(lengths)
+        try:  # a bool is refused before the plan cache sees it: (True,) and (1,) are equal keys
+            steps = () if bool in map(type, lengths) else tuple(map(operator.index, lengths))
+        except TypeError:
+            steps = ()
+        if min(steps, default=0) < 1 or sum(steps) != len(X):
+            raise ShapeError(f"lstm: lengths must be positive integers summing to the {len(X)} rows, got {lengths}")
+        lengths = steps
     return _lstm_recurrence(Wx, Wh, b, X, lengths).outputs
 
 

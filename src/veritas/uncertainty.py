@@ -103,8 +103,8 @@ def _entropy(p: Array) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def _mean(values: list[float]) -> float:
-    """``np.mean`` of a nonempty list of floats: its pairwise sum and division, without its dispatch cost."""
+def _mean(values) -> float:
+    """``np.mean`` of a nonempty list or vector of floats: its pairwise sum and division, without its dispatch cost."""
     return float(np.add.reduce(np.array(values))) / len(values)
 
 
@@ -208,8 +208,9 @@ def softmax_confidences(probs: Array) -> SoftmaxConfidences:
 
 
 def aleatoric_score(params: ModelParams, tree: ConversationTree, embedder) -> float:
-    """Mean learned variance over the tree's branches, dropout off."""
-    return _mean([out.variance_value for out in tree_branch_outputs(params, tree, embedder)])
+    """Mean learned variance over the tree's branches, dropout off: the mean of each branch's row, then their mean."""
+    variance = tree_branch_outputs(params, tree, embedder).variance
+    return _mean(np.add.reduce(variance, axis=1) / variance.shape[1])  # each row's np.mean, then theirs
 
 
 @dataclass(frozen=True)

@@ -9,23 +9,35 @@ products, starting from zeros. ``softmax`` and ``softplus`` check
 finiteness with generic ``np.all`` calls. ``forward_branch`` runs one branch: the
 recurrence, its ``(steps, H)`` dropout mask, then ``nn.dense_forward`` and
 ``dropout_forward`` per ReLU layer, the two heads, ``softplus`` and
-``softmax``. ``tree_branch_outputs`` runs a tree's branches through it one
-after another from one rng. ``nn``'s kernels, ``model.init_params``,
-``model.forward_branch`` and a one-branch ``model.tree_branch_outputs`` must
-match these bit for bit, so the properties compare equal bytes.
+``softmax``, into a ``PassResult`` of its vectors. ``tree_branch_outputs``
+runs a tree's branches through it one after another from one rng and
+stacks their vectors into blocks, a row per branch. ``nn``'s kernels,
+``model.init_params``, ``model.forward_branch`` and a one-branch
+``model.tree_branch_outputs`` must match these bit for bit, so the
+properties compare equal bytes.
 ``dropout_forward`` is also the single-op dropout that criteria 1 and 4
 check; no library path calls it, so it lives here rather than in ``nn``.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from veritas import nn
 from veritas.data import branch_matrix, decompose_branches
 from veritas.errors import ConfigError, InvalidInput, ShapeError, make_rng
-from veritas.model import BranchOutput
 from veritas.nn import _LSTMStates
+
+
+class PassResult(NamedTuple):
+    """The fields of ``model.PassOutput``, every one worked out at once; the variance by this module's ``softplus``."""
+
+    logits: np.ndarray
+    var_pre: np.ndarray
+    variance: np.ndarray
+    probs: np.ndarray
 
 
 def init_params(input_dim, hidden_size, num_relu_layers, n_classes, seed=0, variance_dim=1, input_scale=1.0):
@@ -146,9 +158,11 @@ def forward_branch(params, vectors, dropout=0.0, rng=None):
     for i in range(params.num_relu_layers):
         u = dropout_forward(nn.dense_forward(p[f"relu{i}.w"], p[f"relu{i}.b"], u, "relu"), dropout, rng)
     logits = nn.dense_forward(p["out.w"], p["out.b"], u, "linear")
-    variance = softplus(nn.dense_forward(p["var.w"], p["var.b"], u, "linear"))
-    return BranchOutput(logits=logits, variance=variance, probs=softmax(logits))
+    var_pre = nn.dense_forward(p["var.w"], p["var.b"], u, "linear")
+    variance = softplus(var_pre)
+    return PassResult(logits=logits, var_pre=var_pre, variance=variance, probs=softmax(logits))
 
 
 def tree_branch_outputs(params, tree, embedder, dropout=0.0, rng=None):
-    return [forward_branch(params, branch_matrix(b, embedder), dropout, rng) for b in decompose_branches(tree)]
+    branches = [forward_branch(params, branch_matrix(b, embedder), dropout, rng) for b in decompose_branches(tree)]
+    return PassResult(*(np.stack(rows) for rows in zip(*branches)))

@@ -3,12 +3,13 @@
 Every pass here works everything out again: it decomposes the tree
 (``decompose_branches``), plans the lockstep LSTM run of the branch lengths
 (``lockstep_plan``), finds the rows of its mask block that reach the heads
-(``branch_masks``), stacks the embeddings with ``np.stack``, checks the
-variance and the logits separately (``softplus``, then ``softmax_rows``),
-averages with ``np.mean``, and seeds the generator that a tree's (or, per
-branch, a branch's) samples draw from in turn with
-``np.random.default_rng([seed, *stream])``. Its lockstep loop adds the
-zero state's product ``h @ Wh.T`` on step 0 too. The step kernel
+(``branch_masks``), stacks the embeddings with ``np.stack``, works out
+each branch's variance and probabilities on its own row (``softplus``,
+then ``softmax``, as a branch-at-a-time pass would) and stacks them into
+blocks, averages with ``np.mean`` (the variance a branch at a time), and
+seeds the generator that a tree's (or, per branch, a branch's) samples
+draw from in turn with ``np.random.default_rng([seed, *stream])``. Its
+lockstep loop adds the zero state's product ``h @ Wh.T`` on step 0 too. The step kernel
 ``nn._lstm_step``, ``nn.head_forward``, ``embed_tweet`` and the measures on
 sample sets are shared with the library; ``test_pass_kernels`` checks the
 kernel against the textbook step. ``uncertainty.bundle`` must equal
@@ -20,11 +21,10 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from network_reference import PassResult
 
 from veritas import nn
 from veritas.data import Branch, embed_tweet
-from veritas.errors import InvalidInput
-from veritas.model import BranchOutput
 from veritas.uncertainty import (
     SampleSet,
     UncertaintyBundle,
@@ -101,13 +101,6 @@ def branch_masks(lengths, hidden, n_relu, rate, rng):
     return nn._draw_mask((end, hidden), rate, rng)[rows].reshape(len(lengths), n_relu + 1, hidden)
 
 
-def softmax_rows(logits):
-    if not np.isfinite(logits).all():
-        raise InvalidInput("softmax: logits must be finite")
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def branch_heads(params, X, lengths, dropout, rng):
     p = params.layers
     outputs = lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], X, lengths)
@@ -119,25 +112,29 @@ def branch_heads(params, X, lengths, dropout, rng):
     return logits, var_pre
 
 
+def branch_outputs(logits, var_pre):
+    """Each branch's variance and probabilities from its own row, variance first, stacked into blocks."""
+    rows = [(nn.softplus(v), nn.softmax(z)) for v, z in zip(var_pre, logits)]
+    return PassResult(logits, var_pre, *(np.stack(block) for block in zip(*rows)))
+
+
 def tree_branch_outputs(params, tree, embedder, dropout=0.0, rng=None):
     branches = decompose_branches(tree)
     X = np.stack([embed_tweet(tw.text, embedder) for b in branches for tw in b.tweets])
-    logits, var_pre = branch_heads(params, X, [len(b.tweets) for b in branches], dropout, rng)
-    variance, probs = nn.softplus(var_pre), softmax_rows(logits)
-    return [BranchOutput(*row) for row in zip(logits, variance, probs)]
+    return branch_outputs(*branch_heads(params, X, [len(b.tweets) for b in branches], dropout, rng))
 
 
 def forward_branch(params, vectors, dropout=0.0, rng=None):
-    logits, var_pre = branch_heads(params, vectors, [len(vectors)], dropout, rng)
-    return BranchOutput(logits=logits[0], variance=nn.softplus(var_pre[0]), probs=nn.softmax(logits[0]))
+    blocks = branch_outputs(*branch_heads(params, vectors, [len(vectors)], dropout, rng))
+    return PassResult(*(block[0] for block in blocks))
 
 
 def tree_probs(params, tree, embedder, dropout=0.0, rng=None):
-    return np.mean([out.probs for out in tree_branch_outputs(params, tree, embedder, dropout, rng)], axis=0)
+    return np.mean(tree_branch_outputs(params, tree, embedder, dropout, rng).probs, axis=0)
 
 
 def aleatoric_score(params, tree, embedder):
-    return float(np.mean([float(np.mean(out.variance)) for out in tree_branch_outputs(params, tree, embedder)]))
+    return float(np.mean([float(np.mean(row)) for row in tree_branch_outputs(params, tree, embedder).variance]))
 
 
 def mc_sample(params, tree, embedder, n_samples, dropout_rate, seed):

@@ -1,8 +1,9 @@
 """A tree pass does once per tree or once per shape what every pass used to repeat.
 
 ``pass_reference`` keeps the pass that worked everything out again on every
-call. The library must give equal bundles, build the same generators, and
-keep its per-tree and per-shape results where no caller can change them.
+call. The library must give equal bundles and equal pass blocks, build the
+same generators, and keep its per-tree and per-shape results where no
+caller can change them.
 """
 
 import dataclasses
@@ -14,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pass_reference as ref
-from veritas import ConversationTree, HashingEmbedder, Tweet, bundle, nn
+from veritas import ConversationTree, HashingEmbedder, Tweet, aleatoric_score, bundle, nn
 from veritas import model as model_module
 from veritas.data import decompose_branches
 from veritas.errors import ConfigError, child_rng, make_rng
-from veritas.model import ModelParams, init_params, tree_branch_outputs
+from veritas.model import ModelParams, PassOutput, init_params, tree_branch_outputs
+
+FIELDS = ("logits", "var_pre", "variance", "probs")
 
 
 @st.composite
@@ -55,6 +58,31 @@ def test_bundle_equals_the_pass_that_repeats_everything(case):
     assert bundle(params, tree, embedder, **options) == want
     # Again on the same tree object, whose decomposition is now kept.
     assert bundle(params, tree, embedder, **options) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(bundle_cases())
+def test_pass_blocks_equal_the_branch_at_a_time_reference(case):
+    """One result per pass: each block is the reference's branch rows stacked, byte for byte."""
+    params, tree, embedder, options = case
+    rate, seed = options["dropout_rate"], options["seed"]
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    got = tree_branch_outputs(params, tree, embedder, rate, rng)
+    want = ref.tree_branch_outputs(params, tree, embedder, rate, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert type(got) is PassOutput and "variance" not in vars(got)  # not worked out until read
+    for name in FIELDS:
+        block, expected = getattr(got, name), getattr(want, name)
+        assert block.dtype == expected.dtype and block.shape == expected.shape, name
+        assert block.tobytes() == expected.tobytes(), name
+    assert got.variance is got.variance
+    assert aleatoric_score(params, tree, embedder) == ref.aleatoric_score(params, tree, embedder)
+
+    # Reading the variance draws nothing.
+    unread, read = make_rng(seed), make_rng(seed)
+    tree_branch_outputs(params, tree, embedder, rate, unread)
+    assert tree_branch_outputs(params, tree, embedder, rate, read).variance.shape == got.var_pre.shape
+    assert unread.bit_generator.state == read.bit_generator.state
 
 
 @settings(max_examples=300, deadline=None)
@@ -143,14 +171,15 @@ def test_writing_into_a_pass_result_does_not_change_the_next_pass():
     params = init_params(6, 4, 1, 3, seed=2)
     tree, embedder = _tree(), HashingEmbedder(dimension=6, seed=1)
     first = tree_branch_outputs(params, tree, embedder, 0.3, make_rng(4))
-    expected = [out.probs.copy() for out in first]
-    for out in first:
-        out.probs[:] = -1.0
-        out.logits[:] = np.nan
+    expected = {name: getattr(first, name).copy() for name in FIELDS}
+    for name in FIELDS:
+        getattr(first, name)[:] = -1.0 if name == "probs" else np.nan
     masks = nn.branch_masks((3, 3, 2), 4, 1, 0.3, make_rng(4))
     masks[:] = 7.0
     again = tree_branch_outputs(params, tree, embedder, 0.3, make_rng(4))
-    assert [out.probs.tobytes() for out in again] == [p.tobytes() for p in expected]
+    assert {name: getattr(again, name).tobytes() for name in FIELDS} == {
+        name: block.tobytes() for name, block in expected.items()
+    }
     assert not (nn.branch_masks((3, 3, 2), 4, 1, 0.3, make_rng(4)) == 7.0).any()
 
 

@@ -11,8 +11,10 @@ from veritas import (
     ConversationTree,
     HashingEmbedder,
     ModelParams,
+    TableEmbedder,
     TrainingConfig,
     Tweet,
+    aleatoric_score,
     branch_matrix,
     decompose_branches,
     forward_branch,
@@ -99,13 +101,16 @@ class TestForwardBranch:
         out = forward_branch(params, rng.normal(size=(2, 3)))
         assert abs(out.probs.sum() - 1.0) < 1e-12
 
-    def test_variance_value_is_mean(self):
+    def test_aleatoric_score_of_one_branch_is_its_variance_mean(self):
         params = init_params(
             input_dim=3, hidden_size=4, num_relu_layers=0, n_classes=3, seed=0, variance_dim=3
         )
         out = forward_branch(params, np.ones((2, 3)))
         assert out.variance.shape == (3,)
-        assert out.variance_value == pytest.approx(float(np.mean(out.variance)))
+        # Each tweet embeds as the all-ones row, so the tree's one branch is the matrix above.
+        tree = chain_tree("t", "true", ["a", "a"])
+        score = aleatoric_score(params, tree, TableEmbedder({"a": np.ones(3)}, dimension=3))
+        assert score == pytest.approx(float(np.mean(out.variance)))
 
     def test_shape_errors(self):
         params = zero_params(input_dim=3)

@@ -171,6 +171,13 @@ class TestLstm:
             nn.lstm_forward(np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(7), np.zeros((3, 2)))
         with pytest.raises(ShapeError):
             nn.lstm_forward(np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(8), np.zeros((0, 2)))
+        # Each sums to the two input rows, but a length is a positive integer and not a bool.
+        for lengths in ([True, True], [2.0], [1.5, 0.5], [0, 2]):
+            with pytest.raises(ShapeError, match="lengths"):
+                nn.lstm_forward(np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(8), np.zeros((2, 2)), lengths)
+        # Any integer type is a length.
+        out = nn.lstm_forward(np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(8), np.zeros((2, 2)), (np.int64(1), 1))
+        assert out.shape == (2, 2)
 
 
 # ---------------------------------------------------------------------------

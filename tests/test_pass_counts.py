@@ -5,9 +5,12 @@ the learned-variance pass (``aleatoric_score``) and S MC-dropout passes.
 Each tree pass embeds every branch row (one ``data.embed_tweet`` call
 each), runs one ``nn._lstm_recurrence`` over all of them, draws its masks
 once (``nn.branch_masks``, also at rate 0) and runs ``nn.head_forward``
-once on a row per branch. With ``branch_level`` the two dropout-free passes
-stay tree passes, and each branch is embedded once more and run alone S
-times. A plain counter patched over each function counts its calls and the
+once on a row per branch; each is one ``model.tree_branch_outputs`` call.
+With ``branch_level`` the two dropout-free passes stay tree passes, and
+each branch is embedded once more and run alone S times through
+``model.forward_branch``. Only the learned-variance pass reads its
+variance, so a bundle runs the softplus kernel (``nn._softplus_kernel``)
+once. A plain counter patched over each function counts its calls and the
 rows it gets, for every timeline prefix of random trees.
 
 These are today's values, not a target: the one scorer per bundle and the
@@ -29,6 +32,7 @@ from hypothesis import strategies as st
 from veritas import HashingEmbedder, UncertaintyConfig, bundle, nn
 from veritas import data as data_module
 from veritas import model as model_module
+from veritas import uncertainty as uncertainty_module
 from veritas.data import decompose_branches, timeline_prefixes
 from veritas.harness import timeline_report
 from veritas.model import init_params
@@ -39,9 +43,13 @@ PARAMS = init_params(6, 4, 1, 3, seed=2)
 
 @contextlib.contextmanager
 def counting():
-    """Count calls and rows of the four functions a pass runs, in every namespace that binds them."""
+    """Count calls and rows of the functions a bundle runs, in every namespace that binds them."""
     counts = dict.fromkeys(
-        ("recurrence_calls", "recurrence_rows", "head_calls", "head_rows", "embed_calls", "mask_calls"), 0
+        (
+            "recurrence_calls", "recurrence_rows", "head_calls", "head_rows", "embed_calls", "mask_calls",
+            "pass_calls", "softplus_calls",
+        ),
+        0,
     )
 
     def counted(fn, calls, rows=None, row_arg=None):
@@ -58,9 +66,13 @@ def counting():
         mp.setattr(nn, "_lstm_recurrence", counted(nn._lstm_recurrence, "recurrence_calls", "recurrence_rows", 3))
         mp.setattr(nn, "head_forward", counted(nn.head_forward, "head_calls", "head_rows", 1))
         mp.setattr(nn, "branch_masks", counted(nn.branch_masks, "mask_calls"))
+        mp.setattr(nn, "_softplus_kernel", counted(nn._softplus_kernel, "softplus_calls"))
         embed = counted(data_module.embed_tweet, "embed_calls")
         for module in (data_module, model_module):
             mp.setattr(module, "embed_tweet", embed)
+        tree_pass = counted(model_module.tree_branch_outputs, "pass_calls")
+        for module in (model_module, uncertainty_module):
+            mp.setattr(module, "tree_branch_outputs", tree_pass)
         yield counts
 
 
@@ -76,6 +88,8 @@ def expected(tree, n_samples: int, branch_level: bool) -> dict:
             head_rows=(2 + n_samples) * branches,
             embed_calls=3 * rows,
             mask_calls=passes,
+            pass_calls=2,
+            softplus_calls=1,
         )
     passes = n_samples + 2
     return dict(
@@ -85,6 +99,8 @@ def expected(tree, n_samples: int, branch_level: bool) -> dict:
         head_rows=passes * branches,
         embed_calls=passes * rows,
         mask_calls=passes,
+        pass_calls=passes,
+        softplus_calls=1,
     )
 
 

@@ -278,7 +278,7 @@ class TestAleatoricScore:
         params, _, emb = toy_model
         tree = chain_tree("single", "true", ["one tweet", "a reply"])
         (branch,) = decompose_branches(tree)
-        expected = forward_branch(params, branch_matrix(branch, emb)).variance_value
+        expected = float(np.mean(forward_branch(params, branch_matrix(branch, emb)).variance))
         assert aleatoric_score(params, tree, emb) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_head_gives_softplus_bias(self, toy_model):
@@ -294,7 +294,7 @@ class TestAleatoricScore:
         params, _, emb = toy_model
         tree = ConversationTreeFactory.three_branches()
         sigmas = [
-            forward_branch(params, branch_matrix(b, emb)).variance_value
+            float(np.mean(forward_branch(params, branch_matrix(b, emb)).variance))
             for b in decompose_branches(tree)
         ]
         assert len(sigmas) == 3
