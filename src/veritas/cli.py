@@ -45,7 +45,7 @@ from .rejection import (
     unsupervised_reject,
 )
 from .synth import SyntheticSpec, generate_synthetic
-from .uncertainty import UncertaintyConfig
+from .uncertainty import UncertaintyConfig, measure_spec
 
 
 def _load_json_arg(value: str, what: str) -> dict:
@@ -257,6 +257,7 @@ def _find_config_echo(model_path: Path) -> dict:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
+    measure_spec(args.measure)  # a bad name fails before any prefix is scored
     params = ModelParams.load(args.model)
     trees = load_dataset(args.data)
     by_id = {t.tree_id: t for t in trees}

@@ -197,10 +197,9 @@ def _lockstep_plan(lengths: tuple[int, ...]) -> tuple[int, Array | None, tuple]:
     still running at every step are a prefix of those running at the step
     before. ``order`` gives each step row's input row, read-only, or is None
     for one sequence, whose rows are in step order already. Each step holds
-    the index of its step rows, of the state rows entering it and of those
-    leaving it: slices, or ints when one sequence runs, whose vector ops
-    cost less than blocks'. The state arrays hold each sequence's zero state,
-    then the states leaving each step.
+    the slices of its step rows, of the state rows entering it and of those
+    leaving it. The state arrays hold each sequence's zero state, then the
+    states leaving each step.
     """
     k = len(lengths)
     by_length = sorted(range(k), key=lengths.__getitem__, reverse=True)
@@ -210,10 +209,7 @@ def _lockstep_plan(lengths: tuple[int, ...]) -> tuple[int, Array | None, tuple]:
         lo = len(order)
         order += [starts[j] + t for j in by_length if lengths[j] > t]
         hi = len(order)
-        if hi - lo == 1:
-            steps.append((lo, entering, k + lo))
-        else:
-            steps.append((slice(lo, hi), slice(entering, entering + hi - lo), slice(k + lo, k + hi)))
+        steps.append((slice(lo, hi), slice(entering, entering + hi - lo), slice(k + lo, k + hi)))
         entering = k + lo
     if k == 1:
         return 1, None, tuple(steps)

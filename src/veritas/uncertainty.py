@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ConversationTree, branch_matrix, decompose_branches
+from .data import ConversationTree
 from .errors import ConfigError, InvalidInput, check_fields, check_value, child_rng, seed_int
-from .model import ModelParams, forward_branch, predict_tree, tree_branch_outputs, tree_probs
+from .model import ModelParams, predict_tree, tree_branch_outputs
 
 Array = np.ndarray
 
@@ -113,8 +113,18 @@ def _tree_seed(base_seed: int, tree_id: str) -> int:
     return (seed_int(base_seed) << 32) + zlib.crc32(tree_id.encode("utf-8"))
 
 
-def _check_sample_count(n_samples) -> None:  # UncertaintyConfig.n_samples's rule, for a bare count
-    check_value("n_samples", n_samples, "int", "[1, inf)")
+def _mc_passes(params: ModelParams, tree: ConversationTree, embedder, n_samples: int, dropout_rate: float, seed: int):
+    """The (samples, branches, classes) probability block of n_samples tree passes with dropout active.
+
+    The passes draw their masks in turn from one stream, derived from
+    (seed, tree_id): pass i takes the stream's i-th mask block. So results
+    depend on neither evaluation order nor the path that scores the tree (a
+    timeline prefix keeps its tree's id and so its stream), and a larger
+    ``n_samples`` leaves the earlier passes as they were.
+    """
+    check_value("n_samples", n_samples, "int", "[1, inf)")  # UncertaintyConfig.n_samples's rule, for a bare count
+    rng = child_rng(_tree_seed(seed, tree.tree_id))
+    return np.array([tree_branch_outputs(params, tree, embedder, dropout_rate, rng).probs for _ in range(n_samples)])
 
 
 def mc_sample(
@@ -125,17 +135,9 @@ def mc_sample(
     dropout_rate: float,
     seed: int = 0,
 ) -> SampleSet:
-    """n_samples stochastic tree predictions with dropout active.
-
-    The samples draw their masks in turn from one stream, derived from
-    (seed, tree_id): sample i takes the stream's i-th mask block. So results
-    depend on neither evaluation order nor the path that scores the tree (a
-    timeline prefix keeps its tree's id and so its stream), and a larger
-    ``n_samples`` leaves the earlier samples as they were.
-    """
-    _check_sample_count(n_samples)
-    rng = child_rng(_tree_seed(seed, tree.tree_id))
-    return SampleSet(np.array([tree_probs(params, tree, embedder, dropout_rate, rng) for _ in range(n_samples)]))
+    """n_samples stochastic tree predictions with dropout active: each MC pass's branch mean (``tree_probs``' bits)."""
+    block = _mc_passes(params, tree, embedder, n_samples, dropout_rate, seed)
+    return SampleSet(np.add.reduce(block, axis=1) / block.shape[1])
 
 
 def mc_sample_branches(
@@ -146,15 +148,9 @@ def mc_sample_branches(
     dropout_rate: float,
     seed: int = 0,
 ) -> list[SampleSet]:
-    """Per-branch sample sets (ablation mode); branch b's samples draw in turn from stream (seed, tree_id, b)."""
-    _check_sample_count(n_samples)
-    tree_seed = _tree_seed(seed, tree.tree_id)
-    sets = []
-    for b, branch in enumerate(decompose_branches(tree)):
-        vectors, rng = branch_matrix(branch, embedder), child_rng(tree_seed, b)
-        rows = [forward_branch(params, vectors, dropout_rate, rng).probs for _ in range(n_samples)]
-        sets.append(SampleSet(np.array(rows)))
-    return sets
+    """Per-branch sample sets (ablation mode): branch b's rows of the passes that ``mc_sample`` averages."""
+    block = _mc_passes(params, tree, embedder, n_samples, dropout_rate, seed)
+    return [SampleSet(block[:, b]) for b in range(block.shape[1])]
 
 
 def variation_ratio(sample_set: SampleSet) -> float:
@@ -271,13 +267,14 @@ def bundle(
     seed: int = 0,
     branch_level: bool = False,
 ) -> UncertaintyBundle:
-    """Every measure of one tree from S+2 passes: two dropout-free, S with MC dropout.
+    """Every measure of one tree from S+2 tree passes: two dropout-free, S with MC dropout.
 
     ``predict_tree`` and ``aleatoric_score`` each run the dropout-free
-    pass, and ``mc_sample`` runs one pass per sample.
-
-    ``branch_level`` switches the epistemic measures to per-branch sampling
-    (S passes over each branch) with the per-branch values averaged.
+    pass, and the S MC passes run in both modes. ``branch_level`` only
+    chooses how their rows are reduced: by default each pass's branch mean
+    is one sample (``mc_sample``); with it each branch's rows are its own
+    sample set (``mc_sample_branches``) and the per-branch epistemic values
+    are averaged.
     """
     det_probs, det_class = predict_tree(params, tree, embedder)
     if branch_level:

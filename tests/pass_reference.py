@@ -7,8 +7,9 @@ Every pass here works everything out again: it decomposes the tree
 each branch's variance and probabilities on its own row (``softplus``,
 then ``softmax``, as a branch-at-a-time pass would) and stacks them into
 blocks, averages with ``np.mean`` (the variance a branch at a time), and
-seeds the generator that a tree's (or, per branch, a branch's) samples
-draw from in turn with ``np.random.default_rng([seed, *stream])``. Its
+seeds the generator that a tree's samples draw from in turn with
+``np.random.default_rng([seed, *stream])``. Branch-level sample sets
+stack each branch's rows of those passes one row at a time. Its
 lockstep loop adds the zero state's product ``h @ Wh.T`` on step 0 too. The step kernel
 ``nn._lstm_step``, ``nn.head_forward``, ``embed_tweet`` and the measures on
 sample sets are shared with the library; ``test_pass_kernels`` checks the
@@ -124,11 +125,6 @@ def tree_branch_outputs(params, tree, embedder, dropout=0.0, rng=None):
     return branch_outputs(*branch_heads(params, X, [len(b.tweets) for b in branches], dropout, rng))
 
 
-def forward_branch(params, vectors, dropout=0.0, rng=None):
-    blocks = branch_outputs(*branch_heads(params, vectors, [len(vectors)], dropout, rng))
-    return PassResult(*(block[0] for block in blocks))
-
-
 def tree_probs(params, tree, embedder, dropout=0.0, rng=None):
     return np.mean(tree_branch_outputs(params, tree, embedder, dropout, rng).probs, axis=0)
 
@@ -145,14 +141,9 @@ def mc_sample(params, tree, embedder, n_samples, dropout_rate, seed):
 
 
 def mc_sample_branches(params, tree, embedder, n_samples, dropout_rate, seed):
-    tree_seed = _tree_seed(seed, tree.tree_id)
-    sets = []
-    for b, branch in enumerate(decompose_branches(tree)):
-        vectors = np.stack([embed_tweet(tw.text, embedder) for tw in branch.tweets])
-        rng = child_rng(tree_seed, b)
-        rows = [forward_branch(params, vectors, dropout_rate, rng).probs for _ in range(n_samples)]
-        sets.append(SampleSet(np.stack(rows)))
-    return sets
+    rng = child_rng(_tree_seed(seed, tree.tree_id))
+    passes = [tree_branch_outputs(params, tree, embedder, dropout_rate, rng).probs for _ in range(n_samples)]
+    return [SampleSet(np.stack([block[b] for block in passes])) for b in range(len(passes[0]))]
 
 
 def bundle(params, tree, embedder, n_samples, dropout_rate, seed=0, branch_level=False):

@@ -329,6 +329,24 @@ class TestTimeline:
         assert rc == 2
         assert "ghost" in capfd.readouterr().err
 
+    def test_unknown_measure_exits_2_before_scoring(self, workspace, capfd, monkeypatch):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("timeline_report ran")
+
+        monkeypatch.setattr(cli, "timeline_report", no_scoring)
+        records = read_records_csv(workspace["out"] / "records.csv")
+        rc = main(
+            [
+                "timeline",
+                "--model", str(workspace["out"] / f"fold_{records[0].fold}" / "params.json"),
+                "--tree", records[0].tree_id,
+                "--data", str(workspace["data"]),
+                "--measure", "bogus",
+            ]
+        )
+        assert rc == 2
+        assert "error: unknown measure 'bogus'" in capfd.readouterr().err
+
     def _timeline(self, workspace, model):
         records = read_records_csv(workspace["out"] / "records.csv")
         model.parent.mkdir(parents=True)

@@ -1,17 +1,18 @@
 """How much work one bundle does today, pinned as exact counts.
 
-A bundle runs S+2 tree passes: the deterministic pass (``predict_tree``),
-the learned-variance pass (``aleatoric_score``) and S MC-dropout passes.
-Each tree pass embeds every branch row (one ``data.embed_tweet`` call
-each), runs one ``nn._lstm_recurrence`` over all of them, draws its masks
-once (``nn.branch_masks``, also at rate 0) and runs ``nn.head_forward``
-once on a row per branch; each is one ``model.tree_branch_outputs`` call.
-With ``branch_level`` the two dropout-free passes stay tree passes, and
-each branch is embedded once more and run alone S times through
-``model.forward_branch``. Only the learned-variance pass reads its
-variance, so a bundle runs the softplus kernel (``nn._softplus_kernel``)
-once. A plain counter patched over each function counts its calls and the
-rows it gets, for every timeline prefix of random trees.
+A bundle runs S+2 tree passes in both sampling modes: the deterministic
+pass (``predict_tree``), the learned-variance pass (``aleatoric_score``)
+and S MC-dropout passes; ``branch_level`` only chooses how the MC passes'
+rows are reduced. Each tree pass embeds every branch row (one
+``data.embed_tweet`` call each), runs one ``nn._lstm_recurrence`` over all
+of them, draws its masks once (``nn.branch_masks``, also at rate 0) and
+runs ``nn.head_forward`` once on a row per branch; each is one
+``model.tree_branch_outputs`` call. No bundle runs a branch alone
+(``model.forward_branch``) or embeds one (``data.branch_matrix``). Only the
+learned-variance pass reads its variance, so a bundle runs the softplus
+kernel (``nn._softplus_kernel``) once. A plain counter patched over each
+function, in every module that binds it, counts its calls and the rows it
+gets, for every timeline prefix of random trees.
 
 These are today's values, not a target: the one scorer per bundle and the
 one head block (ROADMAP items 3 and 4) rewrite them, and a change that runs
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import sys
 
 import numpy as np
 import pytest
@@ -32,7 +34,6 @@ from hypothesis import strategies as st
 from veritas import HashingEmbedder, UncertaintyConfig, bundle, nn
 from veritas import data as data_module
 from veritas import model as model_module
-from veritas import uncertainty as uncertainty_module
 from veritas.data import decompose_branches, timeline_prefixes
 from veritas.harness import timeline_report
 from veritas.model import init_params
@@ -47,7 +48,7 @@ def counting():
     counts = dict.fromkeys(
         (
             "recurrence_calls", "recurrence_rows", "head_calls", "head_rows", "embed_calls", "mask_calls",
-            "pass_calls", "softplus_calls",
+            "pass_calls", "softplus_calls", "branch_pass_calls", "branch_matrix_calls",
         ),
         0,
     )
@@ -62,35 +63,31 @@ def counting():
 
         return wrapper
 
+    targets = [
+        (nn._lstm_recurrence, "recurrence_calls", "recurrence_rows", 3),
+        (nn.head_forward, "head_calls", "head_rows", 1),
+        (nn.branch_masks, "mask_calls"),
+        (nn._softplus_kernel, "softplus_calls"),
+        (data_module.embed_tweet, "embed_calls"),
+        (model_module.tree_branch_outputs, "pass_calls"),
+        (model_module.forward_branch, "branch_pass_calls"),
+        (data_module.branch_matrix, "branch_matrix_calls"),
+    ]
+    modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "veritas"]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nn, "_lstm_recurrence", counted(nn._lstm_recurrence, "recurrence_calls", "recurrence_rows", 3))
-        mp.setattr(nn, "head_forward", counted(nn.head_forward, "head_calls", "head_rows", 1))
-        mp.setattr(nn, "branch_masks", counted(nn.branch_masks, "mask_calls"))
-        mp.setattr(nn, "_softplus_kernel", counted(nn._softplus_kernel, "softplus_calls"))
-        embed = counted(data_module.embed_tweet, "embed_calls")
-        for module in (data_module, model_module):
-            mp.setattr(module, "embed_tweet", embed)
-        tree_pass = counted(model_module.tree_branch_outputs, "pass_calls")
-        for module in (model_module, uncertainty_module):
-            mp.setattr(module, "tree_branch_outputs", tree_pass)
+        for fn, *how in targets:
+            wrapper = counted(fn, *how)
+            for module in modules:
+                for name, value in list(vars(module).items()):
+                    if value is fn:
+                        mp.setattr(module, name, wrapper)
         yield counts
 
 
-def expected(tree, n_samples: int, branch_level: bool) -> dict:
+def expected(tree, n_samples: int) -> dict:
+    """One bundle's counts; the same in both sampling modes."""
     lengths = [len(b) for b in decompose_branches(tree)]
     rows, branches = sum(lengths), len(lengths)
-    if branch_level:
-        passes = 2 + n_samples * branches
-        return dict(
-            recurrence_calls=passes,
-            recurrence_rows=(2 + n_samples) * rows,
-            head_calls=passes,
-            head_rows=(2 + n_samples) * branches,
-            embed_calls=3 * rows,
-            mask_calls=passes,
-            pass_calls=2,
-            softplus_calls=1,
-        )
     passes = n_samples + 2
     return dict(
         recurrence_calls=passes,
@@ -101,6 +98,8 @@ def expected(tree, n_samples: int, branch_level: bool) -> dict:
         mask_calls=passes,
         pass_calls=passes,
         softplus_calls=1,
+        branch_pass_calls=0,
+        branch_matrix_calls=0,
     )
 
 
@@ -115,7 +114,7 @@ def test_every_prefix_bundle_does_todays_work(tree, n_samples, branch_level, rat
     for prefix in timeline_prefixes(tree):
         with counting() as counts:
             bundle(PARAMS, prefix, EMBEDDER, n_samples, rate, seed=3, branch_level=branch_level)
-        assert counts == expected(prefix, n_samples, branch_level)
+        assert counts == expected(prefix, n_samples)
 
 
 @settings(max_examples=15, deadline=None)
@@ -126,6 +125,6 @@ def test_timeline_does_one_bundle_of_work_per_prefix(tree, n_samples, branch_lev
         timeline_report(PARAMS, tree, EMBEDDER, uq)
     want = dict.fromkeys(counts, 0)
     for prefix in timeline_prefixes(tree):
-        for key, value in expected(prefix, n_samples, branch_level).items():
+        for key, value in expected(prefix, n_samples).items():
             want[key] += value
     assert counts == want

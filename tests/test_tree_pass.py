@@ -7,7 +7,10 @@ same random numbers, so the rng state after a pass must equal the
 reference's, and a one-branch pass must give the same bits. With several branches the LSTM and head products are
 matrix products instead of matrix-vector ones, which round differently:
 those passes must agree within 1e-12, where a wrong mask would move a
-value by order one.
+value by order one. ``forward_branch`` is the tree pass over one branch,
+bit for bit. The MC-dropout sample sets of both sampling modes are read
+off one set of tree passes: branch-level sets are the branches' rows, and
+the tree-level set is their branch mean, each pass's ``tree_probs``.
 """
 
 import numpy as np
@@ -25,12 +28,14 @@ from veritas import (
     UncertaintyConfig,
     bundle,
     mc_sample,
+    mc_sample_branches,
     timeline_report,
     tree_probs,
 )
-from veritas.data import decompose_branches
-from veritas.errors import InvalidInput, make_rng
-from veritas.model import ModelParams, init_params, tree_branch_outputs
+from veritas.data import branch_matrix, decompose_branches
+from veritas.errors import InvalidInput, child_rng, make_rng
+from veritas.model import ModelParams, forward_branch, init_params, tree_branch_outputs
+from veritas.uncertainty import _tree_seed
 
 FIELDS = ("logits", "var_pre", "probs", "variance")
 
@@ -78,6 +83,48 @@ def test_tree_pass_matches_branch_at_a_time_reference(case):
     deterministic = tree_probs(params, tree, embedder)
     for row in mc_sample(params, tree, embedder, 2, 0.0, seed=seed).samples:
         assert same_bits(row, deterministic)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pass_cases())
+def test_forward_branch_is_the_one_branch_tree_pass(case):
+    params, tree, embedder, dropout, seed = case
+    for b in decompose_branches(tree):
+        rng, tree_rng = make_rng(seed), make_rng(seed)
+        got = forward_branch(params, branch_matrix(b, embedder), dropout, rng)
+        alone = ConversationTree(tree.tree_id, tree.event, tree.label, b.tweets)
+        want = tree_branch_outputs(params, alone, embedder, dropout, tree_rng)
+        assert rng.bit_generator.state == tree_rng.bit_generator.state
+        for name in FIELDS:
+            assert same_bits(getattr(got, name), getattr(want, name)[0]), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(pass_cases(), st.integers(1, 4))
+def test_sample_sets_of_both_modes_come_from_one_set_of_passes(case, n_samples):
+    params, tree, embedder, dropout, seed = case
+    rng = child_rng(_tree_seed(seed, tree.tree_id))
+    passes = [tree_branch_outputs(params, tree, embedder, dropout, rng).probs for _ in range(n_samples)]
+    sets = mc_sample_branches(params, tree, embedder, n_samples, dropout, seed)
+    assert len(sets) == len(decompose_branches(tree))
+    for b, sample_set in enumerate(sets):
+        assert same_bits(sample_set.samples, np.array([block[b] for block in passes]))
+    tree_set = mc_sample(params, tree, embedder, n_samples, dropout, seed).samples
+    assert same_bits(np.mean(np.stack([s.samples for s in sets], axis=1), axis=1), tree_set)
+    rng = child_rng(_tree_seed(seed, tree.tree_id))
+    assert same_bits(np.array([tree_probs(params, tree, embedder, dropout, rng) for _ in passes]), tree_set)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 400), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_tree_set_of_a_wide_tree_is_each_pass_tree_probs(replies, n_classes, seed):
+    """The branch mean of ``mc_sample``'s pass block rounds as ``tree_probs`` does, up to 400 branches."""
+    params = init_params(4, 3, 1, n_classes, seed=seed % 1000)
+    tree = _tree("wide", [f"w{i} root" for i in range(replies + 1)], [None] + [0] * replies)
+    embedder = HashingEmbedder(dimension=4, seed=1)
+    rng = child_rng(_tree_seed(seed, tree.tree_id))
+    want = np.array([tree_probs(params, tree, embedder, 0.5, rng) for _ in range(3)])
+    assert same_bits(mc_sample(params, tree, embedder, 3, 0.5, seed).samples, want)
 
 
 def _tree(tree_id, texts, parents):
