@@ -114,10 +114,13 @@ def finite_number(value) -> bool:
 
 
 def seed_int(seed) -> int:
-    """``operator.index(seed)``; a bool or a non-integer is a ConfigError."""
+    """``operator.index(seed)``; a bool, a non-integer or a negative number is a ConfigError."""
     if not is_integer(seed):
         raise ConfigError(f"random seeds must be integers, got {seed!r}")
-    return operator.index(seed)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ConfigError(f"random seeds must be nonnegative, got {seed}")
+    return seed
 
 
 def check_value(name: str, value, kind: str, bound: str | None = None) -> None:
@@ -152,10 +155,7 @@ def check_fields(config, **bounds: str) -> None:
 
 def make_rng(seed: int) -> np.random.Generator:
     """The generator ``np.random.default_rng(seed)`` gives; a negative or non-integer seed is a ConfigError."""
-    seed = seed_int(seed)
-    if seed < 0:
-        raise ConfigError(f"random seeds must be nonnegative, got {seed}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(seed_int(seed))
 
 
 def child_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -168,10 +168,4 @@ def child_rng(seed: int, *stream: int) -> np.random.Generator:
     trailing zeros give one stream (``child_rng(5)``, ``child_rng(5, 0)``
     and ``child_rng(5, 0, 0)`` are the same generator).
     """
-    key = []
-    for n in (seed, *stream):
-        n = seed_int(n)
-        if n < 0:
-            raise ConfigError(f"random seeds must be nonnegative, got {n}")
-        key.append(n)
-    return np.random.default_rng(key)
+    return np.random.default_rng([seed_int(n) for n in (seed, *stream)])

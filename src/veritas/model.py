@@ -22,7 +22,9 @@ import numpy as np
 
 from . import nn
 from .data import ConversationTree, HashingEmbedder, branch_matrix, decompose_branches, embed_tweet, infer_classes
-from .errors import ConfigError, DataError, InvalidInput, check_fields, check_value, make_rng, read_json, write_text
+from .errors import (
+    ConfigError, DataError, InvalidInput, ShapeError, check_fields, check_value, make_rng, read_json, write_text,
+)
 
 Array = np.ndarray
 
@@ -186,47 +188,49 @@ def init_params(
 class PassOutput:
     """One pass's outputs, each a block with a row per branch in branch order (``forward_branch``: its vectors).
 
-    ``variance`` (one shared column, or one per logit) is the softplus of
-    ``var_pre``, worked out on first read: a pass whose variance is never read runs no softplus.
+    ``probs`` is the softmax of ``logits`` and ``variance`` (one shared
+    column, or one per logit) the softplus of ``var_pre``, each worked out on
+    first read: a pass whose probabilities or variance are never read runs
+    no softmax or softplus.
     """
 
     logits: Array
     var_pre: Array
-    probs: Array
+
+    @functools.cached_property
+    def probs(self) -> Array:
+        return nn._softmax_kernel(self.logits)  # the pass checked its heads
 
     @functools.cached_property
     def variance(self) -> Array:
         return nn.softplus(self.var_pre)
 
 
-def _branch_heads(params: ModelParams, X: Array, lengths: tuple[int, ...], dropout: float, rng, where) -> tuple:
-    """One pass over embedded branches as one batch: logits, variance pre-activations and probs, a row per branch.
+def _branch_heads(params: ModelParams, X: Array, lengths: tuple[int, ...], masks: Array | None, where) -> PassOutput:
+    """One pass over embedded branches as one batch: logits and variance pre-activations, a row per branch.
 
     The branches of ``lengths`` rows sit back to back in ``X``. They run
     through one lockstep ``nn.lstm_forward`` call, and the ReLU stack and
-    both heads run once on the block of their last outputs. The masks are
-    those of a branch-at-a-time pass, drawn in its order by
-    ``nn.branch_masks``. The heads' blocks are checked once: a non-finite
-    row raises the InvalidInput that its branch would raise alone (its
-    variance is checked before its logits), for the first such row j,
-    prefixed with ``where(j)``.
+    both heads run once on the block of their last outputs, masked by
+    ``masks`` (one pass's ``nn.branch_masks``, or None). The heads' blocks
+    are checked once: a non-finite row raises the InvalidInput that its
+    branch would raise alone (its variance is checked before its logits),
+    for the first such row j, prefixed with ``where(j)``.
     """
     p = params.layers
     outputs = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], X, lengths)
     u = outputs[_last_rows(lengths)]
-    masks = nn.branch_masks(lengths, params.hidden_size, params.num_relu_layers, dropout, rng)
     if masks is not None:
         u *= masks[:, 0]
     _, _, logits, var_pre = nn.head_forward(p, u, None if masks is None else masks[:, 1:])
-    probs = nn.head_probs(logits, var_pre)
-    if probs is None:
+    if not (np.isfinite(logits).all() and np.isfinite(var_pre).all()):
         for j, (v, z) in enumerate(zip(var_pre, logits)):
             try:
                 nn.softplus(v)
                 nn.softmax(z)
             except InvalidInput as exc:
                 raise InvalidInput(f"{where(j)}{exc}") from exc
-    return logits, var_pre, probs
+    return PassOutput(logits, var_pre)
 
 
 @functools.lru_cache(maxsize=nn._SHAPE_CACHE)
@@ -245,8 +249,10 @@ def forward_branch(params: ModelParams, vectors: Array, dropout: float = 0.0, rn
     to each LSTM output step and after every ReLU layer, drawn in the order
     ``nn.backward`` draws them in training.
     """
-    blocks = _branch_heads(params, vectors, (len(vectors),), dropout, rng, lambda j: "")
-    return PassOutput(*(block[0] for block in blocks))
+    lengths = (len(vectors),)
+    masks = nn.branch_masks(lengths, params.hidden_size, params.num_relu_layers, dropout, rng)
+    out = _branch_heads(params, vectors, lengths, masks, lambda j: "")
+    return PassOutput(out.logits[0], out.var_pre[0])
 
 
 # ---------------------------------------------------------------------------
@@ -394,29 +400,47 @@ def train(
 
 
 def tree_branch_outputs(
-    params: ModelParams, tree: ConversationTree, embedder, dropout: float = 0.0, rng=None
+    params: ModelParams, tree: ConversationTree, embedder, masks: Array | None = None
 ) -> PassOutput:
     """One pass over the tree: every branch through the network as one batch, one result.
 
     The branches' tweets are embedded straight into one block, branch
     after branch in branch order, and each field of the result holds a
-    row per branch in that order. The masks and their random numbers are
-    those of a branch-at-a-time pass, in branch order. A non-finite logit
-    or variance pre-activation raises the InvalidInput that the first
-    branch holding one would raise alone, naming the tree and that
-    branch's leaf tweet.
+    row per branch in that order. ``masks`` are the pass's dropout masks,
+    ``nn.branch_masks`` of the branch lengths (a ``(branches, relu layers +
+    1, H)`` block), or None for no dropout. A non-finite logit or variance
+    pre-activation raises the InvalidInput that the first branch holding
+    one would raise alone, naming the tree and that branch's leaf tweet.
     """
     branches = decompose_branches(tree)
+    if masks is not None and masks.shape != (want := (len(branches), params.num_relu_layers + 1, params.hidden_size)):
+        raise ShapeError(f"tree {tree.tree_id}: masks of shape {masks.shape} for a pass that takes {want}")
     X = np.array([embed_tweet(tw.text, embedder) for b in branches for tw in b.tweets])
-    return PassOutput(*_branch_heads(
-        params, X, tuple(len(b.tweets) for b in branches), dropout, rng,
+    return _branch_heads(
+        params, X, tuple(len(b.tweets) for b in branches), masks,
         lambda j: f"tree {tree.tree_id}, branch ending at tweet {branches[j].tweets[-1].id}: ",
-    ))
+    )
 
 
-def tree_probs(params: ModelParams, tree: ConversationTree, embedder, dropout: float = 0.0, rng=None) -> Array:
-    """Mean of the branch softmax vectors."""
-    probs = tree_branch_outputs(params, tree, embedder, dropout, rng).probs
+def mc_probs(params: ModelParams, tree: ConversationTree, embedder, n_samples: int, dropout: float, rng) -> Array:
+    """The ``(samples, branches, classes)`` probability block of n_samples tree passes with dropout active.
+
+    One ``nn.branch_masks`` call draws every pass's masks from ``rng`` as
+    one block, the numbers n_samples passes drawing in turn would take.
+    Each pass is one ``tree_branch_outputs`` call, and one softmax covers
+    their stacked logits: softmax works row by row, so pass i's rows are
+    the bits of its own ``probs``.
+    """
+    check_value("n_samples", n_samples, "int", "[1, inf)")  # UncertaintyConfig.n_samples's rule, for a bare count
+    lengths = [len(b.tweets) for b in decompose_branches(tree)]
+    masks = nn.branch_masks(lengths, params.hidden_size, params.num_relu_layers, dropout, rng, n_samples)
+    passes = [None] * n_samples if masks is None else masks
+    return nn._softmax_kernel(np.array([tree_branch_outputs(params, tree, embedder, m).logits for m in passes]))
+
+
+def tree_probs(params: ModelParams, tree: ConversationTree, embedder, masks: Array | None = None) -> Array:
+    """Mean of the branch softmax vectors of one pass (``tree_branch_outputs`` with ``masks``)."""
+    probs = tree_branch_outputs(params, tree, embedder, masks).probs
     # np.mean's own reduction and division, without its dispatch cost.
     return np.add.reduce(probs, axis=0) / len(probs)
 

@@ -70,17 +70,6 @@ def _softplus_kernel(arr: Array) -> Array:
     return np.maximum(arr, 0.0) + tail
 
 
-def head_probs(logits: Array, var_pre: Array) -> Array | None:
-    """``softmax`` of each logits row, a row per branch, after one finiteness check of both heads' blocks.
-
-    None when any entry is not finite: the caller then finds the branch,
-    and ``softplus`` and ``softmax`` on its rows give the error.
-    """
-    if not (np.isfinite(logits).all() and np.isfinite(var_pre).all()):
-        return None
-    return _softmax_kernel(logits)
-
-
 # ---------------------------------------------------------------------------
 # dropout
 
@@ -364,8 +353,8 @@ def _relu_count(layers: dict[str, Array]) -> int:
     return n
 
 
-def branch_masks(lengths, hidden: int, n_relu: int, rate: float, rng) -> Array | None:
-    """The dropout masks of one pass over branches of ``lengths`` steps; None at rate 0.
+def branch_masks(lengths, hidden: int, n_relu: int, rate: float, rng, passes: int | None = None) -> Array | None:
+    """The dropout masks of one pass over branches of ``lengths`` steps, or of ``passes`` passes; None at rate 0.
 
     A pass draws, branch after branch, a mask for each LSTM step and then
     one for each ReLU layer's output, all from one ``rng.random`` block in
@@ -373,7 +362,10 @@ def branch_masks(lengths, hidden: int, n_relu: int, rate: float, rng) -> Array |
     ``[j, 0]`` masks branch j's last LSTM output and ``[j, 1 + i]`` the
     output of its ReLU layer i. The whole block is drawn, so the stream
     moves on as before, but only those rows become masks; which rows they
-    are is worked out once per shape (``_mask_rows``).
+    are is worked out once per shape (``_mask_rows``). With ``passes`` the
+    passes' blocks are one ``rng.random((passes, rows, H))`` draw, the
+    numbers that many passes drawing in turn would take, and the masks get
+    a leading pass axis.
     """
     if not _drops(rate):
         return None
@@ -381,7 +373,9 @@ def branch_masks(lengths, hidden: int, n_relu: int, rate: float, rng) -> Array |
         raise ConfigError("dropout: a positive dropout rate needs an rng")
     lengths = tuple(lengths)
     rows, end = _mask_rows(lengths, n_relu)
-    return _draw_mask((end, hidden), rate, rng, rows).reshape(len(lengths), n_relu + 1, hidden)
+    lead = () if passes is None else (passes,)
+    masks = _draw_mask((*lead, end, hidden), rate, rng, (..., rows, slice(None)))
+    return masks.reshape(*lead, len(lengths), n_relu + 1, hidden)
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import ConversationTree
 from .errors import ConfigError, InvalidInput, check_fields, check_value, child_rng, seed_int
-from .model import ModelParams, predict_tree, tree_branch_outputs
+from .model import ModelParams, mc_probs, predict_tree, tree_branch_outputs
 
 Array = np.ndarray
 
@@ -109,22 +109,20 @@ def _mean(values) -> float:
 
 
 def _tree_seed(base_seed: int, tree_id: str) -> int:
-    """Stable per-tree stream id; independent of processing order."""
+    """Stable per-tree stream id; independent of processing order. A negative or non-integer seed is a ConfigError."""
     return (seed_int(base_seed) << 32) + zlib.crc32(tree_id.encode("utf-8"))
 
 
 def _mc_passes(params: ModelParams, tree: ConversationTree, embedder, n_samples: int, dropout_rate: float, seed: int):
-    """The (samples, branches, classes) probability block of n_samples tree passes with dropout active.
+    """The (samples, branches, classes) probability block of n_samples tree passes with dropout active (``mc_probs``).
 
-    The passes draw their masks in turn from one stream, derived from
-    (seed, tree_id): pass i takes the stream's i-th mask block. So results
+    The passes draw their masks from one stream, derived from (seed,
+    tree_id): pass i takes the stream's i-th mask block. So results
     depend on neither evaluation order nor the path that scores the tree (a
     timeline prefix keeps its tree's id and so its stream), and a larger
     ``n_samples`` leaves the earlier passes as they were.
     """
-    check_value("n_samples", n_samples, "int", "[1, inf)")  # UncertaintyConfig.n_samples's rule, for a bare count
-    rng = child_rng(_tree_seed(seed, tree.tree_id))
-    return np.array([tree_branch_outputs(params, tree, embedder, dropout_rate, rng).probs for _ in range(n_samples)])
+    return mc_probs(params, tree, embedder, n_samples, dropout_rate, child_rng(_tree_seed(seed, tree.tree_id)))
 
 
 def mc_sample(
@@ -276,6 +274,7 @@ def bundle(
     sample set (``mc_sample_branches``) and the per-branch epistemic values
     are averaged.
     """
+    check_value("branch_level", branch_level, "bool")  # UncertaintyConfig.branch_level's rule
     det_probs, det_class = predict_tree(params, tree, embedder)
     if branch_level:
         sets = mc_sample_branches(params, tree, embedder, n_samples, dropout_rate, seed)

@@ -1,4 +1,4 @@
-"""Shared test helpers: finite differences, record factories and random trees."""
+"""Shared test helpers: finite differences, record factories, a pass's masks and random trees."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from veritas import ConversationTree, Tweet, UncertaintyBundle, make_record
+from veritas import ConversationTree, Tweet, UncertaintyBundle, make_record, nn
+from veritas.data import decompose_branches
 
 WORDS = ("sun", "rain", "fog", "bright", "cold", "maybe", "http://x.y", "@who", "denied", "confirmed")
 
@@ -67,6 +68,12 @@ def bundle_with(**overrides) -> UncertaintyBundle:
 
 def record_with(tree_id: str, gold: str = "true", pred: str = "true", fold: int = 0, **overrides):
     return make_record(tree_id, gold, pred, bundle_with(**overrides), fold)
+
+
+def pass_masks(params, tree, rate: float, rng):
+    """One tree pass's dropout masks at ``rate`` from ``rng``: what ``tree_branch_outputs`` and ``tree_probs`` take."""
+    lengths = [len(b) for b in decompose_branches(tree)]
+    return nn.branch_masks(lengths, params.hidden_size, params.num_relu_layers, rate, rng)
 
 
 @pytest.fixture

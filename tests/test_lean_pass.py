@@ -10,16 +10,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import conversation_trees
+from conftest import conversation_trees, pass_masks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pass_reference as ref
 from veritas import ConversationTree, HashingEmbedder, Tweet, aleatoric_score, bundle, nn
 from veritas import model as model_module
-from veritas.data import decompose_branches
+from veritas.data import decompose_branches, timeline_prefixes
 from veritas.errors import ConfigError, child_rng, make_rng
-from veritas.model import ModelParams, PassOutput, init_params, tree_branch_outputs
+from veritas.model import ModelParams, PassOutput, init_params, mc_probs, tree_branch_outputs
 
 FIELDS = ("logits", "var_pre", "variance", "probs")
 
@@ -67,22 +67,33 @@ def test_pass_blocks_equal_the_branch_at_a_time_reference(case):
     params, tree, embedder, options = case
     rate, seed = options["dropout_rate"], options["seed"]
     rng, ref_rng = make_rng(seed), make_rng(seed)
-    got = tree_branch_outputs(params, tree, embedder, rate, rng)
+    got = tree_branch_outputs(params, tree, embedder, pass_masks(params, tree, rate, rng))
     want = ref.tree_branch_outputs(params, tree, embedder, rate, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert type(got) is PassOutput and "variance" not in vars(got)  # not worked out until read
+    assert type(got) is PassOutput
+    assert "variance" not in vars(got) and "probs" not in vars(got)  # not worked out until read
     for name in FIELDS:
         block, expected = getattr(got, name), getattr(want, name)
         assert block.dtype == expected.dtype and block.shape == expected.shape, name
         assert block.tobytes() == expected.tobytes(), name
-    assert got.variance is got.variance
+    assert got.variance is got.variance and got.probs is got.probs
     assert aleatoric_score(params, tree, embedder) == ref.aleatoric_score(params, tree, embedder)
 
-    # Reading the variance draws nothing.
-    unread, read = make_rng(seed), make_rng(seed)
-    tree_branch_outputs(params, tree, embedder, rate, unread)
-    assert tree_branch_outputs(params, tree, embedder, rate, read).variance.shape == got.var_pre.shape
-    assert unread.bit_generator.state == read.bit_generator.state
+
+@settings(max_examples=60, deadline=None)
+@given(bundle_cases(), st.sampled_from([0.0, 0.2]), st.sampled_from([1, 3, 15]))
+def test_one_draw_mc_block_is_the_in_turn_passes(case, rate, n_samples):
+    """``mc_probs``' one mask draw and one softmax give the probs of S passes drawing in turn, every prefix."""
+    params, tree, embedder, options = case
+    for prefix in timeline_prefixes(tree):
+        rng, ref_rng = make_rng(options["seed"]), make_rng(options["seed"])
+        got = mc_probs(params, prefix, embedder, n_samples, rate, rng)
+        want = np.array(
+            [ref.tree_branch_outputs(params, prefix, embedder, rate, ref_rng).probs for _ in range(n_samples)]
+        )
+        assert got.shape == want.shape == (n_samples, len(decompose_branches(prefix)), params.n_classes)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @settings(max_examples=300, deadline=None)
@@ -104,17 +115,23 @@ def test_child_rng_is_default_rng_of_the_key(seed, stream):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pass_by_pass_masks_are_one_block_draw(lengths, hidden, n_relu, rate, n_samples, seed):
-    """S passes drawing in turn from one generator take the S slices of one ``random((S, end, H))`` block."""
-    passes, block = make_rng(seed), make_rng(seed)
+    """S passes drawing in turn from one generator take the S slices of one ``random((S, end, H))`` block.
+
+    ``branch_masks`` with ``passes=S`` is that one draw.
+    """
+    passes, block, one_call = make_rng(seed), make_rng(seed), make_rng(seed)
     got = [nn.branch_masks(lengths, hidden, n_relu, rate, passes) for _ in range(n_samples)]
+    drawn = nn.branch_masks(lengths, hidden, n_relu, rate, one_call, n_samples)
     if rate == 0.0:
-        assert got == [None] * n_samples
+        assert got == [None] * n_samples and drawn is None
     else:
         rows, end = nn._mask_rows(tuple(lengths), n_relu)
         want = (block.random((n_samples, end, hidden))[:, rows] >= rate) / (1.0 - rate)
-        assert np.stack(got).tobytes() == want.reshape(n_samples, len(lengths), n_relu + 1, hidden).tobytes()
-    assert passes.bit_generator.state == block.bit_generator.state
-    assert passes.random() == block.random()
+        want = want.reshape(n_samples, len(lengths), n_relu + 1, hidden)
+        assert np.stack(got).tobytes() == want.tobytes()
+        assert drawn.shape == want.shape and drawn.tobytes() == want.tobytes()
+    assert passes.bit_generator.state == block.bit_generator.state == one_call.bit_generator.state
+    assert passes.random() == block.random() == one_call.random()
 
 
 @pytest.mark.parametrize("key", [(-1,), (5, -1), (2**40, 3, -7)])
@@ -170,13 +187,13 @@ def test_shape_caches_hand_out_read_only_arrays():
 def test_writing_into_a_pass_result_does_not_change_the_next_pass():
     params = init_params(6, 4, 1, 3, seed=2)
     tree, embedder = _tree(), HashingEmbedder(dimension=6, seed=1)
-    first = tree_branch_outputs(params, tree, embedder, 0.3, make_rng(4))
+    first = tree_branch_outputs(params, tree, embedder, pass_masks(params, tree, 0.3, make_rng(4)))
     expected = {name: getattr(first, name).copy() for name in FIELDS}
     for name in FIELDS:
         getattr(first, name)[:] = -1.0 if name == "probs" else np.nan
     masks = nn.branch_masks((3, 3, 2), 4, 1, 0.3, make_rng(4))
     masks[:] = 7.0
-    again = tree_branch_outputs(params, tree, embedder, 0.3, make_rng(4))
+    again = tree_branch_outputs(params, tree, embedder, pass_masks(params, tree, 0.3, make_rng(4)))
     assert {name: getattr(again, name).tobytes() for name in FIELDS} == {
         name: block.tobytes() for name, block in expected.items()
     }

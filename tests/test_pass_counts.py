@@ -5,18 +5,21 @@ pass (``predict_tree``), the learned-variance pass (``aleatoric_score``)
 and S MC-dropout passes; ``branch_level`` only chooses how the MC passes'
 rows are reduced. Each tree pass embeds every branch row (one
 ``data.embed_tweet`` call each), runs one ``nn._lstm_recurrence`` over all
-of them, draws its masks once (``nn.branch_masks``, also at rate 0) and
-runs ``nn.head_forward`` once on a row per branch; each is one
-``model.tree_branch_outputs`` call. No bundle runs a branch alone
-(``model.forward_branch``) or embeds one (``data.branch_matrix``). Only the
-learned-variance pass reads its variance, so a bundle runs the softplus
-kernel (``nn._softplus_kernel``) once. A plain counter patched over each
-function, in every module that binds it, counts its calls and the rows it
-gets, for every timeline prefix of random trees.
+of them and runs ``nn.head_forward`` once on a row per branch; each is one
+``model.tree_branch_outputs`` call. The two dropout-free passes take no
+masks, and the S MC passes take theirs from one ``nn.branch_masks`` call
+(also at rate 0), so a bundle draws masks once. No bundle runs a branch
+alone (``model.forward_branch``) or embeds one (``data.branch_matrix``).
+Only the learned-variance pass reads its variance, so a bundle runs the
+softplus kernel (``nn._softplus_kernel``) once; the softmax kernel
+(``nn._softmax_kernel``) runs twice, on the deterministic pass's logits
+and once on the S MC passes' stacked logits. A plain counter patched over
+each function, in every module that binds it, counts its calls and the
+rows it gets, for every timeline prefix of random trees.
 
 These are today's values, not a target: the one scorer per bundle and the
-one head block (ROADMAP items 3 and 4) rewrite them, and a change that runs
-one pass more or less must rewrite them too.
+one head block (ROADMAP items 3 and 4(a)) rewrite them, and a change that
+runs one pass more or less must rewrite them too.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def counting():
     counts = dict.fromkeys(
         (
             "recurrence_calls", "recurrence_rows", "head_calls", "head_rows", "embed_calls", "mask_calls",
-            "pass_calls", "softplus_calls", "branch_pass_calls", "branch_matrix_calls",
+            "pass_calls", "softplus_calls", "softmax_calls", "branch_pass_calls", "branch_matrix_calls",
         ),
         0,
     )
@@ -68,6 +71,7 @@ def counting():
         (nn.head_forward, "head_calls", "head_rows", 1),
         (nn.branch_masks, "mask_calls"),
         (nn._softplus_kernel, "softplus_calls"),
+        (nn._softmax_kernel, "softmax_calls"),
         (data_module.embed_tweet, "embed_calls"),
         (model_module.tree_branch_outputs, "pass_calls"),
         (model_module.forward_branch, "branch_pass_calls"),
@@ -95,9 +99,10 @@ def expected(tree, n_samples: int) -> dict:
         head_calls=passes,
         head_rows=passes * branches,
         embed_calls=passes * rows,
-        mask_calls=passes,
+        mask_calls=1,
         pass_calls=passes,
         softplus_calls=1,
+        softmax_calls=2,
         branch_pass_calls=0,
         branch_matrix_calls=0,
     )

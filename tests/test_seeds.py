@@ -38,6 +38,8 @@ from veritas.uncertainty import _tree_seed
         (lambda: HashingEmbedder(seed=-1), "seed must be in [0, 2**64), got -1"),
         (lambda: HashingEmbedder(seed=2**64), f"seed must be in [0, 2**64), got {2**64}"),
         (lambda: make_rng(-2), "random seeds must be nonnegative, got -2"),
+        (lambda: _tree_seed(-1, "t"), "random seeds must be nonnegative, got -1"),
+        (lambda: fnv1a_64("a", -1), "random seeds must be nonnegative, got -1"),
     ],
 )
 def test_negative_seed_is_a_config_error(build, text):

@@ -15,7 +15,7 @@ the tree-level set is their branch mean, each pass's ``tree_probs``.
 
 import numpy as np
 import pytest
-from conftest import conversation_trees
+from conftest import conversation_trees, pass_masks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +33,7 @@ from veritas import (
     tree_probs,
 )
 from veritas.data import branch_matrix, decompose_branches
-from veritas.errors import InvalidInput, child_rng, make_rng
+from veritas.errors import InvalidInput, ShapeError, child_rng, make_rng
 from veritas.model import ModelParams, forward_branch, init_params, tree_branch_outputs
 from veritas.uncertainty import _tree_seed
 
@@ -69,7 +69,7 @@ def pass_cases(draw):
 def test_tree_pass_matches_branch_at_a_time_reference(case):
     params, tree, embedder, dropout, seed = case
     rng, ref_rng = make_rng(seed), make_rng(seed)
-    got = tree_branch_outputs(params, tree, embedder, dropout, rng)
+    got = tree_branch_outputs(params, tree, embedder, pass_masks(params, tree, dropout, rng))
     want = ref.tree_branch_outputs(params, tree, embedder, dropout, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert len(want.probs) == len(decompose_branches(tree))
@@ -93,7 +93,7 @@ def test_forward_branch_is_the_one_branch_tree_pass(case):
         rng, tree_rng = make_rng(seed), make_rng(seed)
         got = forward_branch(params, branch_matrix(b, embedder), dropout, rng)
         alone = ConversationTree(tree.tree_id, tree.event, tree.label, b.tweets)
-        want = tree_branch_outputs(params, alone, embedder, dropout, tree_rng)
+        want = tree_branch_outputs(params, alone, embedder, pass_masks(params, alone, dropout, tree_rng))
         assert rng.bit_generator.state == tree_rng.bit_generator.state
         for name in FIELDS:
             assert same_bits(getattr(got, name), getattr(want, name)[0]), name
@@ -104,7 +104,8 @@ def test_forward_branch_is_the_one_branch_tree_pass(case):
 def test_sample_sets_of_both_modes_come_from_one_set_of_passes(case, n_samples):
     params, tree, embedder, dropout, seed = case
     rng = child_rng(_tree_seed(seed, tree.tree_id))
-    passes = [tree_branch_outputs(params, tree, embedder, dropout, rng).probs for _ in range(n_samples)]
+    masks = [pass_masks(params, tree, dropout, rng) for _ in range(n_samples)]
+    passes = [tree_branch_outputs(params, tree, embedder, m).probs for m in masks]
     sets = mc_sample_branches(params, tree, embedder, n_samples, dropout, seed)
     assert len(sets) == len(decompose_branches(tree))
     for b, sample_set in enumerate(sets):
@@ -112,7 +113,8 @@ def test_sample_sets_of_both_modes_come_from_one_set_of_passes(case, n_samples):
     tree_set = mc_sample(params, tree, embedder, n_samples, dropout, seed).samples
     assert same_bits(np.mean(np.stack([s.samples for s in sets], axis=1), axis=1), tree_set)
     rng = child_rng(_tree_seed(seed, tree.tree_id))
-    assert same_bits(np.array([tree_probs(params, tree, embedder, dropout, rng) for _ in passes]), tree_set)
+    want = [tree_probs(params, tree, embedder, pass_masks(params, tree, dropout, rng)) for _ in passes]
+    assert same_bits(np.array(want), tree_set)
 
 
 @settings(max_examples=30, deadline=None)
@@ -123,7 +125,7 @@ def test_tree_set_of_a_wide_tree_is_each_pass_tree_probs(replies, n_classes, see
     tree = _tree("wide", [f"w{i} root" for i in range(replies + 1)], [None] + [0] * replies)
     embedder = HashingEmbedder(dimension=4, seed=1)
     rng = child_rng(_tree_seed(seed, tree.tree_id))
-    want = np.array([tree_probs(params, tree, embedder, 0.5, rng) for _ in range(3)])
+    want = np.array([tree_probs(params, tree, embedder, pass_masks(params, tree, 0.5, rng)) for _ in range(3)])
     assert same_bits(mc_sample(params, tree, embedder, 3, 0.5, seed).samples, want)
 
 
@@ -181,6 +183,15 @@ def test_non_finite_heads_raise_the_first_bad_branchs_error(leaves, bad_leaf, te
         with pytest.raises(InvalidInput) as info:
             tree_branch_outputs(params, tree, embedder)
     assert str(info.value) == f"tree t3, branch ending at tweet t3.{bad_leaf}: {text}"
+
+
+def test_masks_of_another_shape_are_a_shape_error():
+    params = init_params(4, 3, 1, 2, seed=0)
+    tree = _tree("t5", ["a", "b", "c"], [None, 0, 0])  # two branches
+    embedder = HashingEmbedder(dimension=4, seed=0)
+    one_branch = pass_masks(params, _tree("t6", ["a"], [None]), 0.5, make_rng(0))
+    with pytest.raises(ShapeError, match=r"^tree t5: masks of shape \(1, 2, 3\) for a pass that takes \(2, 2, 3\)$"):
+        tree_branch_outputs(params, tree, embedder, one_branch)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import bundle_with
+from conftest import bundle_with, pass_masks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_model import chain_tree, separable_corpus
@@ -83,7 +83,7 @@ class TestMcSample:
         tree = trees[0]
         small = mc_sample(params, tree, emb, 25, 0.3, seed=1)
         oracle_rows = [
-            tree_probs(params, tree, emb, 0.3, child_rng(777, i))
+            tree_probs(params, tree, emb, pass_masks(params, tree, 0.3, child_rng(777, i)))
             for i in range(10000)
         ]
         oracle_mean = np.mean(oracle_rows, axis=0)
@@ -359,6 +359,22 @@ class TestBundle:
         assert b.variance == pytest.approx(
             np.mean([max_variance(s) for s in sets]), abs=1e-15
         )
+
+    @pytest.mark.parametrize("sampler", [bundle, mc_sample, mc_sample_branches], ids=lambda f: f.__name__)
+    def test_negative_seed_names_the_callers_seed(self, toy_model, sampler):
+        """The error names the seed given, not the per-tree stream key derived from it."""
+        params, trees, emb = toy_model
+        with pytest.raises(ConfigError) as info:
+            sampler(params, trees[0], emb, 3, 0.3, seed=-1)
+        assert str(info.value) == "random seeds must be nonnegative, got -1"
+
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None, np.True_], ids=repr)
+    def test_branch_level_must_be_a_bool(self, toy_model, flag):
+        """UncertaintyConfig.branch_level's rule: a truthy non-bool once sampled branch by branch silently."""
+        params, trees, emb = toy_model
+        with pytest.raises(ConfigError) as info:
+            bundle(params, trees[0], emb, 3, 0.3, branch_level=flag)
+        assert str(info.value) == f"branch_level must be a bool, got {flag!r}"
 
     def test_invariant_sweep(self, toy_model):
         params, trees, emb = toy_model
