@@ -8,16 +8,14 @@ estimates for selective prediction, calibration, and timeline analysis.
 from .calibration import (
     CalibrationMap,
     CalibrationReport,
-    ConfidenceRecord,
     NormalizationStats,
     aleatoric_stats,
     apply_calibration,
     calibration_report,
-    confidence_records,
+    confidences,
     ece,
     fit_histogram_binning,
     reliability_bins,
-    to_confidence,
 )
 from .data import (
     CANONICAL_LABELS,

@@ -354,9 +354,11 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 
 
 def fnv1a_64(token: str, seed: int = 0) -> int:
-    """64-bit FNV-1a over the seed bytes then the token's UTF-8 bytes."""
+    """64-bit FNV-1a over the seed bytes then the token's UTF-8 bytes; the seed is in [0, 2**64)."""
+    seed = seed_int(seed)
+    check_value("seed", seed, "seed", "[0, 2**64)")
     h = _FNV_OFFSET
-    for b in seed_int(seed).to_bytes(8, "little", signed=False) + token.encode("utf-8"):
+    for b in seed.to_bytes(8, "little", signed=False) + token.encode("utf-8"):
         h = ((h ^ b) * _FNV_PRIME) & _U64
     return h
 

@@ -211,15 +211,14 @@ def _branch_heads(params: ModelParams, X: Array, lengths: tuple[int, ...], masks
 
     The branches of ``lengths`` rows sit back to back in ``X``. They run
     through one lockstep ``nn.lstm_forward`` call, and the ReLU stack and
-    both heads run once on the block of their last outputs, masked by
+    both heads run once on the block of their final states, masked by
     ``masks`` (one pass's ``nn.branch_masks``, or None). The heads' blocks
     are checked once: a non-finite row raises the InvalidInput that its
     branch would raise alone (its variance is checked before its logits),
     for the first such row j, prefixed with ``where(j)``.
     """
     p = params.layers
-    outputs = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], X, lengths)
-    u = outputs[_last_rows(lengths)]
+    u = nn.lstm_forward(p["lstm.wx"], p["lstm.wh"], p["lstm.b"], X, lengths)
     if masks is not None:
         u *= masks[:, 0]
     _, _, logits, var_pre = nn.head_forward(p, u, None if masks is None else masks[:, 1:])
@@ -231,14 +230,6 @@ def _branch_heads(params: ModelParams, X: Array, lengths: tuple[int, ...], masks
             except InvalidInput as exc:
                 raise InvalidInput(f"{where(j)}{exc}") from exc
     return PassOutput(logits, var_pre)
-
-
-@functools.lru_cache(maxsize=nn._SHAPE_CACHE)
-def _last_rows(lengths: tuple[int, ...]) -> Array:
-    """The read-only input row of each branch's last tweet, worked out once per shape."""
-    rows = np.cumsum(lengths) - 1
-    rows.flags.writeable = False
-    return rows
 
 
 def forward_branch(params: ModelParams, vectors: Array, dropout: float = 0.0, rng=None) -> PassOutput:

@@ -124,26 +124,15 @@ class _LSTMStates(NamedTuple):
     gate activations (sigmoid input, sigmoid forget, tanh candidate,
     sigmoid output) and ``tanh_cells`` tanh of the cell leaving it.
     ``cells`` and ``hiddens`` hold the zero state of each sequence, then
-    the states leaving each step. ``order`` is the input row of each step
-    row, or None for one sequence, whose rows are in input order: then
-    ``cells[t]`` and ``hiddens[t]`` are the states entering step t, so row
-    ``steps`` holds the final ones.
+    the states leaving each step. One sequence's rows are in input order:
+    then ``cells[t]`` and ``hiddens[t]`` are the states entering step t,
+    so row ``steps`` holds the final ones.
     """
 
     acts: Array
     cells: Array
     hiddens: Array
     tanh_cells: Array
-    order: Array | None = None
-
-    @property
-    def outputs(self) -> Array:
-        """The emitted hidden states, one per input row, in input order."""
-        if self.order is None:
-            return self.hiddens[1:]
-        out = np.empty((len(self.order), self.hiddens.shape[1]))
-        out[self.order] = self.hiddens[len(self.hiddens) - len(self.order) :]
-        return out
 
 
 def _lstm_step(a: Array, c_prev: Array, s: Array, c: Array, tc: Array, h: Array) -> None:
@@ -179,8 +168,8 @@ _SHAPE_CACHE = 1024
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE)
-def _lockstep_plan(lengths: tuple[int, ...]) -> tuple[int, Array | None, tuple]:
-    """Sequence count, step-major row order and per-step rows of back-to-back sequences.
+def _lockstep_plan(lengths: tuple[int, ...]) -> tuple[int, Array | None, tuple, Array]:
+    """Sequence count, step-major row order, per-step rows and final-state rows of back-to-back sequences.
 
     Sequences are taken longest first (ties in input order), so the ones
     still running at every step are a prefix of those running at the step
@@ -188,7 +177,8 @@ def _lockstep_plan(lengths: tuple[int, ...]) -> tuple[int, Array | None, tuple]:
     for one sequence, whose rows are in step order already. Each step holds
     the slices of its step rows, of the state rows entering it and of those
     leaving it. The state arrays hold each sequence's zero state, then the
-    states leaving each step.
+    states leaving each step; ``last`` is the read-only state row that holds
+    each sequence's final hidden state, in input order.
     """
     k = len(lengths)
     by_length = sorted(range(k), key=lengths.__getitem__, reverse=True)
@@ -200,11 +190,14 @@ def _lockstep_plan(lengths: tuple[int, ...]) -> tuple[int, Array | None, tuple]:
         hi = len(order)
         steps.append((slice(lo, hi), slice(entering, entering + hi - lo), slice(k + lo, k + hi)))
         entering = k + lo
+    step_row = {row: i for i, row in enumerate(order)}
+    last = np.array([k + step_row[end - 1] for end in starts[1:]], dtype=np.intp)
+    last.flags.writeable = False
     if k == 1:
-        return 1, None, tuple(steps)
+        return 1, None, tuple(steps), last
     order = np.array(order)
     order.flags.writeable = False
-    return k, order, tuple(steps)
+    return k, order, tuple(steps), last
 
 
 def _lstm_recurrence(Wx: Array, Wh: Array, b: Array, X: Array, lengths: tuple[int, ...] | None = None) -> _LSTMStates:
@@ -221,7 +214,7 @@ def _lstm_recurrence(Wx: Array, Wh: Array, b: Array, X: Array, lengths: tuple[in
     a matrix product, which rounds differently.
     """
     rows, hidden = X.shape[0], Wh.shape[1]
-    k, order, steps = _lockstep_plan((rows,) if lengths is None else lengths)
+    k, order, steps, _ = _lockstep_plan((rows,) if lengths is None else lengths)
     if order is not None:
         X = X[order]
     acts = np.empty((rows, 4 * hidden))
@@ -235,7 +228,7 @@ def _lstm_recurrence(Wx: Array, Wh: Array, b: Array, X: Array, lengths: tuple[in
             a += hiddens[entering] @ wh_t
         a += b
         _lstm_step(a, cells[entering], acts[step_rows], cells[leaving], tanh_cells[step_rows], hiddens[leaving])
-    return _LSTMStates(acts, cells, hiddens, tanh_cells, order)
+    return _LSTMStates(acts, cells, hiddens, tanh_cells)
 
 
 def _lstm_backward(
@@ -302,14 +295,14 @@ def lstm_forward(
     inputs: Array,
     lengths=None,
 ) -> Array:
-    """Single-layer LSTM over the rows of ``inputs``; returns one hidden row per input row.
+    """Single-layer LSTM over the rows of ``inputs``; returns each sequence's final hidden state, ``(sequences, H)``.
 
     ``lengths`` lists the sequences, which sit back to back in ``inputs``:
     the state resets to zero at the start of each one, and they run in
     lockstep (see ``_lstm_recurrence``). Without it the rows are one
     sequence. Gate layout along the 4H axis is input, forget, candidate,
-    output. No dropout is applied: a pass masks the outputs it keeps with
-    ``branch_masks``.
+    output. No dropout is applied: a pass masks the final states with
+    ``branch_masks``. The rows are a new array the caller may write into.
     """
     Wx, Wh, b = _as_f64(weights_x), _as_f64(weights_h), _as_f64(bias)
     X = _as_f64(inputs)
@@ -332,7 +325,9 @@ def lstm_forward(
         if min(steps, default=0) < 1 or sum(steps) != len(X):
             raise ShapeError(f"lstm: lengths must be positive integers summing to the {len(X)} rows, got {lengths}")
         lengths = steps
-    return _lstm_recurrence(Wx, Wh, b, X, lengths).outputs
+    else:
+        lengths = (len(X),)
+    return _lstm_recurrence(Wx, Wh, b, X, lengths).hiddens[_lockstep_plan(lengths)[3]]
 
 
 def layer_shapes(input_dim: int, hidden: int, n_relu: int, n_classes: int, variance_dim: int) -> dict:

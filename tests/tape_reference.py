@@ -84,7 +84,7 @@ def lstm(Wx, Wh, b, X, dropout, rng, tape):
         dWx, dWh, db, das = net.lstm_backward(Wh, X, states, dout * masks)
         return dWx, dWh, db, das @ Wx
 
-    return tape.record(states.outputs * masks, (Wx, Wh, b, X), pull)
+    return tape.record(states.hiddens[1:] * masks, (Wx, Wh, b, X), pull)
 
 
 def take_last(seq, tape):

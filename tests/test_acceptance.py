@@ -47,7 +47,6 @@ from veritas import (
     write_records_csv,
 )
 from veritas import nn
-from veritas.calibration import ConfidenceRecord
 from veritas.cli import main as cli_main
 from veritas.errors import make_rng
 from veritas.model import forward_branch, init_params
@@ -279,17 +278,15 @@ def test_criterion_3_estimator_oracles():
         n = int(rng.integers(1, 50))
         pairs = [(float(c), bool(k)) for c, k in zip(rng.random(n), rng.random(n) > 0.5)]
         m = int(rng.integers(1, 15))
-        records = [ConfidenceRecord(confidence=c, correct=k) for c, k in pairs]
-        worst = max(worst, abs(ece(records, m) - _ece_oracle(pairs, m)))
+        conf, correct = zip(*pairs)
+        worst = max(worst, abs(ece(conf, correct, m) - _ece_oracle(pairs, m)))
 
     n_checks = 0
     for _ in range(50):
         n = int(rng.integers(1, 60))
         pairs = [(float(c), bool(k)) for c, k in zip(rng.random(n), rng.random(n) > 0.5)]
         m = int(rng.integers(1, 12))
-        cal = fit_histogram_binning(
-            [ConfidenceRecord(confidence=c, correct=k) for c, k in pairs], m
-        )
+        cal = fit_histogram_binning(*zip(*pairs), m)
         by_bin = {}
         for c, ok in pairs:
             by_bin.setdefault(_bin_oracle(c, m), []).append(ok)
@@ -310,11 +307,7 @@ def test_criterion_3_estimator_oracles():
             worst = max(worst, abs(apply_calibration(cal, c) - expect_val))
             n_checks += 1
 
-    hand = [
-        ConfidenceRecord(confidence=c, correct=k)
-        for c, k in [(0.9, True), (0.9, False), (0.6, True), (0.6, False)]
-    ]
-    assert ece(hand, 10) == 0.25
+    assert ece([0.9, 0.9, 0.6, 0.6], [True, False, True, False], 10) == 0.25
 
     assert worst <= 1e-10
     print(

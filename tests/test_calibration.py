@@ -8,39 +8,45 @@ from conftest import bundle_with, record_with
 
 from veritas import (
     CalibrationMap,
-    ConfidenceRecord,
     NormalizationStats,
     aleatoric_stats,
     apply_calibration,
     calibration_report,
-    confidence_records,
+    confidences,
     ece,
     fit_histogram_binning,
     reliability_bins,
-    to_confidence,
 )
-from veritas.calibration import bin_index, calibrate_records
+from veritas.calibration import BinStats
 from veritas.errors import ConfigError, DataWarning, InvalidInput
 
 
-def conf_records(pairs):
-    return [ConfidenceRecord(confidence=c, correct=bool(k)) for c, k in pairs]
+def columns(pairs):
+    """(confidence, correct) pairs as the two arrays the calibration functions take."""
+    return np.array([c for c, _ in pairs], dtype=np.float64), np.array([bool(k) for _, k in pairs], dtype=bool)
+
+
+def bin_index(confidence, n_bins):
+    """The binning rule as ``apply_calibration`` shows it, through a map whose bin m holds m."""
+    return int(apply_calibration(CalibrationMap(tuple(map(float, range(1, n_bins + 1))), (0,) * n_bins), confidence))
+
+
+def to_confidence(bundle, measure, stats=None):
+    """One bundle's confidence."""
+    return float(confidences([bundle], measure, stats)[0])
 
 
 def calibrated_pair(rng, n=800):
-    """Records whose confidence c is honest: P(correct) = c."""
-    out = []
-    for _ in range(n):
-        c = float(rng.uniform(0.05, 0.95))
-        out.append(ConfidenceRecord(confidence=c, correct=bool(rng.random() < c)))
-    return out
+    """Confidences c that are honest: P(correct) = c."""
+    conf = rng.uniform(0.05, 0.95, n)
+    return conf, rng.random(n) < conf
 
 
 # ---------------------------------------------------------------------------
 # confidence conversion
 
 
-class TestToConfidence:
+class TestConfidences:
     def test_variation_ratio_zero_is_full_confidence(self):
         assert to_confidence(bundle_with(variation_ratio=0.0), "variation_ratio") == 1.0
 
@@ -88,28 +94,57 @@ class TestToConfidence:
         with pytest.raises(ConfigError):
             aleatoric_stats([])
 
-    def test_confidence_records_helper(self):
-        recs = [
-            record_with("a", gold="true", pred="true", softmax_lcs=0.9),
-            record_with("b", gold="true", pred="false", softmax_lcs=0.4),
-        ]
-        out = confidence_records(recs, "lcs")
-        assert [(r.confidence, r.correct) for r in out] == [(0.9, True), (0.4, False)]
+    def test_one_array_per_call(self):
+        bundles = [bundle_with(softmax_lcs=0.9), bundle_with(softmax_lcs=0.4)]
+        out = confidences(bundles, "lcs")
+        assert out.dtype == np.float64 and out.tolist() == [0.9, 0.4]
+        assert confidences([], "lcs").shape == (0,)
+
+    def test_degenerate_dev_range_warns_once_per_call(self):
+        stats = NormalizationStats(lo=2.0, hi=2.0)
+        with pytest.warns(DataWarning) as got:
+            out = confidences([bundle_with(aleatoric=2.0)] * 3, "aleatoric", stats)
+        assert out.tolist() == [0.5] * 3 and len(got) == 1
 
 
-class TestConfidenceRecordValidation:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidInput):
-            ConfidenceRecord(confidence=1.5, correct=True)
-        with pytest.raises(InvalidInput):
-            ConfidenceRecord(confidence=float("nan"), correct=True)
+class TestPairValidation:
+    """Each function that takes confidences and correct flags refuses the pairs no record could hold."""
+
+    FUNCTIONS = (reliability_bins, ece, fit_histogram_binning)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan, math.inf])
+    def test_rejects_confidence_outside_unit_interval(self, bad):
+        for fn in self.FUNCTIONS:
+            with pytest.raises(InvalidInput, match=r"confidence must be in \[0, 1\], got"):
+                fn([0.5, bad], [True, False], 10)
+
+    def test_rejects_length_mismatch(self):
+        for fn in self.FUNCTIONS:
+            with pytest.raises(InvalidInput, match="one length"):
+                fn([0.5, 0.7], [True], 10)
+            with pytest.raises(InvalidInput, match="one length"):
+                fn(0.5, True, 10)
+
+    @pytest.mark.parametrize("bad", [[1, 0], [True, 1.0], [True, None], np.array([1, 0])], ids=repr)
+    def test_rejects_flags_that_are_not_bools(self, bad):
+        for fn in self.FUNCTIONS:
+            with pytest.raises(InvalidInput, match="correct must hold bools"):
+                fn([0.5, 0.7], bad, 10)
+
+    def test_rejects_confidence_that_is_no_number(self):
+        for fn in self.FUNCTIONS:
+            with pytest.raises(InvalidInput, match="confidence must be numbers"):
+                fn(["0.5"], [True], 10)
+
+    def test_numpy_bools_and_lists_are_taken(self):
+        assert ece([0.9, 0.6], [np.True_, False], 10) == ece(*columns([(0.9, 1), (0.6, 0)]), 10)
 
 
 # ---------------------------------------------------------------------------
 # binning rule
 
 
-class TestBinIndex:
+class TestBinningRule:
     def test_zero_goes_to_first_bin(self):
         assert bin_index(0.0, 10) == 1
 
@@ -126,17 +161,20 @@ class TestBinIndex:
     def test_rejects_bad_bins(self):
         with pytest.raises(ConfigError):
             bin_index(0.5, 0)
+        for fn in (reliability_bins, ece, fit_histogram_binning):
+            with pytest.raises(ConfigError, match="n_bins must be >= 1, got 0"):
+                fn([0.5], [True], 0)
 
     @pytest.mark.parametrize("bad", [2.5, 3.0, True, np.True_])
     def test_rejects_non_integer_bins(self, bad):
-        with pytest.raises(ConfigError, match=f"n_bins must be an integer, got {bad!r}"):
-            bin_index(0.5, bad)
+        for fn in (reliability_bins, ece, fit_histogram_binning):
+            with pytest.raises(ConfigError, match=f"n_bins must be an integer, got {bad!r}"):
+                fn([0.5], [True], bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_confidence_is_invalid_input(self, bad):
         cal = CalibrationMap(calibrated=(0.25, 0.75), dev_counts=(1, 1))
         for call in (
-            lambda: bin_index(bad, 10),
             lambda: apply_calibration(cal, bad),
             lambda: apply_calibration(cal, [0.5, bad]),
         ):
@@ -150,56 +188,45 @@ class TestBinIndex:
 
 class TestEce:
     def test_perfect_records(self):
-        assert ece(conf_records([(1.0, 1), (1.0, 1)]), 10) == 0.0
+        assert ece(*columns([(1.0, 1), (1.0, 1)]), 10) == 0.0
 
     def test_hand_case(self):
-        records = conf_records([(0.9, 1), (0.9, 0), (0.6, 1), (0.6, 0)])
-        assert ece(records, 10) == pytest.approx(0.25, abs=1e-15)
+        conf, correct = columns([(0.9, 1), (0.9, 0), (0.6, 1), (0.6, 0)])
+        assert ece(conf, correct, 10) == pytest.approx(0.25, abs=1e-15)
 
     def test_single_bin_is_accuracy_gap(self, rng):
-        records = conf_records([(float(c), int(k)) for c, k in zip(rng.random(50), rng.random(50) > 0.4)])
-        acc = sum(r.correct for r in records) / 50
-        conf = sum(r.confidence for r in records) / 50
-        assert ece(records, 1) == pytest.approx(abs(acc - conf), abs=1e-12)
+        conf, correct = rng.random(50), rng.random(50) > 0.4
+        assert ece(conf, correct, 1) == pytest.approx(abs(correct.mean() - conf.mean()), abs=1e-12)
 
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 40))
-            records = conf_records(
-                [(float(c), int(k)) for c, k in zip(rng.random(n), rng.random(n) > 0.5)]
-            )
+            pairs = [(float(c), bool(k)) for c, k in zip(rng.random(n), rng.random(n) > 0.5)]
             m = int(rng.integers(1, 15))
             bins = {}
-            for r in records:
-                c = r.confidence
+            for c, k in pairs:
                 b = 1 if c <= 0 else min(m, math.ceil(c * m))
-                bins.setdefault(b, []).append(r)
+                bins.setdefault(b, []).append((c, k))
             expect = sum(
                 (len(mem) / n)
-                * abs(
-                    sum(r.correct for r in mem) / len(mem)
-                    - sum(r.confidence for r in mem) / len(mem)
-                )
+                * abs(sum(k for _, k in mem) / len(mem) - sum(c for c, _ in mem) / len(mem))
                 for mem in bins.values()
             )
-            assert ece(records, m) == pytest.approx(expect, abs=1e-12)
+            assert ece(*columns(pairs), m) == pytest.approx(expect, abs=1e-12)
 
     def test_permutation_invariant(self, rng):
         for _ in range(50):
-            records = conf_records(
-                [(float(c), int(k)) for c, k in zip(rng.random(30), rng.random(30) > 0.5)]
-            )
-            shuffled = list(records)
-            rng.shuffle(shuffled)
-            assert ece(records, 10) == ece(shuffled, 10)
+            conf, correct = rng.random(30), rng.random(30) > 0.5
+            shuffled = rng.permutation(30)
+            assert ece(conf, correct, 10) == ece(conf[shuffled], correct[shuffled], 10)
 
     def test_bounds_and_errors(self, rng):
-        records = conf_records([(0.5, 1), (0.7, 0)])
-        assert 0.0 <= ece(records, 10) <= 1.0
+        conf, correct = columns([(0.5, 1), (0.7, 0)])
+        assert 0.0 <= ece(conf, correct, 10) <= 1.0
         with pytest.raises(ConfigError):
-            ece([], 10)
+            ece([], [], 10)
         with pytest.raises(ConfigError):
-            ece(records, 0)
+            ece(conf, correct, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,24 +235,26 @@ class TestEce:
 
 class TestReliabilityBins:
     def test_single_record(self):
-        bins = reliability_bins(conf_records([(0.95, 1)]), 10)
+        bins = reliability_bins([0.95], [True], 10)
         assert bins[9].count == 1 and bins[9].accuracy == 1.0
         assert bins[9].mean_confidence == pytest.approx(0.95)
 
     def test_empty_bins_marked(self):
-        bins = reliability_bins(conf_records([(0.95, 1)]), 10)
+        bins = reliability_bins([0.95], [True], 10)
         assert all(b.count == 0 and b.accuracy is None for b in bins[:9])
 
+    def test_no_pairs_give_empty_bins(self):
+        assert reliability_bins([], [], 3) == (BinStats(0, None, None),) * 3
+
     def test_calibrated_records_within_binomial_noise(self, rng):
-        bins = reliability_bins(calibrated_pair(rng, n=2000), 10)
+        bins = reliability_bins(*calibrated_pair(rng, n=2000), 10)
         for b in bins:
             if b.count > 0:
                 bound = 3 * math.sqrt(0.25 / b.count)
                 assert abs(b.accuracy - b.mean_confidence) <= bound
 
     def test_counts_sum_to_total(self, rng):
-        records = calibrated_pair(rng, n=300)
-        bins = reliability_bins(records, 7)
+        bins = reliability_bins(*calibrated_pair(rng, n=300), 7)
         assert sum(b.count for b in bins) == 300
 
 
@@ -235,64 +264,58 @@ class TestReliabilityBins:
 
 class TestHistogramBinning:
     def test_bin_maps_to_dev_accuracy(self):
-        dev = conf_records([(0.75, 1), (0.72, 1), (0.78, 0)])  # bin 8 accuracy 2/3
-        cal = fit_histogram_binning(dev, 10)
+        cal = fit_histogram_binning(*columns([(0.75, 1), (0.72, 1), (0.78, 0)]), 10)  # bin 8 accuracy 2/3
         assert apply_calibration(cal, 0.74) == pytest.approx(2 / 3)
 
     def test_empty_bins_fall_back_to_midpoint(self):
-        dev = conf_records([(0.95, 1)])
-        cal = fit_histogram_binning(dev, 10)
+        cal = fit_histogram_binning([0.95], [True], 10)
         assert apply_calibration(cal, 0.05) == pytest.approx(0.05)
         assert apply_calibration(cal, 0.61) == pytest.approx(0.65)
 
     def test_all_correct_dev_maps_nonempty_bins_to_one(self):
-        dev = conf_records([(0.3, 1), (0.8, 1)])
-        cal = fit_histogram_binning(dev, 10)
+        cal = fit_histogram_binning([0.3, 0.8], [True, True], 10)
         assert apply_calibration(cal, 0.3) == 1.0
         assert apply_calibration(cal, 0.8) == 1.0
 
     def test_calibrated_dev_set_keeps_identity_within_noise(self, rng):
         dev = calibrated_pair(rng, n=3000)
-        cal = fit_histogram_binning(dev, 10)
-        bins = reliability_bins(dev, 10)
+        cal = fit_histogram_binning(*dev, 10)
+        bins = reliability_bins(*dev, 10)
         for m, b in enumerate(bins, start=1):
             if b.count >= 50:
                 midpoint = (m - 0.5) / 10
                 assert abs(cal.calibrated[m - 1] - midpoint) <= 3 * math.sqrt(0.25 / b.count) + 0.05
 
     def test_training_set_fixed_point(self, rng):
-        dev = calibrated_pair(rng, n=500)
-        cal = fit_histogram_binning(dev, 10)
-        recal = calibrate_records(cal, dev)
+        conf, correct = calibrated_pair(rng, n=500)
+        cal = fit_histogram_binning(conf, correct, 10)
+        recal = apply_calibration(cal, conf)
         # within each original bin, calibrated confidence equals that bin's accuracy
-        original_bins = reliability_bins(dev, 10)
+        original_bins = reliability_bins(conf, correct, 10)
         for m, stats in enumerate(original_bins, start=1):
             if stats.count == 0:
                 continue
-            members = [
-                (r, c)
-                for r, c in zip(dev, recal)
-                if bin_index(r.confidence, 10) == m
-            ]
-            acc = sum(r.correct for r, _ in members) / len(members)
-            for _, calibrated in members:
-                assert calibrated.confidence == pytest.approx(acc, abs=1e-15)
+            members = np.array([bin_index(c, 10) == m for c in conf])
+            assert recal[members] == pytest.approx(correct[members].mean(), abs=1e-15)
 
     def test_batch_matches_elementwise(self, rng):
-        dev = calibrated_pair(rng, n=200)
-        cal = fit_histogram_binning(dev, 10)
-        confs = [r.confidence for r in dev[:20]]
-        batch = apply_calibration(cal, confs)
-        assert batch == [apply_calibration(cal, c) for c in confs]
+        conf, correct = calibrated_pair(rng, n=200)
+        cal = fit_histogram_binning(conf, correct, 10)
+        batch = apply_calibration(cal, conf[:20])
+        assert batch.tolist() == [apply_calibration(cal, c) for c in conf[:20]]
 
     def test_empty_dev_rejected(self):
         with pytest.raises(ConfigError):
-            fit_histogram_binning([], 10)
+            fit_histogram_binning([], [], 10)
 
     def test_bin_count_is_the_calibrated_length(self):
         cal = CalibrationMap(calibrated=(0.2, 0.8), dev_counts=(1, 1))
         assert cal.n_bins == 2
-        assert apply_calibration(cal, [0.1, 0.9]) == [0.2, 0.8]
+        assert apply_calibration(cal, [0.1, 0.9]).tolist() == [0.2, 0.8]
+
+    def test_clips_any_finite_confidence_into_the_end_bins(self):
+        cal = CalibrationMap(calibrated=(0.2, 0.8), dev_counts=(1, 1))
+        assert apply_calibration(cal, [-3.0, 7.5]).tolist() == [0.2, 0.8]
 
     def test_identity_map_is_noop(self):
         cal = CalibrationMap(

@@ -2,15 +2,17 @@
 
 ``calibration_reference`` keeps ``to_confidence`` on Python floats and
 ``calibration_report``, ``reliability_bins``, ``ece``,
-``fit_histogram_binning`` and ``calibrate_records`` as per-record loops
+``fit_histogram_binning`` and ``apply_calibration`` as per-record loops
 over it and the scalar ``bin_index``.
 The library maps and bins whole columns, and must give the same bits: the
 properties compare ``repr`` of every float, which tells apart any two
 doubles, -0.0 from 0.0 included.
 """
 
+import math
 import warnings
 
+import numpy as np
 import pytest
 from conftest import bundle_with, record_with
 from hypothesis import given, settings
@@ -20,15 +22,15 @@ import calibration_reference as ref
 from veritas import (
     MEASURES,
     CalibrationMap,
-    ConfidenceRecord,
     NormalizationStats,
     apply_calibration,
     calibration_report,
+    confidences,
+    ece,
+    fit_histogram_binning,
     reliability_bins,
-    to_confidence,
 )
-from veritas.calibration import bin_index, calibrate_records
-from veritas.errors import DataWarning, InvalidInput
+from veritas.errors import ConfigError, DataWarning, InvalidInput
 from veritas.uncertainty import measure_spec
 
 # Bin edges, values just outside [0, 1], and plain values. A bundle holds
@@ -85,31 +87,72 @@ def test_report_bits_equal_per_record_loop(data, measure, n_bins):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.sampled_from(MEASURES), st.integers(2, 4), st.tuples(st.floats(-1.0, 5.0), st.floats(-1.0, 5.0)))
-def test_to_confidence_bits_equal_python_floats(data, measure, n_classes, bounds):
-    value = data.draw(values_of(measure))
-    bundle = bundle_with(mean_probs=(1.0,) + (0.0,) * (n_classes - 1), **{measure_spec(measure).field: value})
+def test_confidences_bits_equal_python_floats(data, measure, n_classes, bounds):
+    values = data.draw(st.lists(values_of(measure), max_size=5))
+    field = measure_spec(measure).field
+    bundles = [bundle_with(mean_probs=(1.0,) + (0.0,) * (n_classes - 1), **{field: v}) for v in values]
     stats = NormalizationStats(*bounds)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataWarning)
-        assert repr(to_confidence(bundle, measure, stats)) == repr(ref.to_confidence(bundle, measure, stats))
+        got = confidences(bundles, measure, stats)
+        assert got.dtype == np.float64
+        assert [repr(c) for c in got.tolist()] == [repr(c) for c in ref.confidences(bundles, measure, stats)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(VALUES, st.floats(-1e300, 1e300))), st.integers(1, 12))
-def test_binning_keeps_the_scalar_rule(confidences, n_bins):
+def test_binning_keeps_the_scalar_rule(confidence, n_bins):
     cal_map = CalibrationMap(tuple(m / n_bins for m in range(1, n_bins + 1)), (0,) * n_bins)
-    want = [ref.bin_index(c, n_bins) for c in confidences]
-    assert [bin_index(c, n_bins) for c in confidences] == want
-    assert apply_calibration(cal_map, confidences) == [cal_map.calibrated[m - 1] for m in want]
-    in_range = [ConfidenceRecord(min(1.0, max(0.0, c)), True) for c in confidences]
-    assert calibrate_records(cal_map, in_range) == ref.calibrate_records(cal_map, in_range)
+    want = ref.apply_calibration(cal_map, confidence)
+    assert apply_calibration(cal_map, confidence).tolist() == want
+    assert [apply_calibration(cal_map, c) for c in confidence] == want
+
+
+PAIRS = st.lists(st.tuples(st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1.0)), st.booleans()))
+
+
+def outcome(fn, *args):
+    """What a call gives: its ``repr``, or the type of the error it raises."""
+    try:
+        return repr(fn(*args))
+    except ConfigError as exc:
+        return type(exc)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1.0)), st.booleans())), st.integers(1, 12))
-def test_reliability_bins_equal_per_record_loop(pairs, n_bins):
-    records = [ConfidenceRecord(confidence=c, correct=k) for c, k in pairs]
-    assert repr(reliability_bins(records, n_bins)) == repr(ref.reliability_bins(records, n_bins))
+@given(PAIRS, st.integers(1, 12))
+def test_array_api_equals_per_record_loops(pairs, n_bins):
+    """``reliability_bins``, ``ece`` and ``fit_histogram_binning`` on lists or arrays give the loops' bits."""
+    confidence, correct = [c for c, _ in pairs], [k for _, k in pairs]
+    as_arrays = np.array(confidence, dtype=np.float64), np.array(correct, dtype=bool)
+    loops = ((reliability_bins, ref.reliability_bins), (ece, ref.ece), (fit_histogram_binning, ref.fit_histogram_binning))
+    for fn, loop in loops:
+        want = outcome(loop, confidence, correct, n_bins)
+        assert outcome(fn, confidence, correct, n_bins) == want, fn.__name__
+        assert outcome(fn, *as_arrays, n_bins) == want, fn.__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAIRS.filter(bool), st.integers(1, 12), st.sampled_from(["confidence", "length", "flag"]), st.data())
+def test_refused_pairs_are_invalid_input(pairs, n_bins, fault, data):
+    """A confidence that is non-finite or outside [0, 1], a length mismatch or a flag that is no bool."""
+    confidence, correct = [c for c, _ in pairs], [k for _, k in pairs]
+    i = data.draw(st.integers(0, len(pairs) - 1))
+    if fault == "confidence":
+        confidence[i] = data.draw(
+            st.one_of(
+                st.sampled_from([math.nan, math.inf, -math.inf, -2**-1074, 1.0 + 2**-52]),
+                st.floats(max_value=-(2**-1074)),
+                st.floats(min_value=1.0 + 2**-52),
+            )
+        )
+    elif fault == "length":
+        del correct[i]
+    else:
+        correct[i] = data.draw(st.sampled_from([0, 1, 1.0, None, "yes"]))
+    for fn in (reliability_bins, ece, fit_histogram_binning):
+        with pytest.raises(InvalidInput):
+            fn(confidence, correct, n_bins)
 
 
 def test_degenerate_dev_range_warns_and_maps_to_half():

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import pass_reference as ref
 from veritas import ConversationTree, HashingEmbedder, Tweet, aleatoric_score, bundle, nn
-from veritas import model as model_module
 from veritas.data import decompose_branches, timeline_prefixes
 from veritas.errors import ConfigError, child_rng, make_rng
 from veritas.model import ModelParams, PassOutput, init_params, mc_probs, tree_branch_outputs
@@ -50,14 +49,16 @@ def bundle_cases(draw):
     return params, tree, embedder, options
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(bundle_cases())
 def test_bundle_equals_the_pass_that_repeats_everything(case):
+    """On every timeline prefix of the tree, as a timeline scores them."""
     params, tree, embedder, options = case
-    want = ref.bundle(params, tree, embedder, **options)
-    assert bundle(params, tree, embedder, **options) == want
-    # Again on the same tree object, whose decomposition is now kept.
-    assert bundle(params, tree, embedder, **options) == want
+    for prefix in timeline_prefixes(tree):
+        want = ref.bundle(params, prefix, embedder, **options)
+        assert bundle(params, prefix, embedder, **options) == want
+        # Again on the same tree object, whose decomposition is now kept.
+        assert bundle(params, prefix, embedder, **options) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -172,15 +173,17 @@ def test_kept_decomposition_does_not_change_tree_equality_or_hash():
 
 def test_shape_caches_hand_out_read_only_arrays():
     plan = nn._lockstep_plan((3, 1, 2))
-    _, order, steps = plan
+    _, order, steps, last = plan
     rows, end = nn._mask_rows((3, 1, 2), 1)
-    for array in (order, rows, model_module._last_rows((3, 1, 2))):
+    for array in (order, last, rows):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 99
     assert isinstance(plan, tuple) and isinstance(steps, tuple)
     assert nn._lockstep_plan((3, 1, 2)) is plan
     # One sequence runs in input order: no row order to keep.
     assert nn._lockstep_plan((4,))[1] is None
+    # Step-major rows after the three zero states: the final states of the branches of 3, 1 and 2 steps.
+    assert last.tolist() == [3 + 5, 3 + 2, 3 + 4]
     assert end == 3 + 1 + 2 + 3 * 1
 
 
@@ -205,7 +208,6 @@ def test_writing_into_a_pass_result_does_not_change_the_next_pass():
     [
         (nn._lockstep_plan, lambda i: (((i % 7) + 1, i + 1),)),
         (nn._mask_rows, lambda i: ((i + 1,), 2)),
-        (model_module._last_rows, lambda i: ((i + 1, 2),)),
     ],
 )
 def test_caches_stay_bounded(cached, args):

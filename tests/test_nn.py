@@ -154,7 +154,7 @@ class TestLstm:
             np.zeros((4 * hidden, 2)), np.zeros((4 * hidden, hidden)), np.zeros(4 * hidden),
             np.ones((5, 2)),
         )
-        np.testing.assert_array_equal(out, np.zeros((5, hidden)))
+        np.testing.assert_array_equal(out, np.zeros((1, hidden)))
 
     def test_matches_scalar_loop_oracle(self, rng):
         hidden, dim, steps = 4, 3, 3
@@ -163,8 +163,18 @@ class TestLstm:
         b = rng.normal(size=4 * hidden)
         X = rng.normal(size=(steps, dim))
         np.testing.assert_allclose(
-            nn.lstm_forward(Wx, Wh, b, X), _lstm_scalar_oracle(Wx, Wh, b, X), rtol=1e-10
+            nn.lstm_forward(Wx, Wh, b, X), _lstm_scalar_oracle(Wx, Wh, b, X)[-1:], rtol=1e-10
         )
+
+    def test_each_sequence_gives_its_final_state(self, rng):
+        hidden, dim, lengths = 4, 3, (2, 4, 1)
+        Wx = rng.normal(size=(4 * hidden, dim))
+        Wh = rng.normal(size=(4 * hidden, hidden))
+        b = rng.normal(size=4 * hidden)
+        X = rng.normal(size=(sum(lengths), dim))
+        starts = np.cumsum((0,) + lengths)
+        want = [_lstm_scalar_oracle(Wx, Wh, b, X[lo:hi])[-1] for lo, hi in zip(starts, starts[1:])]
+        np.testing.assert_allclose(nn.lstm_forward(Wx, Wh, b, X, lengths), want, rtol=1e-10)
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):

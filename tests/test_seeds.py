@@ -40,6 +40,7 @@ from veritas.uncertainty import _tree_seed
         (lambda: make_rng(-2), "random seeds must be nonnegative, got -2"),
         (lambda: _tree_seed(-1, "t"), "random seeds must be nonnegative, got -1"),
         (lambda: fnv1a_64("a", -1), "random seeds must be nonnegative, got -1"),
+        (lambda: fnv1a_64("a", 2**64), f"seed must be in [0, 2**64), got {2**64}"),
     ],
 )
 def test_negative_seed_is_a_config_error(build, text):
@@ -55,6 +56,7 @@ def test_negative_fold_seed_is_a_config_error():
 
 
 def test_largest_embedder_seed_still_embeds():
+    assert fnv1a_64("a", 2**64 - 1) == fnv1a_64("a", np.uint64(2**64 - 1))
     assert HashingEmbedder(dimension=4, seed=2**64 - 1).tweet_vector("a b").shape == (4,)
     # compared as an int: as a float64, 2**64 - 1 rounds up to the bound 2**64
     assert HashingEmbedder(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
